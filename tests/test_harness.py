@@ -1,3 +1,4 @@
+import hashlib
 import time
 from pathlib import Path
 
@@ -18,6 +19,9 @@ from collisim.cli import main
 from collisim.scenarios import subsample, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+# SHA-256 of every file the shipped configs write, keyed
+# "<config stem>/<path relative to the output directory>".
+GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
 
 FIG3B = """
 scenario = collision-vs-me
@@ -216,6 +220,19 @@ class TestShippedConfigs:
         else:
             run_scenario(cfg, tmp_path)
         assert time.time() - start < 60.0
+
+        written = {
+            f"{path.stem}/{f.relative_to(tmp_path).as_posix()}":
+                hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.rglob("*") if f.is_file()
+        }
+        golden = {}
+        for line in GOLDEN_TABLE.read_text().splitlines():
+            digest, key = line.split(maxsplit=1)
+            if key.startswith(f"{path.stem}/"):
+                golden[key] = digest
+        assert golden, f"no golden digests for {path.stem}"
+        assert written == golden
 
 
 class TestCli:

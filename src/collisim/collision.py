@@ -21,6 +21,10 @@ Two propagators generate the collision unitary:
 The default substep count keeps (spectral radius of H) * dt <= 1/30, so
 the integrator resolves the fast oscillation of period ~ 1/delta that
 far-off-resonant collisions carry.
+
+`propagate` steps any fixed linear map with per-step checks; the collision
+sequence and the master equations of `lindblad` both run on it, and share
+`rk4_step_matrix` for their RK4 steps.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .errors import InvariantViolation, NumericError
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
 from .operators import (
     DensityOperator,
-    MIN_EIGENVALUE,
     anticommutator,
     batch_check_states,
     commutator,
@@ -48,6 +51,9 @@ from .trajectory import Trajectory
 STEP_TRACE_TOL = 1e-10
 CUMULATIVE_TRACE_TOL = 1e-8
 STEP_HERMITICITY_TOL = 1e-10
+# The collision tolerances, as keyword arguments of `batch_check_states`.
+STEP_TOLERANCES = dict(step_trace_tol=STEP_TRACE_TOL, cumulative_trace_tol=CUMULATIVE_TRACE_TOL,
+                       hermiticity_tol=STEP_HERMITICITY_TOL)
 
 # Invariants are verified for every step, but in blocks of this many
 # states so the eigenvalue checks run as one batched LAPACK call.
@@ -94,8 +100,8 @@ def liouvillian_superop(h: np.ndarray) -> np.ndarray:
     return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
-def _rk4_substep_matrix(a: np.ndarray, dt: float) -> np.ndarray:
-    # Classical RK4 on x' = a x advances by the degree-4 Taylor polynomial.
+def rk4_step_matrix(a: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of ``x' = a x``: the degree-4 Taylor polynomial of ``exp(a dt)``."""
     dim = a.shape[0]
     m = np.eye(dim, dtype=complex)
     term = np.eye(dim, dtype=complex)
@@ -121,7 +127,7 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
             m = np.einsum("aick,cd,ajdl->ijkl", w4, eta12, w4.conj())
         else:
             substeps = prop.substeps if prop.substeps is not None else default_substeps(h, tau)
-            step = _rk4_substep_matrix(liouvillian_superop(h), tau / substeps)
+            step = rk4_step_matrix(liouvillian_superop(h), tau / substeps)
             full = np.linalg.matrix_power(step, substeps)
             p8 = full.reshape(4, 3, 4, 3, 4, 3, 4, 3)
             m = np.einsum("aiajckdl,cd->ijkl", p8, eta12)
@@ -130,7 +136,7 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     return m.reshape(9, 9)
 
 
-def _as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
+def as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
     """Coerce a system state to a 3x3 matrix, zero-padding a 2-level one."""
     mat = rho_s.matrix if isinstance(rho_s, DensityOperator) else np.asarray(rho_s, dtype=complex)
     if mat.shape == (3, 3):
@@ -142,21 +148,53 @@ def _as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
     raise ValueError(f"system state must be 2x2 or 3x3, got {mat.shape}")
 
 
-def _check_step_state(mat: np.ndarray, step: int, prev_trace: float) -> float:
-    tr = float(np.real(np.trace(mat)))
-    if abs(tr - prev_trace) > STEP_TRACE_TOL:
-        raise InvariantViolation(
-            f"trace drifted by {tr - prev_trace:.3e} at step {step}"
+def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float,
+              space: tuple[tuple[str, int], ...], *, snapshot_stride: int,
+              step_trace_tol: float, cumulative_trace_tol: float,
+              hermiticity_tol: float, context: str) -> Trajectory:
+    """Apply ``step_map`` ``n`` times to the row-major vectorized ``mat0``.
+
+    Entry ``i`` is the state after ``i`` steps, at time ``i * dt``; each is
+    checked by `batch_check_states`, whose errors name ``context`` and the
+    step.  Two-level populations are zero-padded to three levels, and
+    every ``snapshot_stride``-th state (0: none) is kept in ``space``.
+    """
+    d = mat0.shape[0]
+    pops = np.zeros((n + 1, 3))
+    pops[0, :d] = np.real(np.diag(mat0))
+    snapshots: list[tuple[int, DensityOperator]] = []
+    if snapshot_stride:
+        snapshots.append((0, density_operator(mat0.copy(), space, validate=False)))
+
+    vec = mat0.reshape(d * d)
+    trace = float(np.real(np.trace(mat0)))
+    buf = np.empty((min(CHECK_BLOCK, n), d * d), dtype=complex)
+    done = 0
+    while done < n:
+        block = min(CHECK_BLOCK, n - done)
+        for i in range(block):
+            vec = step_map @ vec
+            buf[i] = vec
+        states = buf[:block].reshape(block, d, d)
+        trace = batch_check_states(
+            states, done + 1, trace,
+            step_trace_tol=step_trace_tol,
+            cumulative_trace_tol=cumulative_trace_tol,
+            hermiticity_tol=hermiticity_tol,
+            context=context,
         )
-    if abs(tr - 1.0) > CUMULATIVE_TRACE_TOL:
-        raise InvariantViolation(f"trace {tr:.12f} != 1 at step {step}")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > STEP_HERMITICITY_TOL:
-        raise InvariantViolation(f"Hermiticity defect {herm:.3e} at step {step}")
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < MIN_EIGENVALUE:
-        raise InvariantViolation(f"min eigenvalue {min_eig:.3e} at step {step}")
-    return tr
+        pops[done + 1: done + 1 + block, :d] = np.real(np.einsum("nii->ni", states))
+        if snapshot_stride:
+            # first block index whose absolute step lands on the stride
+            first_kept = (-(done + 1)) % snapshot_stride
+            for i in range(first_kept, block, snapshot_stride):
+                snapshots.append((done + 1 + i, density_operator(
+                    states[i].copy(), space, validate=False)))
+        done += block
+
+    times = np.arange(n + 1) * dt
+    return Trajectory(steps=np.arange(n + 1), times=times, populations=pops,
+                      snapshots=tuple(snapshots)).validate()
 
 
 def collision_step(rho_s: DensityOperator, p: ModelParams, h: np.ndarray,
@@ -166,11 +204,11 @@ def collision_step(rho_s: DensityOperator, p: ModelParams, h: np.ndarray,
     Preserves the trace to 1e-10 and returns a state passing all
     density-operator invariants.
     """
-    mat = _as_qutrit_matrix(rho_s)
+    mat = as_qutrit_matrix(rho_s)
     eta1, eta2 = ancilla_pair(p)
     m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, prop)
     out = (m @ mat.reshape(9)).reshape(3, 3)
-    _check_step_state(out, step=1, prev_trace=float(np.real(np.trace(mat))))
+    batch_check_states(out[None], 1, float(np.real(np.trace(mat))), **STEP_TOLERANCES)
     return density_operator(out, QUTRIT_SPACE)
 
 
@@ -198,43 +236,10 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
     eta1, eta2 = ancilla_pair(p)
     m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, prop)
 
-    mat = _as_qutrit_matrix(rho0)
+    mat = as_qutrit_matrix(rho0)
     density_operator(mat, QUTRIT_SPACE)  # validate the initial state
-    n = p.n_steps
-    pops = np.empty((n + 1, 3))
-    pops[0] = np.real(np.diag(mat))
-    snapshots: list[tuple[int, DensityOperator]] = []
-    if snapshot_stride:
-        snapshots.append((0, density_operator(mat.copy(), QUTRIT_SPACE, validate=False)))
-
-    vec = mat.reshape(9)
-    trace = float(np.real(np.trace(mat)))
-    buf = np.empty((min(CHECK_BLOCK, n), 9), dtype=complex)
-    done = 0
-    while done < n:
-        block = min(CHECK_BLOCK, n - done)
-        for i in range(block):
-            vec = m @ vec
-            buf[i] = vec
-        states = buf[:block].reshape(block, 3, 3)
-        trace = batch_check_states(
-            states, done + 1, trace,
-            step_trace_tol=STEP_TRACE_TOL,
-            cumulative_trace_tol=CUMULATIVE_TRACE_TOL,
-            hermiticity_tol=STEP_HERMITICITY_TOL,
-        )
-        pops[done + 1: done + 1 + block] = np.real(np.einsum("nii->ni", states))
-        if snapshot_stride:
-            # first block index whose absolute step lands on the stride
-            first_kept = (-(done + 1)) % snapshot_stride
-            for i in range(first_kept, block, snapshot_stride):
-                snapshots.append((done + 1 + i, density_operator(
-                    states[i].copy(), QUTRIT_SPACE, validate=False)))
-        done += block
-
-    times = np.arange(n + 1) * p.tau
-    return Trajectory(steps=np.arange(n + 1), times=times, populations=pops,
-                      snapshots=tuple(snapshots)).validate()
+    return propagate(m, mat, p.n_steps, p.tau, QUTRIT_SPACE,
+                     snapshot_stride=snapshot_stride, context="step", **STEP_TOLERANCES)
 
 
 def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
@@ -306,7 +311,7 @@ def second_order_map(rho_s: DensityOperator | np.ndarray, p: ModelParams) -> np.
     """
     v = build_v(p)
     eta1, eta2 = ancilla_pair(p)
-    sigma = kron(eta1.matrix, eta2.matrix, _as_qutrit_matrix(rho_s))
+    sigma = kron(eta1.matrix, eta2.matrix, as_qutrit_matrix(rho_s))
     first = -1j * p.tau * commutator(v, sigma)
     second = p.tau**2 * (v @ sigma @ v - 0.5 * anticommutator(sigma, v @ v))
     return partial_trace_matrix(first + second, (2, 2, 3), (2,))

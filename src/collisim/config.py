@@ -252,6 +252,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             )
         # every sweep point must itself validate
         for value in cfg.sweep_values:
+            if cfg.sweep_param == "n_steps" and not float(value).is_integer():
+                raise ConfigError(f"sweep_values: n_steps must be whole numbers, got {value!r}")
             point_cfg = sweep_point_config(cfg, value)
             validate_config(point_cfg)
     return cfg

@@ -5,8 +5,9 @@ far-off-resonant collision sequence coarse-grains into, and the qutrit
 two-bath equation valid for short collisions at modest detuning.  Both
 are integrated with fixed-step classical RK4; since the right-hand side
 is linear and autonomous, one RK4 step equals the degree-4 Taylor
-polynomial of the step propagator, applied here as a precomputed matrix
-on the vectorized state.
+polynomial of the step propagator (`collision.rk4_step_matrix`), applied
+as a precomputed matrix on the vectorized state by the shared stepping
+engine `collision.propagate`.
 """
 
 from __future__ import annotations
@@ -16,22 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedRates, ModelParams
-from .operators import (
-    DensityOperator,
-    batch_check_states,
-    density_operator,
-    is_hermitian,
-    transition,
-)
+from .collision import liouvillian_superop, propagate, rk4_step_matrix
+from .model import DerivedRates, ModelParams, bath_rate
+from .operators import DensityOperator, is_hermitian, transition
+# Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
+from .operators import batch_check_states  # noqa: F401
 from .trajectory import Trajectory
 
 TRACE_DRIFT_TOL = 1e-9
 HERMITICITY_DRIFT_TOL = 1e-12
 STABILITY_GUARD = 0.1
 
-# Invariant checks run on blocks of states as one batched LAPACK call.
-CHECK_BLOCK = 4096
+# Step sizes keep dt * (rate scale) <= DT_MARGIN, a 5x margin under the
+# stability guard.
+DT_MARGIN = 0.02
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,6 @@ def generator_effective_qubit(rates: DerivedRates) -> LindbladGenerator:
     rate ratio fixes the detailed-balance steady state
     ``p1/p0 = e^-x_s``, so a negative ``x_s`` yields inversion.
     """
-    if rates.capital_gamma < 0:
-        raise ValueError(f"relaxation rate must be nonnegative, got {rates.capital_gamma}")
     gamma = rates.capital_gamma
     return LindbladGenerator(
         hamiltonian_part=np.zeros((2, 2), dtype=complex),
@@ -105,8 +102,8 @@ def generator_qutrit_two_bath(p: ModelParams) -> LindbladGenerator:
     qutrit.  Valid for short collisions; the dephasing rate grows with
     the detuning, so keep ``delta`` modest.
     """
-    gamma1 = p.g**2 * p.tau / (1.0 + math.exp(p.x1))
-    gamma2 = p.g**2 * p.tau / (1.0 + math.exp(p.x2))
+    gamma1 = bath_rate(p, p.x1)
+    gamma2 = bath_rate(p, p.x2)
     sigma22 = transition(3, 2, 2)
     dissipators = [
         (transition(3, 0, 2), gamma1 * math.exp(p.x1)),
@@ -138,10 +135,8 @@ def rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
 def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Matrix of the generator on row-major vectorized states."""
-    d = gen.dim
-    eye = np.eye(d, dtype=complex)
-    h = gen.hamiltonian_part
-    g = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    eye = np.eye(gen.dim, dtype=complex)
+    g = liouvillian_superop(gen.hamiltonian_part)
     for op, rate in gen.dissipators:
         opdop = op.conj().T @ op
         g = g + rate * (
@@ -154,7 +149,7 @@ def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
 def default_dt(gen: LindbladGenerator) -> float:
     """Step size keeping the stability guard satisfied with 5x margin."""
     scale = gen.rate_scale
-    return 0.02 / scale if scale > 0 else 1.0
+    return DT_MARGIN / scale if scale > 0 else 1.0
 
 
 def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: float,
@@ -177,53 +172,14 @@ def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: f
     if rho0.dim != gen.dim:
         raise ValueError(f"state dim {rho0.dim} != generator dim {gen.dim}")
 
-    d = gen.dim
-    g_mat = generator_superoperator(gen)
-    # One RK4 step of the linear equation, as a matrix.
-    step = np.eye(d * d, dtype=complex)
-    term = np.eye(d * d, dtype=complex)
-    for k in range(1, 5):
-        term = term @ g_mat * (dt / k)
-        step = step + term
-
     n = max(1, math.ceil(t_end / dt - 1e-9))
-    pops = np.zeros((n + 1, 3))
-    snapshots: list[tuple[int, DensityOperator]] = []
-    space = rho0.space
-
-    mat = np.array(rho0.matrix, dtype=complex)
-    pops[0, :d] = np.real(np.diag(mat))
-    if snapshot_stride:
-        snapshots.append((0, density_operator(mat.copy(), space, validate=False)))
-
-    vec = mat.reshape(d * d)
-    trace = float(np.real(np.trace(mat)))
-    buf = np.empty((min(CHECK_BLOCK, n), d * d), dtype=complex)
-    done = 0
-    while done < n:
-        block = min(CHECK_BLOCK, n - done)
-        for i in range(block):
-            vec = step @ vec
-            buf[i] = vec
-        states = buf[:block].reshape(block, d, d)
-        trace = batch_check_states(
-            states, done + 1, trace,
-            step_trace_tol=math.inf,
-            cumulative_trace_tol=TRACE_DRIFT_TOL,
-            hermiticity_tol=HERMITICITY_DRIFT_TOL,
-            context="integrator step",
-        )
-        pops[done + 1: done + 1 + block, :d] = np.real(np.einsum("nii->ni", states))
-        if snapshot_stride:
-            first_kept = (-(done + 1)) % snapshot_stride
-            for i in range(first_kept, block, snapshot_stride):
-                snapshots.append((done + 1 + i, density_operator(
-                    states[i].copy(), space, validate=False)))
-        done += block
-
-    times = np.arange(n + 1) * dt
-    return Trajectory(steps=np.arange(n + 1), times=times, populations=pops,
-                      snapshots=tuple(snapshots)).validate()
+    step = rk4_step_matrix(generator_superoperator(gen), dt)
+    return propagate(step, rho0.matrix, n, dt, rho0.space,
+                     snapshot_stride=snapshot_stride,
+                     step_trace_tol=math.inf,
+                     cumulative_trace_tol=TRACE_DRIFT_TOL,
+                     hermiticity_tol=HERMITICITY_DRIFT_TOL,
+                     context="integrator step")
 
 
 def steady_residual(gen: LindbladGenerator, rho: DensityOperator | np.ndarray) -> float:

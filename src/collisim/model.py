@@ -25,7 +25,6 @@ from .operators import DensityOperator, kron, thermal_qubit, transition
 # Tensor order A1 (x) A2 (x) S with dims 2, 2, 3.
 TRIPARTITE_SPACE = (("A1", 2), ("A2", 2), ("S", 3))
 QUTRIT_SPACE = (("S", 3),)
-TOTAL_DIM = 12
 
 # Documented heuristic floor for the far-off-resonant regime.  The
 # elimination error shrinks quadratically in g/delta; below this ratio
@@ -194,12 +193,17 @@ def build_v(p: ModelParams) -> np.ndarray:
     product basis, so level populations evolve identically under V and
     under `build_h_eff`.
     """
-    alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
+    v = _h_eff_terms(p, shift_weight=0.0)
     _warn_if_not_far_off(p)
-    v = -alpha * (
-        op_a1(transition(2, 0, 1)) @ op_a2(transition(2, 1, 0)) @ op_s(transition(3, 1, 0))
-    )
-    return v + v.conj().T
+    return v
+
+
+def bath_rate(p: ModelParams, x: float) -> float:
+    """Per-bath rate ``g^2 tau / (1 + e^x)`` of a bath with thermal exponent ``x``.
+
+    Defined at every detuning, including ``delta = 0``.
+    """
+    return p.g**2 * p.tau / (1.0 + math.exp(x))
 
 
 def derive_rates(p: ModelParams) -> DerivedRates:
@@ -218,8 +222,8 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     r = p.g / p.delta
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
     capital_gamma = (r**2 * p.g**2 * p.tau) / ((1.0 + math.exp(p.x1)) * (1.0 + math.exp(-p.x2)))
-    gamma1 = p.g**2 * p.tau / (1.0 + math.exp(p.x1))
-    gamma2 = p.g**2 * p.tau / (1.0 + math.exp(p.x2))
+    gamma1 = bath_rate(p, p.x1)
+    gamma2 = bath_rate(p, p.x2)
     beta_s = None
     if p.omega_a1 is not None and p.omega_a2 is not None:
         if p.omega_a1 == p.omega_a2:

@@ -33,10 +33,6 @@ def transition(dim: int, k: int, kp: int) -> np.ndarray:
     return op
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Tensor product of one or more operators, left factor slowest (row-major)."""
     out = np.asarray(ops[0], dtype=complex)

@@ -15,16 +15,18 @@ collision times.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .collision import PropagatorChoice, closed_evolution, run_collisions
+from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
 from .config import ScenarioConfig, sweep_point_config
 from .errors import ConfigError
 from .lindblad import (
+    DT_MARGIN,
     LindbladGenerator,
     generator_effective_qubit,
     generator_qutrit_two_bath,
@@ -35,6 +37,7 @@ from .model import (
     ModelParams,
     TRIPARTITE_SPACE,
     basis_index,
+    bath_rate,
     build_h_eff,
     build_h_prime,
     derive_rates,
@@ -48,10 +51,6 @@ from .trajectory import Trajectory
 # the developed dynamics.
 RELAXATION_TARGET = 5.0
 MIN_DEFAULT_STEPS = 300
-
-# dt is chosen as tau/k with the smallest k giving dt * rate_scale <= this,
-# a 5x margin under the integrator's stability guard.
-DT_MARGIN = 0.02
 
 CSV_HEADER = "step,t_in_inverse_g,p0,p1,p2,source"
 
@@ -163,18 +162,12 @@ def default_collision_count(p: ModelParams, relaxation_rate: float) -> int:
 
 
 def me_substep_count(tau: float, gen: LindbladGenerator) -> int:
-    """Integer divisions of tau so the master-equation step obeys the margin."""
+    """Smallest number of equal divisions of tau whose step obeys `DT_MARGIN`."""
     return max(1, math.ceil(tau * gen.rate_scale / DT_MARGIN))
 
 
 def propagator_choice(cfg: ScenarioConfig) -> PropagatorChoice:
     return PropagatorChoice(cfg.propagator, cfg.substeps)
-
-
-def _embed_qubit(mat: np.ndarray) -> np.ndarray:
-    out = np.zeros((3, 3), dtype=complex)
-    out[:2, :2] = mat
-    return out
 
 
 def subsample(traj: Trajectory, every: int) -> Trajectory:
@@ -198,9 +191,8 @@ def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float
         other = b_snaps.get(step)
         if other is None:
             continue
-        mat_b = other.matrix if other.dim == 3 else _embed_qubit(other.matrix)
         t = float(a.times[np.searchsorted(a.steps, step)])
-        out.append((t, trace_distance(rho.matrix, mat_b)))
+        out.append((t, trace_distance(rho.matrix, as_qutrit_matrix(other))))
     return tuple(out)
 
 
@@ -264,6 +256,15 @@ def _collision_run(cfg: ScenarioConfig, relaxation_rate_of) -> tuple[ModelParams
     return p, traj
 
 
+def _me_at_collision_times(gen: LindbladGenerator, rho0: DensityOperator, p: ModelParams,
+                           snapshot_stride: int) -> Trajectory:
+    """Master-equation run over ``p.n_steps`` collisions, sampled at the collision times."""
+    k = me_substep_count(p.tau, gen)
+    me_full = integrate(gen, rho0, p.n_steps * p.tau, p.tau / k,
+                        snapshot_stride=snapshot_stride * k)
+    return subsample(me_full, k)
+
+
 def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the effective-qubit master equation."""
     p, exact = _collision_run(cfg, lambda p: derive_rates(p).capital_gamma)
@@ -278,10 +279,7 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
         )
     rho0_q = density_operator(np.array(rho0.matrix[:2, :2]), (("S", 2),))
 
-    k = me_substep_count(p.tau, gen)
-    me_stride = cfg.snapshot_stride * k
-    me_full = integrate(gen, rho0_q, p.n_steps * p.tau, p.tau / k, snapshot_stride=me_stride)
-    me = subsample(me_full, k)
+    me = _me_at_collision_times(gen, rho0_q, p, cfg.snapshot_stride)
     frag = metrics(exact, me)
     max_p2 = float(np.max(exact.populations[:, 2]))
 
@@ -321,7 +319,7 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
     gen = generator_effective_qubit(rates)
     analytic = steady_state_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
-    target = _embed_qubit(analytic.matrix)
+    target = as_qutrit_matrix(analytic)
     approach = tuple(
         (float(exact.times[np.searchsorted(exact.steps, step)]),
          trace_distance(snap.matrix, target))
@@ -359,18 +357,9 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
 def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the qutrit two-bath master equation
     in the short-collision, modest-detuning regime."""
-    def relax(p):
-        gamma1 = p.g**2 * p.tau / (1.0 + math.exp(p.x1))
-        gamma2 = p.g**2 * p.tau / (1.0 + math.exp(p.x2))
-        return gamma1 + gamma2
-
-    p, exact = _collision_run(cfg, relax)
+    p, exact = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
     gen = generator_qutrit_two_bath(p)
-    k = me_substep_count(p.tau, gen)
-    me_stride = cfg.snapshot_stride * k
-    me_full = integrate(gen, initial_system_state(cfg), p.n_steps * p.tau, p.tau / k,
-                        snapshot_stride=me_stride)
-    me = subsample(me_full, k)
+    me = _me_at_collision_times(gen, initial_system_state(cfg), p, cfg.snapshot_stride)
     frag = metrics(exact, me)
 
     checks = (
@@ -481,7 +470,8 @@ def _run_sweep_point(args: tuple[ScenarioConfig, float, str]) -> tuple[float, Co
 def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
     """Run one scenario per sweep value, one output subdirectory each.
 
-    Points are dispatched to a process pool of config-bounded width and
+    Points are dispatched to a process pool no wider than ``workers``,
+    the number of points and the CPU count (serially when that is 1), and
     assembled in input order, so the index file is deterministic.
     """
     if cfg.scenario != "sweep":
@@ -493,8 +483,9 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
         point_dir = out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"
         jobs.append((cfg, value, str(point_dir)))
 
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_point, jobs))
     else:
         results = [_run_sweep_point(job) for job in jobs]

@@ -22,7 +22,8 @@ from collisim import (
     second_order_map,
     trace_distance,
 )
-from collisim.collision import _check_step_state
+from collisim.collision import STEP_TOLERANCES
+from collisim.operators import batch_check_states
 
 
 def qutrit_state(p0, p1, p2, coherence01=0.0):
@@ -152,22 +153,35 @@ class TestRunCollisions:
         assert dists[-1] < 0.05
 
 
+def check_one(state, step, prev_trace=1.0, **kwargs):
+    """Run the batch checker on one state at the collision tolerances."""
+    return batch_check_states(state[None], step, prev_trace, **STEP_TOLERANCES, **kwargs)
+
+
 class TestStepChecker:
     def test_reports_step_index(self):
         bad = np.diag([1.2, -0.2, 0.0]).astype(complex)
         with pytest.raises(InvariantViolation, match="step 17"):
-            _check_step_state(bad, step=17, prev_trace=1.0)
+            check_one(bad, step=17)
 
     def test_detects_trace_drift(self):
         drifted = np.diag([0.7, 0.3, 0.0]).astype(complex) * 1.001
         with pytest.raises(InvariantViolation, match="trace"):
-            _check_step_state(drifted, step=3, prev_trace=1.0)
+            check_one(drifted, step=3)
 
     def test_detects_non_hermitian(self):
         bad = np.diag([0.7, 0.3, 0.0]).astype(complex)
         bad = bad + np.array([[0, 1e-6, 0], [-1e-6, 0, 0], [0, 0, 0]])
         with pytest.raises(InvariantViolation, match="Hermiticity"):
-            _check_step_state(bad, step=5, prev_trace=1.0)
+            check_one(bad, step=5)
+
+    def test_names_context_for_qubit_state(self):
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        with pytest.raises(InvariantViolation, match="at integrator step 9$"):
+            check_one(bad, step=9, context="integrator step")
+
+    def test_returns_last_trace(self):
+        assert check_one(np.diag([0.7, 0.3, 0.0]).astype(complex), step=1) == pytest.approx(1.0)
 
 
 class TestClosedEvolution:

@@ -15,6 +15,7 @@ from collisim import (
     run_scenario,
     run_sweep,
 )
+from collisim import scenarios
 from collisim.cli import main
 from collisim.scenarios import subsample, write_trajectory_csv
 
@@ -37,6 +38,9 @@ scenario = verify-elimination
 delta = 50
 n_grid = 400
 """
+
+N_STEPS_SWEEP = FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
+                              "sweep_scenario = collision-vs-me\nsweep_param = n_steps")
 
 
 def constant_trajectory(pops, n=10, dt=1.0):
@@ -112,6 +116,10 @@ sweep_values = 25, 0, 100
         with pytest.raises((ConfigError, ValueError)):
             cfg = parse_config_text(text)
             run_sweep(cfg, "/tmp/never-used")
+
+    def test_rejects_fractional_n_steps_sweep(self):
+        with pytest.raises(ConfigError, match="n_steps must be whole numbers"):
+            parse_config_text(N_STEPS_SWEEP + "sweep_values = 10.7\n")
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -201,6 +209,45 @@ class TestScenarioOutputs:
         assert (tmp_path / "point_000_delta_25" / "orig.csv").is_file()
         assert (tmp_path / "point_001_delta_50" / "report.kv").is_file()
 
+    def test_n_steps_sweep_runs_whole_numbers(self, tmp_path):
+        report = run_sweep(parse_config_text(N_STEPS_SWEEP + "sweep_values = 10\n"), tmp_path)
+        assert report.passed
+        assert (tmp_path / "index.csv").read_text().splitlines()[1].startswith("0,10,")
+        assert len((tmp_path / "point_000_n_steps_10" / "orig.csv").read_text().splitlines()) == 12
+
+    @pytest.mark.parametrize("workers, cpus, expected", [
+        (64, 2, 2),     # clamped to the CPU count
+        (64, 8, 3),     # clamped to the number of points
+        (2, 2, 2),      # the shipped sweep keeps its two workers
+        (64, 1, None),  # a single CPU runs serially, without a pool
+        (64, None, None),
+    ])
+    def test_sweep_pool_width_is_clamped(self, tmp_path, monkeypatch, workers, cpus, expected):
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
+        cfg = parse_config_text(
+            "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
+            f"sweep_values = 25, 50, 100\nn_grid = 50\nworkers = {workers}\n"
+        )
+        assert run_sweep(cfg, tmp_path).passed
+        assert widths == ([] if expected is None else [expected])
+        assert len((tmp_path / "index.csv").read_text().splitlines()) == 4
+
     def test_run_scenario_rejects_sweep(self, tmp_path):
         cfg = parse_config_text(
             "scenario = sweep\nsweep_scenario = verify-elimination\n"
@@ -286,6 +333,21 @@ n_steps = 40000
     def test_sweep_rejects_run_config(self, tmp_path):
         path = self.write(tmp_path, VERIFY)
         assert main(["sweep", path]) == 2
+
+    @pytest.mark.parametrize("exponents", ["x1 = 800\nx2 = 0\n", "x1 = 0\nx2 = -800\n"])
+    def test_exponent_overflow_is_numeric_error(self, tmp_path, capsys, exponents):
+        text = "scenario = collision-vs-me\ndelta = 200\nalpha_tau = 0.3\n" + exponents
+        path = self.write(tmp_path, text)
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:")
+        assert "Traceback" not in err
+
+    def test_fractional_n_steps_sweep_is_config_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, N_STEPS_SWEEP + "sweep_values = 10.7\n")
+        assert main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert "n_steps must be whole numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2

@@ -137,13 +137,13 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
 
 
 def as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
-    """Coerce a system state to a 3x3 matrix, zero-padding a 2-level one."""
+    """Coerce a system state, or a stack of them, to 3x3, zero-padding 2-level ones."""
     mat = rho_s.matrix if isinstance(rho_s, DensityOperator) else np.asarray(rho_s, dtype=complex)
-    if mat.shape == (3, 3):
+    if mat.shape[-2:] == (3, 3):
         return np.array(mat, dtype=complex)
-    if mat.shape == (2, 2):
-        out = np.zeros((3, 3), dtype=complex)
-        out[:2, :2] = mat
+    if mat.shape[-2:] == (2, 2):
+        out = np.zeros(mat.shape[:-2] + (3, 3), dtype=complex)
+        out[..., :2, :2] = mat
         return out
     raise ValueError(f"system state must be 2x2 or 3x3, got {mat.shape}")
 

@@ -9,6 +9,7 @@ likely way to produce a plausible-looking wrong answer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -220,8 +221,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"snapshot_stride: must be >= 0, got {cfg.snapshot_stride}")
     if cfg.n_grid < 2:
         raise ConfigError(f"n_grid: must be >= 2, got {cfg.n_grid}")
-    if cfg.alpha_t_max <= 0:
-        raise ConfigError(f"alpha_t_max: must be positive, got {cfg.alpha_t_max}")
+    if not (math.isfinite(cfg.alpha_t_max) and cfg.alpha_t_max > 0):
+        raise ConfigError(f"alpha_t_max: must be positive and finite, got {cfg.alpha_t_max}")
     if cfg.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
 

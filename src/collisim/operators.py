@@ -222,11 +222,18 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(space=new_space, matrix=reduced)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of ``a - b``."""
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of ``a - b``.
+
+    Either argument may be a stack of shape ``(..., d, d)``; the two
+    broadcast against each other and one ``eigvalsh`` call covers the
+    whole stack.  Returns a float for a single pair of matrices and an
+    array of distances for a stack.
+    """
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return 0.5 * float(np.sum(np.abs(evals)))
+    evals = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2).conj()))
+    dist = 0.5 * np.sum(np.abs(evals), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *,

@@ -53,6 +53,10 @@ RELAXATION_TARGET = 5.0
 MIN_DEFAULT_STEPS = 300
 
 CSV_HEADER = "step,t_in_inverse_g,p0,p1,p2,source"
+# The one number format of every output file: 12 significant digits.
+FLOAT_FMT = "%.12g"
+# Rows per write in `write_trajectory_csv`; bounds the text formatted at once.
+CSV_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -183,17 +187,25 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
     )
 
 
+def _trace_distance_table(traj: Trajectory, matched) -> tuple[tuple[float, float], ...]:
+    """``(time, trace distance)`` rows for ``(step, a, b)`` matrix triples.
+
+    ``traj`` supplies the time of each step; two-level ``b`` matrices are
+    zero-padded.  All distances come from one batched `trace_distance` call.
+    """
+    if not matched:
+        return ()
+    steps, mats_a, mats_b = zip(*matched)
+    times = traj.times[np.searchsorted(traj.steps, steps)]
+    dists = trace_distance(np.array(mats_a), as_qutrit_matrix(np.array(mats_b)))
+    return tuple(zip(times.tolist(), dists.tolist()))
+
+
 def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float, float], ...]:
     """Trace distances between full states at matched snapshot steps."""
     b_snaps = dict(b.snapshots)
-    out = []
-    for step, rho in a.snapshots:
-        other = b_snaps.get(step)
-        if other is None:
-            continue
-        t = float(a.times[np.searchsorted(a.steps, step)])
-        out.append((t, trace_distance(rho.matrix, as_qutrit_matrix(other))))
-    return tuple(out)
+    return _trace_distance_table(a, [(step, rho.matrix, b_snaps[step].matrix)
+                                     for step, rho in a.snapshots if step in b_snaps])
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +332,8 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
     analytic = steady_state_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
     target = as_qutrit_matrix(analytic)
-    approach = tuple(
-        (float(exact.times[np.searchsorted(exact.steps, step)]),
-         trace_distance(snap.matrix, target))
-        for step, snap in exact.snapshots
-    )
+    approach = _trace_distance_table(exact, [(step, snap.matrix, target)
+                                             for step, snap in exact.snapshots])
 
     final = exact.final_window_mean()
     p1_analytic = float(analytic.populations[1])
@@ -397,18 +406,22 @@ _RUNNERS = {
 
 
 def _format_float(x: float) -> str:
-    return f"{x:.12g}"
+    return FLOAT_FMT % x
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, source: str):
-    """CSV schema: step, t_in_inverse_g, p0, p1, p2, source."""
-    lines = [CSV_HEADER]
-    for i in range(len(traj)):
-        row = [str(int(traj.steps[i])), _format_float(traj.times[i])]
-        row += [_format_float(v) for v in traj.populations[i]]
-        row.append(source)
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    """CSV schema: step, t_in_inverse_g, p0, p1, p2, source.
+
+    Rows are formatted from one %-template, ``CSV_CHUNK`` rows per write,
+    so the text of a long trajectory is never held in memory at once.
+    """
+    row = ",".join(["%d"] + [FLOAT_FMT] * 4 + [source.replace("%", "%%")]) + "\n"
+    table = np.column_stack((traj.steps, traj.times, traj.populations))
+    with open(path, "w") as f:
+        f.write(CSV_HEADER + "\n")
+        for start in range(0, len(table), CSV_CHUNK):
+            chunk = table[start:start + CSV_CHUNK]
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_report_files(out_dir: Path, report: ComparisonReport):

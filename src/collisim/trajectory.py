@@ -47,7 +47,11 @@ class Trajectory:
         return len(self.times)
 
     def validate(self) -> "Trajectory":
-        """Check population normalization and time ordering."""
+        """Check finiteness, population normalization and time ordering."""
+        for arr, name in ((self.times, "times"), (self.populations, "populations")):
+            bad_rows = np.nonzero(~np.isfinite(arr))[0]
+            if len(bad_rows):
+                raise InvariantViolation(f"non-finite {name} at entry {int(bad_rows[0])}")
         sums = self.populations.sum(axis=1)
         worst = float(np.max(np.abs(sums - 1.0)))
         if worst > POPULATION_SUM_TOL:

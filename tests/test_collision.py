@@ -286,6 +286,20 @@ def test_trajectory_validation():
         Trajectory(steps=[0], times=[0.0], populations=[[0.5, 0.5]])
 
 
+def test_trajectory_validation_rejects_nan_population():
+    nan_pops = Trajectory(steps=[0, 1, 2], times=[0.0, 1.0, 2.0],
+                          populations=[[1.0, 0.0, 0.0], [np.nan, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    with pytest.raises(InvariantViolation, match="non-finite populations at entry 1"):
+        nan_pops.validate()
+
+
+def test_trajectory_validation_rejects_nan_time():
+    nan_time = Trajectory(steps=[0, 1, 2], times=[0.0, 1.0, np.nan],
+                          populations=[[1.0, 0.0, 0.0]] * 3)
+    with pytest.raises(InvariantViolation, match="non-finite times at entry 2"):
+        nan_time.validate()
+
+
 def test_trajectory_final_window():
     pops = np.column_stack([np.linspace(1, 0, 50), np.linspace(0, 1, 50), np.zeros(50)])
     traj = Trajectory(steps=np.arange(50), times=np.arange(50.0), populations=pops)

@@ -48,6 +48,21 @@ def constant_trajectory(pops, n=10, dt=1.0):
     return Trajectory(steps=np.arange(n), times=np.arange(n) * dt, populations=arr)
 
 
+def reference_write_trajectory_csv(path, traj, source):
+    """The per-row writer that `write_trajectory_csv` replaced: its byte-level oracle."""
+    lines = [scenarios.CSV_HEADER]
+    for i in range(len(traj)):
+        row = [str(int(traj.steps[i])), f"{traj.times[i]:.12g}"]
+        row += [f"{v:.12g}" for v in traj.populations[i]]
+        row.append(source)
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+ADVERSARIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.5e-13, 1.0 / 3.0, 0.5,
+                      123456789.123456789, float("inf"), float("nan"))
+
+
 class TestConfigParsing:
     def test_parses_comments_and_blanks(self):
         cfg = parse_config_text("# comment\n\nscenario = verify-elimination\ndelta = 50  # inline\n")
@@ -167,6 +182,19 @@ class TestScenarioOutputs:
         assert lines[0] == "step,t_in_inverse_g,p0,p1,p2,source"
         assert lines[1] == "0,0,0.25,0.75,0,orig"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("n", [1, scenarios.CSV_CHUNK, scenarios.CSV_CHUNK + 1])
+    @pytest.mark.parametrize("source", ["orig", "me%5"])
+    def test_csv_matches_per_row_writer(self, tmp_path, n, source):
+        rng = np.random.default_rng(n)
+        vals = np.array(ADVERSARIAL_FLOATS)
+        cells = np.where(rng.random((n, 4)) < 0.5, vals[np.arange(4 * n).reshape(n, 4) % len(vals)],
+                         rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-20, 20, size=(n, 4)))
+        traj = Trajectory(steps=999_999 - n // 2 + np.arange(n), times=cells[:, 0],
+                          populations=cells[:, 1:])
+        write_trajectory_csv(tmp_path / "new.csv", traj, source)
+        reference_write_trajectory_csv(tmp_path / "ref.csv", traj, source)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_verify_elimination_files(self, tmp_path):
         cfg = parse_config_text(VERIFY)
@@ -348,6 +376,28 @@ n_steps = 40000
         assert main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 2
         assert "n_steps must be whole numbers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_t_max_is_config_error(self, tmp_path, capsys, value):
+        path = self.write(tmp_path, VERIFY + f"alpha_t_max = {value}\n")
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "alpha_t_max" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        FIG3B,
+        "scenario = negative-temperature\ndelta = 200\nx1 = 0.5\nx2 = 1.5\n"
+        "alpha_tau = 0.3\nn_steps = 300\n",
+        "scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\nn_steps = 100\n",
+    ], ids=["collision-vs-me", "negative-temperature", "beyond-far-off"])
+    def test_zero_snapshot_stride_runs_without_trace_distances(self, tmp_path, capsys, text):
+        default = main(["run", self.write(tmp_path, text, "a.cfg"),
+                        "--output-dir", str(tmp_path / "a")])
+        assert "trace distance" in (tmp_path / "a" / "report.txt").read_text()
+        path = self.write(tmp_path, text + "snapshot_stride = 0\n", "b.cfg")
+        assert main(["run", path, "--output-dir", str(tmp_path / "b")]) == default
+        assert "trace distance" not in (tmp_path / "b" / "report.txt").read_text()
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2

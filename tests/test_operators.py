@@ -17,6 +17,7 @@ from collisim import (
     trace_distance,
     transition,
 )
+from collisim.collision import as_qutrit_matrix
 from collisim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
@@ -248,3 +249,35 @@ def test_trace_distance():
     b = np.diag([0.5, 0.5]).astype(complex)
     assert_allclose(trace_distance(a, b), 0.5, atol=1e-14)
     assert trace_distance(a, a) == 0.0
+
+
+def random_states(rng, n, d):
+    x = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    rho = x @ x.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+
+
+def test_trace_distance_batched_equals_pairwise():
+    rng = np.random.default_rng(5)
+    a, b = random_states(rng, 40, 3), random_states(rng, 40, 3)
+    batched = trace_distance(a, b)
+    assert batched.shape == (40,)
+    assert batched.tolist() == [trace_distance(x, y) for x, y in zip(a, b)]
+    # one matrix broadcast against the whole stack
+    assert trace_distance(a, b[0]).tolist() == [trace_distance(x, b[0]) for x in a]
+
+
+def test_trace_distance_batched_padded_qubits():
+    rng = np.random.default_rng(6)
+    a, q = random_states(rng, 40, 3), random_states(rng, 40, 2)
+    padded = as_qutrit_matrix(q)
+    assert padded.shape == (40, 3, 3)
+    assert np.all(padded[:, 2, :] == 0) and np.all(padded[:, :, 2] == 0)
+    expected = [trace_distance(x, as_qutrit_matrix(y)) for x, y in zip(a, q)]
+    assert trace_distance(a, padded).tolist() == expected
+
+
+def test_trace_distance_single_pair_is_float():
+    rng = np.random.default_rng(7)
+    a, b = random_states(rng, 2, 3)
+    assert type(trace_distance(a, b)) is float

@@ -5,7 +5,7 @@ far-off-resonant collision sequence coarse-grains into, and the qutrit
 two-bath equation valid for short collisions at modest detuning.  Both
 are integrated with fixed-step classical RK4; since the right-hand side
 is linear and autonomous, one RK4 step equals the degree-4 Taylor
-polynomial of the step propagator (`collision.rk4_step_matrix`), applied
+polynomial of the step propagator (`rk4_step_matrix`), applied
 as a precomputed matrix on the vectorized state by the shared stepping
 engine `collision.propagate`.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import liouvillian_superop, propagate, rk4_step_matrix
+from .collision import propagate
 from .model import DerivedRates, ModelParams, bath_rate
 from .operators import DensityOperator, is_hermitian, transition
 # Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
@@ -131,6 +131,24 @@ def rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
         opdop = opd @ op
         out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
     return out
+
+
+def rk4_step_matrix(a: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step of ``x' = a x``: the degree-4 Taylor polynomial of ``exp(a dt)``."""
+    dim = a.shape[0]
+    m = np.eye(dim, dtype=complex)
+    term = np.eye(dim, dtype=complex)
+    for k in range(1, 5):
+        term = term @ a * (dt / k)
+        m = m + term
+    return m
+
+
+def liouvillian_superop(h: np.ndarray) -> np.ndarray:
+    """Matrix of ``x -> -i[h, x]`` acting on row-major vectorized operators."""
+    dim = h.shape[0]
+    eye = np.eye(dim, dtype=complex)
+    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
 
 
 def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:

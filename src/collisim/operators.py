@@ -63,6 +63,19 @@ def is_unitary(a: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(a @ a.conj().T - eye)) <= tol)
 
 
+def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """``h`` as a complex array; ValueError unless Hermitian within ``tol`` (max elementwise deviation).
+
+    ``eigh`` reads one triangle only, so every eigendecomposition of a
+    generator goes through this check first.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not is_hermitian(h, tol):
+        dev = float(np.max(np.abs(h - h.conj().T)))
+        raise ValueError(f"generator is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    return h
+
+
 def expm_hermitian_propagator(h: np.ndarray, t: float, *, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Unitary ``exp(-i h t)`` of a Hermitian generator via eigendecomposition.
 
@@ -80,11 +93,7 @@ def expm_hermitian_propagator(h: np.ndarray, t: float, *, tol: float = HERMITICI
     ValueError
         If ``h`` is not Hermitian within `tol`.
     """
-    h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        dev = float(np.max(np.abs(h - h.conj().T)))
-        raise ValueError(f"generator is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = np.linalg.eigh(require_hermitian(h, tol))
     phases = np.exp(-1j * evals * t)
     return (vecs * phases) @ vecs.conj().T
 
@@ -137,14 +146,16 @@ class DensityOperator:
         from .errors import InvariantViolation
 
         where = f" ({context})" if context else ""
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if herm > HERMITICITY_TOL:
+        # A non-finite entry makes the defect NaN or inf, which fails here.
+        with np.errstate(invalid="ignore"):
+            herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        if not herm <= HERMITICITY_TOL:
             raise InvariantViolation(f"state not Hermitian{where}: max deviation {herm:.3e}")
         tr = np.trace(self.matrix)
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvariantViolation(f"state trace {tr:.12f} != 1{where}")
         min_eig = float(np.linalg.eigvalsh(self.matrix)[0])
-        if min_eig < MIN_EIGENVALUE:
+        if not min_eig >= MIN_EIGENVALUE:
             raise InvariantViolation(f"state not positive{where}: min eigenvalue {min_eig:.3e}")
         return self
 
@@ -243,32 +254,42 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
 
     ``states`` has shape (n, d, d); entry i is the state after step
     ``first_step + i``.  Raises `InvariantViolation` naming the first
-    offending step.  Returns the trace of the last state so the caller
-    can chain blocks.  Batching the checks keeps hundred-thousand-step
-    runs fast without weakening the per-step guarantees.
+    offending step; a state with a non-finite entry, and any NaN, fails.
+    Returns the trace of the last state so the caller can chain blocks.
+    Batching the checks keeps hundred-thousand-step runs fast without
+    weakening the per-step guarantees.
     """
     from .errors import InvariantViolation
 
-    traces = np.real(np.einsum("nii->n", states))
-    prev = np.concatenate(([prev_trace], traces[:-1]))
-    drift = np.abs(traces - prev)
-    herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
-    min_eigs = np.linalg.eigvalsh(states)[:, 0]
-
+    finite = np.all(np.isfinite(states), axis=(1, 2))
+    # Overflowing or NaN results fail the `~(value <= tol)` tests below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = np.real(np.einsum("nii->n", states))
+        prev = np.concatenate(([prev_trace], traces[:-1]))
+        drift = np.abs(traces - prev)
+        trace_err = np.abs(traces - 1.0)
+        herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
     bad = (
-        (drift > step_trace_tol)
-        | (np.abs(traces - 1.0) > cumulative_trace_tol)
-        | (herm > hermiticity_tol)
-        | (min_eigs < MIN_EIGENVALUE)
+        ~finite
+        | ~(drift <= step_trace_tol)
+        | ~(trace_err <= cumulative_trace_tol)
+        | ~(herm <= hermiticity_tol)
     )
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        step = first_step + i
-        if drift[i] > step_trace_tol:
+    # Positivity is checked up to the first state failing the tests above,
+    # so no non-finite state reaches `eigvalsh`.
+    n_ok = int(np.argmax(bad)) if np.any(bad) else len(states)
+    min_eigs = np.linalg.eigvalsh(states[:n_ok])[:, 0]
+    not_positive = ~(min_eigs >= MIN_EIGENVALUE)
+    if np.any(not_positive):
+        i = int(np.argmax(not_positive))
+        raise InvariantViolation(f"min eigenvalue {min_eigs[i]:.3e} at {context} {first_step + i}")
+    if n_ok < len(states):
+        i, step = n_ok, first_step + n_ok
+        if not finite[i]:
+            raise InvariantViolation(f"non-finite entry at {context} {step}")
+        if not drift[i] <= step_trace_tol:
             raise InvariantViolation(f"trace drifted by {traces[i] - prev[i]:.3e} at {context} {step}")
-        if abs(traces[i] - 1.0) > cumulative_trace_tol:
+        if not trace_err[i] <= cumulative_trace_tol:
             raise InvariantViolation(f"trace {traces[i]:.12f} != 1 at {context} {step}")
-        if herm[i] > hermiticity_tol:
-            raise InvariantViolation(f"Hermiticity defect {herm[i]:.3e} at {context} {step}")
-        raise InvariantViolation(f"min eigenvalue {min_eigs[i]:.3e} at {context} {step}")
+        raise InvariantViolation(f"Hermiticity defect {herm[i]:.3e} at {context} {step}")
     return float(traces[-1])

@@ -441,8 +441,10 @@ def write_report_files(out_dir: Path, report: ComparisonReport):
         kv_lines.append(f"trace_distance_max = {_format_float(max(d for _, d in report.trace_distances))}")
         txt_lines.append("")
         txt_lines.append("  trace distance (t, value):")
-        for t, d in report.trace_distances:
-            txt_lines.append(f"    {_format_float(t):>16s}  {_format_float(d)}")
+        # one row per (t, value) pair, the time right-aligned in 16 columns
+        row = "    " + FLOAT_FMT.replace("%", "%16") + "  " + FLOAT_FMT
+        txt_lines.append("\n".join([row] * len(report.trace_distances))
+                         % tuple(x for pair in report.trace_distances for x in pair))
     txt_lines.append("")
     txt_lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
     (out_dir / "report.kv").write_text("\n".join(kv_lines) + "\n")

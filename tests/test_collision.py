@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from collisim import (
     InvariantViolation,
     ModelParams,
+    NumericError,
     PropagatorChoice,
     QUTRIT_SPACE,
     TRIPARTITE_SPACE,
@@ -182,6 +183,108 @@ class TestStepChecker:
 
     def test_returns_last_trace(self):
         assert check_one(np.diag([0.7, 0.3, 0.0]).astype(complex), step=1) == pytest.approx(1.0)
+
+    def test_nan_coherence_fails_at_its_step(self):
+        bad = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(InvariantViolation, match="non-finite entry at step 4$"):
+            check_one(bad, step=4)
+
+    def test_non_finite_state_is_reported_at_its_own_step(self):
+        good = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        block = np.stack([good, good, good, good])
+        block[2, 2, 2] = np.inf
+        block[3] = np.nan
+        with pytest.raises(InvariantViolation, match="non-finite entry at step 12$"):
+            batch_check_states(block, 10, 1.0, **STEP_TOLERANCES)
+
+    def test_failure_before_a_non_finite_state_wins(self):
+        good = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        block = np.stack([good, np.diag([1.2, -0.2, 0.0]).astype(complex), good * np.nan])
+        with pytest.raises(InvariantViolation, match="min eigenvalue .* at step 2$"):
+            batch_check_states(block, 1, 1.0, **STEP_TOLERANCES)
+
+
+def matrix_power_map(h, eta12, tau, substeps, dtype=complex):
+    """The runge_kutta collision map built as a 144x144 RK4 step raised to ``substeps``.
+
+    This is the construction the eigenbasis form replaced, kept as its
+    oracle; ``dtype=np.clongdouble`` evaluates it in extended precision.
+    """
+    h = np.asarray(h, dtype=dtype)
+    eye = np.eye(12, dtype=dtype)
+    liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    dt = np.asarray(tau, dtype=dtype).real / substeps
+    step = np.eye(144, dtype=dtype)
+    term = np.eye(144, dtype=dtype)
+    for k in range(1, 5):
+        term = term @ liouvillian * (dt / k)
+        step = step + term
+    full = np.linalg.matrix_power(step, substeps)
+    p8 = full.reshape((4, 3) * 4)
+    return np.einsum("aiajckdl,cd->ijkl", p8, np.asarray(eta12, dtype=dtype)).reshape(9, 9)
+
+
+def map_inputs(builder, delta, tau):
+    p = ModelParams(delta=delta, x1=0.3, x2=-0.2, tau=tau)
+    eta1, eta2 = ancilla_pair(p)
+    return builder(p), eta1.matrix, eta2.matrix, tau
+
+
+def choi(m):
+    """Choi matrix ``sum_kl |k><l| (x) M(|k><l|)`` of a 9x9 map on row-major 3x3 states."""
+    return m.reshape(3, 3, 3, 3).transpose(2, 0, 3, 1).reshape(9, 9)
+
+
+class TestRungeKuttaMap:
+    @pytest.mark.parametrize("builder, delta, tau, substeps", [
+        (build_h_prime, 200.0, 0.5, 100),
+        (build_h_prime, 50.0, 2.0, 300),
+        (build_h_prime, 2.0, 3.0, 5),
+        (build_h_prime, 0.0, 3.0, 7),  # degenerate spectrum
+        (build_v, 200.0, 60.0, 10),  # ten-fold zero eigenvalue
+    ])
+    def test_matches_matrix_power(self, builder, delta, tau, substeps):
+        h, eta1, eta2, tau = map_inputs(builder, delta, tau)
+        m = collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta", substeps))
+        oracle = matrix_power_map(h, np.kron(eta1, eta2), tau, substeps)
+        assert np.max(np.abs(m - oracle)) <= 1e-13
+
+    def test_extended_precision_reference(self):
+        # alpha_tau = 0.01 at delta = 200: tau = 2, and the default rule gives 12001 substeps.
+        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 2.0)
+        substeps = default_substeps(h, tau)
+        assert substeps == 12001
+        m = collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta"))
+        reference = matrix_power_map(h, np.kron(eta1, eta2), tau, substeps, dtype=np.clongdouble)
+        assert float(np.max(np.abs(m - reference))) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["spectral", "runge_kutta"])
+    @pytest.mark.parametrize("builder, delta, tau", [
+        (build_h_prime, 200.0, 60.0),
+        (build_h_prime, 0.0, 3.0),
+        (build_v, 200.0, 60.0),
+    ])
+    def test_choi_matrix_is_psd_with_trace_3(self, variant, builder, delta, tau):
+        h, eta1, eta2, tau = map_inputs(builder, delta, tau)
+        c = choi(collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant)))
+        assert np.max(np.abs(c - c.conj().T)) <= 1e-12
+        assert abs(np.trace(c) - 3.0) <= 1e-12
+        assert np.linalg.eigvalsh(c)[0] >= -1e-12
+
+    @pytest.mark.parametrize("variant", ["spectral", "runge_kutta"])
+    def test_rejects_non_hermitian_hamiltonian(self, variant):
+        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 2.0)
+        h = h.copy()
+        h[0, 1] += 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant))
+
+    def test_unstable_substeps_are_a_numeric_error(self):
+        # 1000 substeps of a tau = 60 collision at delta = 200 leave the RK4 stability region.
+        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 60.0)
+        with pytest.raises(NumericError, match="not finite"):
+            collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta", 1000))
 
 
 class TestClosedEvolution:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import time
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from collisim.cli import main
 from collisim.scenarios import subsample, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 # SHA-256 of every file the shipped configs write, keyed
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
@@ -196,6 +198,17 @@ class TestScenarioOutputs:
         reference_write_trajectory_csv(tmp_path / "ref.csv", traj, source)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+    def test_report_table_matches_per_line_writer(self, tmp_path):
+        pairs = tuple(zip(ADVERSARIAL_FLOATS, reversed(ADVERSARIAL_FLOATS)))
+        report = scenarios.ComparisonReport("beyond-far-off", (), (), trace_distances=pairs)
+        scenarios.write_report_files(tmp_path, report)
+        lines = (tmp_path / "report.txt").read_text().splitlines()
+        start = lines.index("  trace distance (t, value):") + 1
+        # the per-line writer the template replaced
+        fmt = scenarios.FLOAT_FMT
+        assert lines[start:start + len(pairs)] == [f"    {fmt % t:>16s}  {fmt % d}" for t, d in pairs]
+        assert lines[start + len(pairs):] == ["", "result: PASS"]
+
     def test_verify_elimination_files(self, tmp_path):
         cfg = parse_config_text(VERIFY)
         report = run_scenario(cfg, tmp_path)
@@ -371,6 +384,18 @@ n_steps = 40000
         assert err.startswith("numeric error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("substeps, code", [(1, 3), (1000, 3), (20000, 0)])
+    def test_unstable_runge_kutta_substeps_are_numeric_error(self, tmp_path, capsys, substeps, code):
+        text = ("scenario = collision-vs-me\ndelta = 200\nx1 = 0.3\nx2 = -0.2\n"
+                "alpha_tau = 0.3\nn_steps = 300\npropagator = runge_kutta\n"
+                f"substeps = {substeps}\n")
+        path = self.write(tmp_path, text)
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 3:
+            assert err.startswith("numeric error:")
+
     def test_fractional_n_steps_sweep_is_config_error(self, tmp_path, capsys):
         path = self.write(tmp_path, N_STEPS_SWEEP + "sweep_values = 10.7\n")
         assert main(["sweep", path, "--output-dir", str(tmp_path / "out")]) == 2
@@ -401,3 +426,19 @@ n_steps = 40000
 
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_benchmark_span_targets_resolve():
+    """Every attribute the benchmark's tracer wraps still exists and is callable.
+
+    `bench/spans.py` looks layers up by module attribute name, so moving or
+    renaming one of them would otherwise only show as a failed traced run.
+    """
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans.targets()
+    assert targets
+    for owner, attr, _name, count in targets:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+        assert count is None or callable(count)

@@ -228,6 +228,16 @@ class TestDensityOperator:
         with pytest.raises(InvariantViolation, match="positive"):
             density_operator(np.diag([1.1, -0.1]).astype(complex), (("S", 2),))
 
+    def test_rejects_nan_coherence(self):
+        bad = np.diag([0.6, 0.4]).astype(complex)
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            density_operator(bad, (("S", 2),))
+
+    def test_rejects_infinite_population(self):
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            density_operator(np.diag([np.inf, 0.0]).astype(complex), (("S", 2),))
+
     def test_tolerates_1e9_negativity(self):
         mat = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         density_operator(mat, (("S", 2),))

@@ -261,8 +261,8 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
     """
     from .errors import InvariantViolation
 
-    finite = np.all(np.isfinite(states), axis=(1, 2))
-    # Overflowing or NaN results fail the `~(value <= tol)` tests below.
+    # Overflowing or NaN results fail the `~(value <= tol)` tests below; a
+    # non-finite entry always makes the Hermiticity defect NaN or inf.
     with np.errstate(over="ignore", invalid="ignore"):
         traces = np.real(np.einsum("nii->n", states))
         prev = np.concatenate(([prev_trace], traces[:-1]))
@@ -270,8 +270,7 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
         trace_err = np.abs(traces - 1.0)
         herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
     bad = (
-        ~finite
-        | ~(drift <= step_trace_tol)
+        ~(drift <= step_trace_tol)
         | ~(trace_err <= cumulative_trace_tol)
         | ~(herm <= hermiticity_tol)
     )
@@ -285,7 +284,7 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
         raise InvariantViolation(f"min eigenvalue {min_eigs[i]:.3e} at {context} {first_step + i}")
     if n_ok < len(states):
         i, step = n_ok, first_step + n_ok
-        if not finite[i]:
+        if not np.all(np.isfinite(states[i])):
             raise InvariantViolation(f"non-finite entry at {context} {step}")
         if not drift[i] <= step_trace_tol:
             raise InvariantViolation(f"trace drifted by {traces[i] - prev[i]:.3e} at {context} {step}")

@@ -228,7 +228,7 @@ def matrix_power_map(h, eta12, tau, substeps, dtype=complex):
 def map_inputs(builder, delta, tau):
     p = ModelParams(delta=delta, x1=0.3, x2=-0.2, tau=tau)
     eta1, eta2 = ancilla_pair(p)
-    return builder(p), eta1.matrix, eta2.matrix, tau
+    return builder(p), eta1.matrix, eta2.matrix
 
 
 def choi(m):
@@ -245,14 +245,15 @@ class TestRungeKuttaMap:
         (build_v, 200.0, 60.0, 10),  # ten-fold zero eigenvalue
     ])
     def test_matches_matrix_power(self, builder, delta, tau, substeps):
-        h, eta1, eta2, tau = map_inputs(builder, delta, tau)
+        h, eta1, eta2 = map_inputs(builder, delta, tau)
         m = collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta", substeps))
         oracle = matrix_power_map(h, np.kron(eta1, eta2), tau, substeps)
         assert np.max(np.abs(m - oracle)) <= 1e-13
 
     def test_extended_precision_reference(self):
         # alpha_tau = 0.01 at delta = 200: tau = 2, and the default rule gives 12001 substeps.
-        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 2.0)
+        tau = 2.0
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, tau)
         substeps = default_substeps(h, tau)
         assert substeps == 12001
         m = collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta"))
@@ -266,7 +267,7 @@ class TestRungeKuttaMap:
         (build_v, 200.0, 60.0),
     ])
     def test_choi_matrix_is_psd_with_trace_3(self, variant, builder, delta, tau):
-        h, eta1, eta2, tau = map_inputs(builder, delta, tau)
+        h, eta1, eta2 = map_inputs(builder, delta, tau)
         c = choi(collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant)))
         assert np.max(np.abs(c - c.conj().T)) <= 1e-12
         assert abs(np.trace(c) - 3.0) <= 1e-12
@@ -274,17 +275,16 @@ class TestRungeKuttaMap:
 
     @pytest.mark.parametrize("variant", ["spectral", "runge_kutta"])
     def test_rejects_non_hermitian_hamiltonian(self, variant):
-        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 2.0)
-        h = h.copy()
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, 2.0)
         h[0, 1] += 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant))
+            collision_superoperator(h, eta1, eta2, 2.0, PropagatorChoice(variant))
 
     def test_unstable_substeps_are_a_numeric_error(self):
         # 1000 substeps of a tau = 60 collision at delta = 200 leave the RK4 stability region.
-        h, eta1, eta2, tau = map_inputs(build_h_prime, 200.0, 60.0)
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, 60.0)
         with pytest.raises(NumericError, match="not finite"):
-            collision_superoperator(h, eta1, eta2, tau, PropagatorChoice("runge_kutta", 1000))
+            collision_superoperator(h, eta1, eta2, 60.0, PropagatorChoice("runge_kutta", 1000))
 
 
 class TestClosedEvolution:

@@ -58,6 +58,9 @@ STEP_HERMITICITY_TOL = 1e-10
 STEP_TOLERANCES = dict(step_trace_tol=STEP_TRACE_TOL, cumulative_trace_tol=CUMULATIVE_TRACE_TOL,
                        hermiticity_tol=STEP_HERMITICITY_TOL)
 
+# RK4 on x' = -i theta x / dt keeps |T4(-i theta)| <= 1 only for |theta| <= 2 sqrt(2).
+RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
+
 # Invariants are verified for every step, but in blocks of this many
 # states so the eigenvalue checks run as one batched LAPACK call.
 CHECK_BLOCK = 4096
@@ -92,7 +95,12 @@ def default_substeps(h: np.ndarray, tau: float) -> int:
     phase error of the degree-4 substep under 1e-7 across the longest
     shipped runs (300 collisions at detuning 200).
     """
-    radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    return _substeps_for_spectrum(np.linalg.eigvalsh(h), tau)
+
+
+def _substeps_for_spectrum(e: np.ndarray, tau: float) -> int:
+    """The `default_substeps` rule for a Hamiltonian with eigenvalues ``e``."""
+    radius = float(np.max(np.abs(e)))
     return max(1, math.ceil(30.0 * radius * tau))
 
 
@@ -117,8 +125,9 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     """The 9x9 map ``vec(rho_S) -> vec(Tr_A[U (eta1 (x) eta2 (x) rho_S) U+])``.
 
     ``h`` acts on the 12-dimensional joint space in A1 (x) A2 (x) S order
-    and must be Hermitian.  Raises `NumericError` when an unstable
-    runge_kutta substep count makes the map non-finite.
+    and must be Hermitian.  Raises `NumericError` when a runge_kutta
+    substep count is unstable: the map is not finite, or some
+    ``|e_j - e_k| dt`` exceeds RK4's stability bound ``2 sqrt(2)``.
     """
     if h.shape != (12, 12):
         raise ValueError(f"collision Hamiltonian must be 12x12, got {h.shape}")
@@ -129,18 +138,26 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
             w4 = w.reshape(4, 3, 4, 3)
             m = np.einsum("aick,cd,ajdl->ijkl", w4, eta12, w4.conj())
         else:
-            substeps = prop.substeps if prop.substeps is not None else default_substeps(h, tau)
             e, q = np.linalg.eigh(require_hermitian(h))
+            substeps = prop.substeps if prop.substeps is not None else _substeps_for_spectrum(e, tau)
+            dt = tau / substeps
             # x -> q (F o (q+ x q)) q+ on x = eta12 (x) rho_S, then the ancilla trace
             q4 = q.reshape(4, 3, 12)
             out = np.einsum("aij,alk->iljk", q4, q4.conj()).reshape(9, 144)
             into = np.einsum("bij,bc,clk->jkil", q4.conj(), eta12, q4)
             with np.errstate(over="ignore", invalid="ignore"):  # flagged just below
-                f = _rk4_power_factors(e, tau / substeps, substeps)
+                f = _rk4_power_factors(e, dt, substeps)
                 m = out @ (f[:, :, None, None] * into).reshape(144, 9)
             if not np.all(np.isfinite(m)):
                 raise NumericError(f"collision map is not finite: {substeps} runge_kutta "
                                    "substeps are unstable for this collision")
+            # |T4(-i theta)| > 1 exactly when |theta| > 2 sqrt(2): such a map is finite but wrong
+            theta_max = (e[-1] - e[0]) * dt
+            if theta_max > RK4_STABILITY_BOUND:
+                raise NumericError(
+                    f"{substeps} runge_kutta substeps are unstable for this collision: "
+                    f"max |e_j - e_k| dt = {theta_max:.4g} exceeds RK4's stability "
+                    f"bound 2*sqrt(2) = {RK4_STABILITY_BOUND:.4g}")
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"collision propagator failed: {exc}") from exc
     return m.reshape(9, 9)

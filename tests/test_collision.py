@@ -293,6 +293,32 @@ class TestRungeKuttaMap:
         with pytest.raises(NumericError, match="not finite"):
             collision_superoperator(h, eta1, eta2, 60.0, PropagatorChoice("runge_kutta", 1000))
 
+    def test_finite_unstable_substeps_name_the_stability_bound(self):
+        # One substep of a tau = 60 collision at delta = 200: |theta| reaches about
+        # 24 000, far past 2 sqrt(2), yet T4(-i theta) is finite.
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, 60.0)
+        with pytest.raises(NumericError, match=r"^1 runge_kutta substeps are unstable .* "
+                                               r"stability bound 2\*sqrt\(2\) = 2.828$"):
+            collision_superoperator(h, eta1, eta2, 60.0, PropagatorChoice("runge_kutta", 1))
+
+    def test_default_substeps_share_one_eigendecomposition(self, monkeypatch):
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, 2.0)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = collision_superoperator(h, eta1, eta2, 2.0, PropagatorChoice("runge_kutta"))
+        assert calls == ["eigh"]
+        monkeypatch.undo()
+        explicit = collision_superoperator(h, eta1, eta2, 2.0,
+                                           PropagatorChoice("runge_kutta", default_substeps(h, 2.0)))
+        assert np.array_equal(m, explicit)
+
 
 def extended_iterates(step_map, vec0, n):
     """``vec0, M vec0, ..., M^n vec0`` for the double ``step_map`` iterated in ``np.clongdouble``."""

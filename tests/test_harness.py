@@ -395,6 +395,8 @@ n_steps = 40000
         assert "Traceback" not in err
         if code == 3:
             assert err.startswith("numeric error:")
+            # a finite map names the stability bound; an overflowing one says it is not finite
+            assert {1: "stability bound", 1000: "not finite"}[substeps] in err
 
     def test_fractional_n_steps_sweep_is_config_error(self, tmp_path, capsys):
         path = self.write(tmp_path, N_STEPS_SWEEP + "sweep_values = 10.7\n")

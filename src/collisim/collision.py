@@ -4,8 +4,9 @@ One collision step: prepare fresh thermal ancillas, evolve the joint
 state ``eta1 (x) eta2 (x) rho_S`` unitarily for the collision duration,
 then trace the ancillas out.  Because each step applies the same unitary
 to the same ancilla preparation, the whole step is one fixed linear map
-on the reduced system state; that map is precomputed once per run and
-applied per step, which keeps hundred-thousand-collision runs cheap.
+on the reduced system state.  That map is precomputed once per run, and
+`propagate` applies its powers to whole blocks of steps at once, which
+keeps hundred-thousand-collision runs cheap.
 
 Two propagators generate the collision unitary:
 
@@ -26,7 +27,11 @@ the integrator resolves the fast oscillation of period ~ 1/delta that
 far-off-resonant collisions carry.
 
 `propagate` steps any fixed linear map with per-step checks; the collision
-sequence and the master equations of `lindblad` both run on it.
+sequence and the master equations of `lindblad` both run on it.  It
+reaches each block of ``STEP_BLOCK`` states with one product against a
+table of the map's powers, and hops from block to block with the map's
+``STEP_BLOCK``-th power taken in extended precision, so that rounding
+does not compound over a long relaxation (see `propagate`).
 """
 
 from __future__ import annotations
@@ -64,6 +69,8 @@ RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
 # Invariants are verified for every step, but in blocks of this many
 # states so the eigenvalue checks run as one batched LAPACK call.
 CHECK_BLOCK = 4096
+# `propagate` computes this many consecutive states with one product.
+STEP_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -175,34 +182,61 @@ def as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
     raise ValueError(f"system state must be 2x2 or 3x3, got {mat.shape}")
 
 
-def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float,
-              space: tuple[tuple[str, int], ...], *, snapshot_stride: int,
-              step_trace_tol: float, cumulative_trace_tol: float,
+def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
+              snapshot_stride: int, step_trace_tol: float, cumulative_trace_tol: float,
               hermiticity_tol: float, context: str) -> Trajectory:
     """Apply ``step_map`` ``n`` times to the row-major vectorized ``mat0``.
 
     Entry ``i`` is the state after ``i`` steps, at time ``i * dt``; each is
     checked by `batch_check_states`, whose errors name ``context`` and the
     step.  Two-level populations are zero-padded to three levels, and
-    every ``snapshot_stride``-th state (0: none) is kept in ``space``.
+    every ``snapshot_stride``-th state (0: none) is kept.
+
+    States are computed ``STEP_BLOCK`` at a time from the state ``s``
+    before the block: state ``s + j`` is ``step_map^j`` from a
+    double-precision power table applied to state ``s``, and the last
+    state of a full block, from which the next block starts, is the hop
+    ``step_map^STEP_BLOCK`` applied to state ``s``.  A rounding error in
+    a power acts like a perturbed map.  In the table it reaches only the
+    states of one block, but a perturbed hop is applied again in every
+    block and would compound over a long relaxation (to about 1e-12 in
+    50 000 steps), so the hop is powered in ``np.clongdouble`` and
+    rounded once.
     """
     d = mat0.shape[0]
+    dd = d * d
     pops = np.zeros((n + 1, 3))
     pops[0, :d] = np.real(np.diag(mat0))
-    snapshots: list[tuple[int, DensityOperator]] = []
-    if snapshot_stride:
-        snapshots.append((0, density_operator(mat0.copy(), space, validate=False)))
+    snapshot_steps = np.arange(0, n + 1, snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_states = np.empty((len(snapshot_steps), d, d), dtype=complex)
+    snapshot_states[:1] = mat0  # step 0, when snapshots are kept
 
-    vec = mat0.reshape(d * d)
+    b = min(STEP_BLOCK, n)
+    powers = np.empty((b, dd, dd), dtype=complex)  # powers[k] = step_map^(k + 1)
+    powers[:1] = step_map  # empty when n = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite states fail the checks
+        filled = 1
+        while filled < b:
+            k = min(filled, b - filled)
+            np.matmul(powers[filled - 1], powers[:k], out=powers[filled:filled + k])
+            filled += k
+        if n >= STEP_BLOCK:
+            hop = np.linalg.matrix_power(step_map.astype(np.clongdouble), STEP_BLOCK).astype(complex)
+    table = powers.reshape(b * dd, dd)
+
+    vec = mat0.reshape(dd)
     trace = float(np.real(np.trace(mat0)))
-    buf = np.empty((min(CHECK_BLOCK, n), d * d), dtype=complex)
+    buf = np.empty((min(CHECK_BLOCK, n), dd), dtype=complex)
     done = 0
     while done < n:
         block = min(CHECK_BLOCK, n - done)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite states fail the checks
-            for i in range(block):
-                vec = step_map @ vec
-                buf[i] = vec
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, block, STEP_BLOCK):
+                m = min(STEP_BLOCK, block - start)
+                np.matmul(table[:m * dd], vec, out=buf[start:start + m].reshape(m * dd))
+                if m == STEP_BLOCK:
+                    np.matmul(hop, vec, out=buf[start + m - 1])
+                vec = buf[start + m - 1].copy()
         states = buf[:block].reshape(block, d, d)
         trace = batch_check_states(
             states, done + 1, trace,
@@ -212,17 +246,13 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float,
             context=context,
         )
         pops[done + 1: done + 1 + block, :d] = np.real(np.einsum("nii->ni", states))
-        if snapshot_stride:
-            # first block index whose absolute step lands on the stride
-            first_kept = (-(done + 1)) % snapshot_stride
-            for i in range(first_kept, block, snapshot_stride):
-                snapshots.append((done + 1 + i, density_operator(
-                    states[i].copy(), space, validate=False)))
+        lo, hi = np.searchsorted(snapshot_steps, (done + 1, done + block + 1))
+        snapshot_states[lo:hi] = states[snapshot_steps[lo:hi] - (done + 1)]
         done += block
 
     times = np.arange(n + 1) * dt
     return Trajectory(steps=np.arange(n + 1), times=times, populations=pops,
-                      snapshots=tuple(snapshots)).validate()
+                      snapshot_steps=snapshot_steps, snapshot_states=snapshot_states).validate()
 
 
 def collision_step(rho_s: DensityOperator, p: ModelParams, h: np.ndarray,
@@ -266,8 +296,8 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
 
     mat = as_qutrit_matrix(rho0)
     density_operator(mat, QUTRIT_SPACE)  # validate the initial state
-    return propagate(m, mat, p.n_steps, p.tau, QUTRIT_SPACE,
-                     snapshot_stride=snapshot_stride, context="step", **STEP_TOLERANCES)
+    return propagate(m, mat, p.n_steps, p.tau, snapshot_stride=snapshot_stride,
+                     context="step", **STEP_TOLERANCES)
 
 
 def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
@@ -304,7 +334,8 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
     s_dim = dims[s_pos]
 
     pops = np.zeros((t.size, 3))
-    snapshots: list[tuple[int, DensityOperator]] = []
+    snapshot_steps = np.arange(0, t.size, snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
     for i, ti in enumerate(t):
         phases = np.exp(-1j * evals * ti)
         sig_t = (phases[:, None] * phases.conj()[None, :]) * sig0
@@ -318,10 +349,10 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
         reduced = partial_trace_matrix(full, dims, (s_pos,))
         pops[i, :s_dim] = np.real(np.diag(reduced))
         if snapshot_stride and i % snapshot_stride == 0:
-            snapshots.append((i, density_operator(reduced, (("S", s_dim),), validate=False)))
+            snapshot_states[i // snapshot_stride] = reduced
 
     return Trajectory(steps=np.arange(t.size), times=t, populations=pops,
-                      snapshots=tuple(snapshots)).validate()
+                      snapshot_steps=snapshot_steps, snapshot_states=snapshot_states).validate()
 
 
 def second_order_map(rho_s: DensityOperator | np.ndarray, p: ModelParams) -> np.ndarray:

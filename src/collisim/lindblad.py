@@ -192,8 +192,7 @@ def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: f
 
     n = max(1, math.ceil(t_end / dt - 1e-9))
     step = rk4_step_matrix(generator_superoperator(gen), dt)
-    return propagate(step, rho0.matrix, n, dt, rho0.space,
-                     snapshot_stride=snapshot_stride,
+    return propagate(step, rho0.matrix, n, dt, snapshot_stride=snapshot_stride,
                      step_trace_tol=math.inf,
                      cumulative_trace_tol=TRACE_DRIFT_TOL,
                      hermiticity_tol=HERMITICITY_DRIFT_TOL,

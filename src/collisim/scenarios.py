@@ -178,34 +178,35 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
     """Every ``every``-th entry, with step indices renumbered to match."""
     if every == 1:
         return traj
-    snaps = tuple((s // every, rho) for s, rho in traj.snapshots if s % every == 0)
+    keep = traj.snapshot_steps % every == 0
     return Trajectory(
         steps=traj.steps[::every] // every,
         times=traj.times[::every],
         populations=traj.populations[::every],
-        snapshots=snaps,
+        snapshot_steps=traj.snapshot_steps[keep] // every,
+        snapshot_states=traj.snapshot_states[keep],
     )
 
 
-def _trace_distance_table(traj: Trajectory, matched) -> tuple[tuple[float, float], ...]:
-    """``(time, trace distance)`` rows for ``(step, a, b)`` matrix triples.
+def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray,
+                          b: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """``(time, trace distance)`` rows for the states ``a`` and ``b`` at ``steps``.
 
-    ``traj`` supplies the time of each step; two-level ``b`` matrices are
-    zero-padded.  All distances come from one batched `trace_distance` call.
+    ``traj`` supplies the time of each step; ``b`` may be a single matrix,
+    and two-level ``b`` matrices are zero-padded.  All distances come from
+    one batched `trace_distance` call.
     """
-    if not matched:
+    if not len(steps):
         return ()
-    steps, mats_a, mats_b = zip(*matched)
     times = traj.times[np.searchsorted(traj.steps, steps)]
-    dists = trace_distance(np.array(mats_a), as_qutrit_matrix(np.array(mats_b)))
+    dists = trace_distance(a, as_qutrit_matrix(b))
     return tuple(zip(times.tolist(), dists.tolist()))
 
 
 def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float, float], ...]:
     """Trace distances between full states at matched snapshot steps."""
-    b_snaps = dict(b.snapshots)
-    return _trace_distance_table(a, [(step, rho.matrix, b_snaps[step].matrix)
-                                     for step, rho in a.snapshots if step in b_snaps])
+    steps, ia, ib = np.intersect1d(a.snapshot_steps, b.snapshot_steps, return_indices=True)
+    return _trace_distance_table(a, steps, a.snapshot_states[ia], b.snapshot_states[ib])
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,7 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
     analytic = steady_state_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
     target = as_qutrit_matrix(analytic)
-    approach = _trace_distance_table(exact, [(step, snap.matrix, target)
-                                             for step, snap in exact.snapshots])
+    approach = _trace_distance_table(exact, exact.snapshot_steps, exact.snapshot_states, target)
 
     final = exact.final_window_mean()
     p1_analytic = float(analytic.populations[1])

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantViolation
-from .operators import DensityOperator
 
 POPULATION_SUM_TOL = 1e-8
 
@@ -22,14 +21,17 @@ POPULATION_SUM_TOL = 1e-8
 class Trajectory:
     """Populations indexed by step and physical time (units 1/g).
 
-    ``snapshots`` optionally carries full reduced states at a stride
-    chosen by the producer.
+    ``snapshot_states`` optionally carries full reduced states, shape
+    ``(m, d, d)``, at the steps ``snapshot_steps``, shape ``(m,)``, chosen
+    by the producer.
     """
 
     steps: np.ndarray
     times: np.ndarray
     populations: np.ndarray
-    snapshots: tuple[tuple[int, DensityOperator], ...] = field(default=(), repr=False)
+    snapshot_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
+    snapshot_states: np.ndarray = field(default_factory=lambda: np.zeros((0, 3, 3), dtype=complex),
+                                        repr=False)
 
     def __post_init__(self):
         steps = np.asarray(self.steps, dtype=int)
@@ -39,7 +41,13 @@ class Trajectory:
             raise ValueError("steps, times, populations must have equal length")
         if pops.ndim != 2 or pops.shape[1] != 3:
             raise ValueError(f"populations must have shape (n, 3), got {pops.shape}")
-        for arr, name in ((steps, "steps"), (times, "times"), (pops, "populations")):
+        snap_steps = np.asarray(self.snapshot_steps, dtype=int)
+        snap_states = np.asarray(self.snapshot_states, dtype=complex)
+        if snap_steps.ndim != 1 or snap_states.ndim != 3 or len(snap_steps) != len(snap_states):
+            raise ValueError(f"snapshot steps and states must have shapes (m,) and (m, d, d), "
+                             f"got {snap_steps.shape} and {snap_states.shape}")
+        for arr, name in ((steps, "steps"), (times, "times"), (pops, "populations"),
+                          (snap_steps, "snapshot_steps"), (snap_states, "snapshot_states")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

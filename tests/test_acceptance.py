@@ -212,8 +212,8 @@ def test_criterion_7_propagator_equivalence():
                          snapshot_stride=50)
     pop_dev = float(np.max(np.abs(spectral.populations - rk4.populations)))
     state_dev = max(
-        float(np.max(np.abs(a.matrix - b.matrix)))
-        for (_, a), (_, b) in zip(spectral.snapshots, rk4.snapshots)
+        float(np.max(np.abs(a - b)))
+        for a, b in zip(spectral.snapshot_states, rk4.snapshot_states)
     )
     elapsed = time.time() - t0
 
@@ -255,23 +255,25 @@ def test_criterion_9_invariant_suite():
     # density-operator invariants (the engines also enforce these per
     # step and abort on violation).
     p_b = ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=60.0, n_steps=300)
-    collision_snaps = run_collisions(GROUND_QUTRIT, p_b, "original", snapshot_stride=1).snapshots
     p_hot = ModelParams(delta=200.0, x1=0.5, x2=1.5, tau=60.0, n_steps=300)
-    collision_snaps += run_collisions(GROUND_QUTRIT, p_hot, "original", snapshot_stride=1).snapshots
+    collision_runs = [run_collisions(GROUND_QUTRIT, p, "original", snapshot_stride=1)
+                      for p in (p_b, p_hot)]
 
     p_fig2 = ModelParams(delta=50.0)
     t_grid = np.linspace(0.0, 5.0 / 0.02, 500)
-    closed_snaps = closed_evolution(fig2_joint_state(), build_h_prime(p_fig2), t_grid,
-                                    snapshot_stride=1).snapshots
+    closed = closed_evolution(fig2_joint_state(), build_h_prime(p_fig2), t_grid,
+                              snapshot_stride=1)
 
     rates = derive_rates(p_hot)
     gen_q = generator_effective_qubit(rates)
-    me_snaps = integrate(gen_q, GROUND_QUBIT, 18000.0, 60.0, snapshot_stride=1).snapshots
+    me = integrate(gen_q, GROUND_QUBIT, 18000.0, 60.0, snapshot_stride=1)
 
     checked = 0
-    for step, snap in collision_snaps + closed_snaps + me_snaps:
-        snap.validate(context=f"snapshot step {step}")
-        checked += 1
+    for traj in collision_runs + [closed, me]:
+        for step, state in zip(traj.snapshot_steps, traj.snapshot_states):
+            space = (("S", state.shape[0]),)
+            density_operator(state, space, validate=False).validate(context=f"snapshot step {step}")
+            checked += 1
 
     # GKSL structure: trace-zero and Hermiticity-preserving right-hand
     # side on 100 random states each.

@@ -26,7 +26,8 @@ from collisim import (
     trace_distance,
 )
 from collisim import derive_rates, generator_effective_qubit, load_config
-from collisim.collision import STEP_TOLERANCES, propagate
+from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, STEP_BLOCK, STEP_TOLERANCES,
+                                propagate)
 from collisim.lindblad import generator_superoperator, rk4_step_matrix
 from collisim.operators import batch_check_states
 from collisim.scenarios import initial_system_state, me_substep_count, model_params
@@ -133,9 +134,11 @@ class TestRunCollisions:
     def test_snapshot_stride(self):
         p = ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=60.0, n_steps=20)
         traj = run_collisions(GROUND, p, "original", snapshot_stride=5)
-        assert [s for s, _ in traj.snapshots] == [0, 5, 10, 15, 20]
+        assert traj.snapshot_steps.tolist() == [0, 5, 10, 15, 20]
+        assert traj.snapshot_states.shape == (5, 3, 3)
         traj = run_collisions(GROUND, p, "original", snapshot_stride=0)
-        assert traj.snapshots == ()
+        assert traj.snapshot_steps.size == 0
+        assert traj.snapshot_states.size == 0
 
     def test_deterministic(self):
         p = ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=60.0, n_steps=30)
@@ -146,8 +149,8 @@ class TestRunCollisions:
     def test_every_state_is_valid(self):
         p = ModelParams(delta=200.0, x1=0.5, x2=1.5, tau=60.0, n_steps=40)
         traj = run_collisions(GROUND, p, "original", snapshot_stride=1)
-        for step, snap in traj.snapshots:
-            snap.validate(context=f"step {step}")
+        for step, state in zip(traj.snapshot_steps, traj.snapshot_states):
+            density_operator(state, QUTRIT_SPACE, validate=False).validate(context=f"step {step}")
 
     def test_effective_converges_to_maximally_mixed_qubit(self):
         # x_s = 0: monotone trace-distance decrease to diag(1/2, 1/2, 0)
@@ -155,7 +158,7 @@ class TestRunCollisions:
         p = ModelParams(delta=100.0, x1=0.3, x2=0.3, tau=30.0, n_steps=60)
         traj = run_collisions(GROUND, p, "effective", snapshot_stride=1)
         target = np.diag([0.5, 0.5, 0.0]).astype(complex)
-        dists = [trace_distance(s.matrix, target) for _, s in traj.snapshots]
+        dists = trace_distance(traj.snapshot_states, target)
         diffs = np.diff(dists[5:])
         assert np.all(diffs <= 1e-12)
         assert dists[-1] < 0.05
@@ -355,13 +358,73 @@ class TestPropagateAccuracy:
         # state of a 50 000-step run stays within 1e-13 of the same double
         # map iterated in extended precision.
         n = 50_000
-        traj = propagate(step_map, rho0, n, dt, (("S", rho0.shape[0]),), snapshot_stride=1,
-                         context="step", **tolerances)
-        states = np.array([snap.matrix for _, snap in traj.snapshots])
+        traj = propagate(step_map, rho0, n, dt, snapshot_stride=1, context="step", **tolerances)
+        states = traj.snapshot_states
         reference = extended_iterates(step_map, rho0.reshape(-1), n)
         err = float(np.max(np.abs(states.reshape(n + 1, -1) - reference)))
         assert err <= 1e-13
 
+
+
+def loop_propagate(step_map, mat0, n, **tolerances):
+    """The per-step loop that block stepping replaced, kept as its oracle.
+
+    Returns every state as an ``(n + 1, d, d)`` stack and checks them
+    ``CHECK_BLOCK`` at a time, as the loop did.
+    """
+    d = mat0.shape[0]
+    states = np.empty((n + 1, d * d), dtype=complex)
+    states[0] = vec = mat0.reshape(d * d)
+    trace = float(np.real(np.trace(mat0)))
+    for done in range(0, n, CHECK_BLOCK):
+        block = min(CHECK_BLOCK, n - done)
+        for i in range(done + 1, done + 1 + block):
+            vec = step_map @ vec
+            states[i] = vec
+        trace = batch_check_states(states[done + 1:done + 1 + block].reshape(block, d, d),
+                                   done + 1, trace, **tolerances)
+    return states.reshape(n + 1, d, d)
+
+
+class TestPropagateBlocks:
+    @pytest.mark.parametrize("n", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
+                                   CHECK_BLOCK + 1, 5 * STEP_BLOCK + 77])
+    @pytest.mark.parametrize("step_map, rho0, dt, tolerances", short_collision_maps())
+    def test_matches_per_step_loop(self, n, step_map, rho0, dt, tolerances):
+        traj = propagate(step_map, rho0, n, dt, snapshot_stride=1, context="step", **tolerances)
+        expected = loop_propagate(step_map, rho0, n, **tolerances)
+        assert traj.snapshot_steps.tolist() == list(range(n + 1))
+        assert np.max(np.abs(traj.snapshot_states - expected)) <= 1e-14
+        assert np.array_equal(traj.snapshot_states[1].reshape(-1), step_map @ rho0.reshape(-1))
+        d = rho0.shape[0]
+        assert np.array_equal(traj.populations[:, :d],
+                              np.real(np.einsum("nii->ni", traj.snapshot_states)))
+
+    @pytest.mark.parametrize("stride", [1, 7, STEP_BLOCK - 1, STEP_BLOCK + 1, 1000])
+    def test_snapshot_steps_across_block_edges(self, stride):
+        step_map, rho0, dt, tolerances = short_collision_maps()[0].values
+        n = CHECK_BLOCK + 300
+        traj = propagate(step_map, rho0, n, dt, snapshot_stride=stride, context="step",
+                         **tolerances)
+        expected_steps = np.arange(0, n + 1, stride)
+        assert np.array_equal(traj.snapshot_steps, expected_steps)
+        expected = loop_propagate(step_map, rho0, n, **tolerances)[expected_steps]
+        assert np.max(np.abs(traj.snapshot_states - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("fail_step", [STEP_BLOCK, STEP_BLOCK + 1])
+    def test_trace_growth_fails_at_the_same_step_as_the_loop(self, fail_step):
+        # (1 + eps) I grows the trace by about eps per step, past the
+        # cumulative bound 1e-8 first at `fail_step`: the hop state, or the
+        # first state computed from it.
+        step_map = (1 + CUMULATIVE_TRACE_TOL / (fail_step - 0.5)) * np.eye(9)
+        rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(InvariantViolation) as from_loop:
+            loop_propagate(step_map, rho0, 2 * STEP_BLOCK, **STEP_TOLERANCES)
+        with pytest.raises(InvariantViolation) as from_blocks:
+            propagate(step_map, rho0, 2 * STEP_BLOCK, 1.0, snapshot_stride=0, context="step",
+                      **STEP_TOLERANCES)
+        assert str(from_loop.value).endswith(f"!= 1 at step {fail_step}")
+        assert str(from_blocks.value) == str(from_loop.value)
 
 class TestClosedEvolution:
     def test_rabi_transfer_at_quarter_period(self):
@@ -405,10 +468,10 @@ class TestClosedEvolution:
         p = ModelParams(delta=50.0)
         traj = closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(p),
                                 np.linspace(0, 20, 21), snapshot_stride=10)
-        assert [s for s, _ in traj.snapshots] == [0, 10, 20]
-        for _, snap in traj.snapshots:
-            assert snap.dim == 3
-            snap.validate()
+        assert traj.snapshot_steps.tolist() == [0, 10, 20]
+        assert traj.snapshot_states.shape == (3, 3, 3)
+        for state in traj.snapshot_states:
+            density_operator(state, QUTRIT_SPACE)
 
 
 class TestSecondOrderMap:

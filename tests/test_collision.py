@@ -21,14 +21,17 @@ from collisim import (
     collision_superoperator,
     default_substeps,
     density_operator,
+    derive_rates,
+    generator_effective_qubit,
+    load_config,
     run_collisions,
     second_order_map,
     trace_distance,
 )
-from collisim import derive_rates, generator_effective_qubit, load_config
 from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, STEP_BLOCK, STEP_TOLERANCES,
                                 propagate)
-from collisim.lindblad import generator_superoperator, rk4_step_matrix
+from collisim.lindblad import (HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL, generator_superoperator,
+                               rk4_step_matrix)
 from collisim.operators import batch_check_states
 from collisim.scenarios import initial_system_state, me_substep_count, model_params
 
@@ -346,7 +349,8 @@ def short_collision_maps():
     dt = p.tau / me_substep_count(p.tau, gen)
     me_map = rk4_step_matrix(generator_superoperator(gen), dt)
     rho0 = initial_system_state(cfg).matrix
-    me_tolerances = dict(step_trace_tol=np.inf, cumulative_trace_tol=1e-9, hermiticity_tol=1e-12)
+    me_tolerances = dict(step_trace_tol=np.inf, cumulative_trace_tol=TRACE_DRIFT_TOL,
+                         hermiticity_tol=HERMITICITY_DRIFT_TOL)
     return [pytest.param(collision_map, rho0, p.tau, STEP_TOLERANCES, id="collision"),
             pytest.param(me_map, np.array(rho0[:2, :2]), dt, me_tolerances, id="master_equation")]
 
@@ -363,7 +367,6 @@ class TestPropagateAccuracy:
         reference = extended_iterates(step_map, rho0.reshape(-1), n)
         err = float(np.max(np.abs(states.reshape(n + 1, -1) - reference)))
         assert err <= 1e-13
-
 
 
 def loop_propagate(step_map, mat0, n, **tolerances):
@@ -425,6 +428,7 @@ class TestPropagateBlocks:
                       **STEP_TOLERANCES)
         assert str(from_loop.value).endswith(f"!= 1 at step {fail_step}")
         assert str(from_blocks.value) == str(from_loop.value)
+
 
 class TestClosedEvolution:
     def test_rabi_transfer_at_quarter_period(self):

@@ -197,20 +197,22 @@ def thermal_qubit(x: float, label: str = "A") -> DensityOperator:
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of a raw matrix over the factors not in ``keep``.
+    """Partial trace of a raw matrix, or a stack of them, over the factors not in ``keep``.
 
-    ``dims`` are the factor dimensions in tensor order; ``keep`` holds the
-    indices of the factors to retain, in their original order.
+    ``mat`` has shape ``(..., D, D)`` with ``D = prod(dims)``; the leading
+    axes are a stack and are kept.  ``dims`` are the factor dimensions in
+    tensor order; ``keep`` holds the indices of the factors to retain, in
+    their original order.
     """
     n = len(dims)
-    tensor = mat.reshape(dims + dims)
+    tensor = mat.reshape(mat.shape[:-2] + dims + dims)
     # einsum index layout: bra indices 0..n-1, ket indices n..2n-1; traced
     # factors share one index on both sides.
     bra = list(range(n))
     ket = [i + n if i in keep else i for i in range(n)]
-    out = np.einsum(tensor, bra + ket)
+    out = np.einsum(tensor, [Ellipsis] + bra + ket)
     kept_dim = math.prod(dims[i] for i in keep)
-    return out.reshape(kept_dim, kept_dim)
+    return out.reshape(mat.shape[:-2] + (kept_dim, kept_dim))
 
 
 def partial_trace(rho: DensityOperator, keep) -> DensityOperator:

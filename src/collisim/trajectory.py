@@ -17,13 +17,14 @@ from .errors import InvariantViolation
 POPULATION_SUM_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Populations indexed by step and physical time (units 1/g).
 
     ``snapshot_states`` optionally carries full reduced states, shape
     ``(m, d, d)``, at the steps ``snapshot_steps``, shape ``(m,)``, chosen
-    by the producer.
+    by the producer.  Trajectories compare by identity: their fields are
+    arrays, which have no single truth value to compare by.
     """
 
     steps: np.ndarray

@@ -14,6 +14,7 @@ from collisim import (
     Trajectory,
     ancilla_pair,
     basis_index,
+    build_h_eff,
     build_h_prime,
     build_v,
     closed_evolution,
@@ -28,11 +29,11 @@ from collisim import (
     second_order_map,
     trace_distance,
 )
-from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, STEP_BLOCK, STEP_TOLERANCES,
-                                propagate)
+from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, GRID_BLOCK, STEP_BLOCK,
+                                STEP_TOLERANCES, propagate)
 from collisim.lindblad import (HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL, generator_superoperator,
                                rk4_step_matrix)
-from collisim.operators import batch_check_states
+from collisim.operators import batch_check_states, partial_trace_matrix
 from collisim.scenarios import initial_system_state, me_substep_count, model_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -468,6 +469,12 @@ class TestClosedEvolution:
         with pytest.raises(ValueError, match="nonempty"):
             closed_evolution(sigma0, h, [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="t_grid must be finite"):
+            closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
+                             [0.0, bad])
+
     def test_snapshots_are_reduced_states(self):
         p = ModelParams(delta=50.0)
         traj = closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(p),
@@ -476,6 +483,72 @@ class TestClosedEvolution:
         assert traj.snapshot_states.shape == (3, 3, 3)
         for state in traj.snapshot_states:
             density_operator(state, QUTRIT_SPACE)
+
+
+def loop_closed_evolution(sigma0, h, t, snapshot_stride):
+    """The per-grid-point loop that grid blocks replaced, kept as their oracle.
+
+    Returns the populations, snapshot steps and snapshot states; the
+    purity check and the grid validation are left out.
+    """
+    evals, q = np.linalg.eigh(h)
+    sig0 = q.conj().T @ sigma0.matrix @ q
+    dims = tuple(d for _, d in sigma0.space)
+    s_pos = sigma0.labels.index("S")
+    s_dim = dims[s_pos]
+    pops = np.zeros((len(t), 3))
+    snapshot_steps = np.arange(0, len(t), snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
+    for i, ti in enumerate(t):
+        phases = np.exp(-1j * evals * ti)
+        sig_t = (phases[:, None] * phases.conj()[None, :]) * sig0
+        full = q @ sig_t @ q.conj().T
+        reduced = partial_trace_matrix(full, dims, (s_pos,))
+        pops[i, :s_dim] = np.real(np.diag(reduced))
+        if snapshot_stride and i % snapshot_stride == 0:
+            snapshot_states[i // snapshot_stride] = reduced
+    return pops, snapshot_steps, snapshot_states
+
+
+class TestClosedEvolutionBlocks:
+    @pytest.mark.parametrize("stride", [0, 1, 7, GRID_BLOCK, 100])
+    @pytest.mark.parametrize("n_grid", [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1,
+                                        2 * GRID_BLOCK + 1, 2000])
+    @pytest.mark.parametrize("builder", [build_h_prime, build_h_eff])
+    def test_matches_per_point_loop(self, builder, n_grid, stride):
+        h = builder(ModelParams(delta=50.0))
+        t = np.linspace(0.0, 5.0 / 0.02, n_grid)
+        sigma0 = joint_basis_state(1, 0, 0)
+        traj = closed_evolution(sigma0, h, t, snapshot_stride=stride)
+        pops, snapshot_steps, snapshot_states = loop_closed_evolution(sigma0, h, t, stride)
+        assert np.array_equal(traj.populations, pops)
+        assert np.array_equal(traj.snapshot_steps, snapshot_steps)
+        assert np.array_equal(traj.snapshot_states, snapshot_states)
+
+    @pytest.mark.parametrize("gamma, first_bad", [(1e-10 / (4 * 99.5), 100), (np.nan, 0)])
+    def test_purity_drift_names_first_bad_point(self, monkeypatch, gamma, first_bad):
+        # Eigenvalues e - i gamma scale the pure state's purity by exp(-4 gamma t),
+        # so on integer times it first leaves 1e-10 at t = 100, in the second block.
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: (real_eigh(a)[0] - 1j * gamma, real_eigh(a)[1]))
+        with pytest.raises(InvariantViolation, match=f"at grid point {first_bad}$"):
+            closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
+                             np.arange(2 * GRID_BLOCK + 1.0))
+
+
+def test_partial_trace_matrix_stack_matches_each_matrix():
+    # `each` is the per-matrix contraction that the stacked form replaced.
+    dims = (2, 2, 3)
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(5, 12, 12)) + 1j * rng.normal(size=(5, 12, 12))
+    for keep in [(2,), (0,), (0, 2)]:
+        ket = [i + 3 if i in keep else i for i in range(3)]
+        kept = int(np.prod([dims[i] for i in keep]))
+        each = np.stack([np.einsum(m.reshape(dims + dims), [0, 1, 2] + ket).reshape(kept, kept)
+                         for m in stack])
+        assert np.array_equal(partial_trace_matrix(stack, dims, keep), each)
+        assert np.array_equal(partial_trace_matrix(stack[0], dims, keep), each[0])
 
 
 class TestSecondOrderMap:
@@ -544,6 +617,14 @@ def test_trajectory_validation_rejects_nan_time():
                           populations=[[1.0, 0.0, 0.0]] * 3)
     with pytest.raises(InvariantViolation, match="non-finite times at entry 2"):
         nan_time.validate()
+
+
+def test_trajectory_equality_is_identity():
+    entries = dict(steps=[0, 1], times=[0.0, 1.0], populations=[[1.0, 0.0, 0.0]] * 2)
+    a, b = Trajectory(**entries), Trajectory(**entries)
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2
 
 
 def test_trajectory_final_window():

@@ -67,7 +67,9 @@ STEP_TOLERANCES = dict(step_trace_tol=STEP_TRACE_TOL, cumulative_trace_tol=CUMUL
 RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
 
 # Invariants are verified for every step, but in blocks of this many
-# states so the eigenvalue checks run as one batched LAPACK call.
+# states so each check runs as one vectorized pass, and the few states
+# whose positivity the Gershgorin discs cannot certify share one
+# batched `eigvalsh` call.
 CHECK_BLOCK = 4096
 # `propagate` computes this many consecutive states with one product.
 STEP_BLOCK = 128

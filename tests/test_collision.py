@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from collisim import (
@@ -33,7 +35,7 @@ from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, GRID_BLOCK, S
                                 STEP_TOLERANCES, propagate)
 from collisim.lindblad import (HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL, generator_superoperator,
                                rk4_step_matrix)
-from collisim.operators import batch_check_states, partial_trace_matrix
+from collisim.operators import MIN_EIGENVALUE, batch_check_states, partial_trace_matrix
 from collisim.scenarios import initial_system_state, me_substep_count, model_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -217,6 +219,190 @@ class TestStepChecker:
         block = np.stack([good, np.diag([1.2, -0.2, 0.0]).astype(complex), good * np.nan])
         with pytest.raises(InvariantViolation, match="min eigenvalue .* at step 2$"):
             batch_check_states(block, 1, 1.0, **STEP_TOLERANCES)
+
+
+def eigvalsh_check_states(states, first_step, prev_trace, *, step_trace_tol,
+                          cumulative_trace_tol, hermiticity_tol, context="step"):
+    """The checker that ran `eigvalsh` on every state, kept as the certificate's oracle."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = np.real(np.einsum("nii->n", states))
+        prev = np.concatenate(([prev_trace], traces[:-1]))
+        drift = np.abs(traces - prev)
+        trace_err = np.abs(traces - 1.0)
+        herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
+    bad = (
+        ~(drift <= step_trace_tol)
+        | ~(trace_err <= cumulative_trace_tol)
+        | ~(herm <= hermiticity_tol)
+    )
+    n_ok = int(np.argmax(bad)) if np.any(bad) else len(states)
+    min_eigs = np.linalg.eigvalsh(states[:n_ok])[:, 0]
+    not_positive = ~(min_eigs >= MIN_EIGENVALUE)
+    if np.any(not_positive):
+        i = int(np.argmax(not_positive))
+        raise InvariantViolation(f"min eigenvalue {min_eigs[i]:.3e} at {context} {first_step + i}")
+    if n_ok < len(states):
+        i, step = n_ok, first_step + n_ok
+        if not np.all(np.isfinite(states[i])):
+            raise InvariantViolation(f"non-finite entry at {context} {step}")
+        if not drift[i] <= step_trace_tol:
+            raise InvariantViolation(f"trace drifted by {traces[i] - prev[i]:.3e} at {context} {step}")
+        if not trace_err[i] <= cumulative_trace_tol:
+            raise InvariantViolation(f"trace {traces[i]:.12f} != 1 at {context} {step}")
+        raise InvariantViolation(f"Hermiticity defect {herm[i]:.3e} at {context} {step}")
+    return float(traces[-1])
+
+
+def check_outcome(check, states, **kwargs):
+    """The trace ``check`` returns for ``states`` from step 1, or its error message."""
+    try:
+        return check(states, 1, 1.0, **{**STEP_TOLERANCES, **kwargs})
+    except InvariantViolation as err:
+        return str(err)
+
+
+def rotated_state(rng, eigenvalues, angle=1.0):
+    """``U diag(eigenvalues) U^+``, Hermitian to the last bit, for ``U = exp(i angle G)``
+    with a random Hermitian ``G`` of unit spectral scale; a small ``angle`` leaves
+    small coherences."""
+    d = len(eigenvalues)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    u = (v * np.exp(1j * angle * np.pi * w / np.max(np.abs(w)))) @ v.conj().T
+    mat = (u * np.asarray(eigenvalues)) @ u.conj().T
+    return 0.5 * (mat + mat.conj().T)
+
+
+def count_eigvalsh_stacks(monkeypatch):
+    """Record the stack size of every `eigvalsh` call on a stack of matrices."""
+    stacks = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return stacks
+
+
+class TestPositivityCertificate:
+    """`batch_check_states` gives the outcome of the eigvalsh-only checker on every input."""
+
+    def assert_same_outcome(self, states, **kwargs):
+        expected = check_outcome(eigvalsh_check_states, states, **kwargs)
+        assert check_outcome(batch_check_states, states, **kwargs) == expected
+        return expected
+
+    def test_uncertified_pure_state_passes(self, monkeypatch):
+        # Every Gershgorin disc of |+><+| reaches 1/3 - 2/3 < 0, yet it is PSD.
+        plus = np.full((3, 3), 1 / 3, dtype=complex)
+        stacks = count_eigvalsh_stacks(monkeypatch)
+        assert self.assert_same_outcome(plus[None]) == pytest.approx(1.0)
+        assert stacks[-1] == 1
+
+    @pytest.mark.parametrize("offset", [-1e-13, 0.0, 1e-13, 2e-12])
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_smallest_eigenvalue_at_the_bound(self, offset, rotated):
+        rng = np.random.default_rng(7)
+        low = MIN_EIGENVALUE + offset
+        eigenvalues = [0.7 - low, 0.3, low]
+        states = np.stack([rotated_state(rng, eigenvalues) if rotated
+                           else np.diag(eigenvalues).astype(complex) for _ in range(5)])
+        outcome = self.assert_same_outcome(states)
+        if offset < 0:
+            assert outcome.endswith("at step 1")
+
+    def test_bound_reads_the_triangle_eigvalsh_reads(self):
+        # Within the Hermiticity tolerance the upper coherence is 3e-11
+        # smaller: its discs would clear the bound, the lower ones do not.
+        lower = 0.5 + 1.01e-9
+        state = np.array([[0.5, lower - 3e-11], [lower, 0.5]], dtype=complex)
+        assert self.assert_same_outcome(state[None]) == "min eigenvalue -1.010e-09 at step 1"
+
+    def test_rounding_at_a_tight_bound_goes_to_eigvalsh(self):
+        # |c| = 0.5 + 1e-9 to rounding, so the discs are tight: the computed
+        # bound clears -1e-9 while `eigvalsh` can return just below it.
+        c = -0.2872877789594982 + 0.4092257727227336j
+        state = np.array([[0.5, np.conj(c)], [c, 0.5]])
+        self.assert_same_outcome(state[None])
+
+    def test_first_failure_after_certified_and_uncertified_states(self, monkeypatch):
+        good = np.diag([0.6, 0.3, 0.1]).astype(complex)
+        block = np.stack([good] * 12)
+        block[3] = np.full((3, 3), 1 / 3)
+        block[7] = np.diag([1.2, -0.2, 0.0])
+        block[9] = np.diag([1.5, -0.5, 0.0])
+        stacks = count_eigvalsh_stacks(monkeypatch)
+        assert self.assert_same_outcome(block) == "min eigenvalue -2.000e-01 at step 8"
+        assert stacks[-1] == 3  # the pure state and the two non-positive ones
+
+    def test_qubit_block_in_integrator_context(self):
+        rng = np.random.default_rng(3)
+        block = np.stack([rotated_state(rng, [0.8, 0.2]) for _ in range(6)])
+        block[4] = rotated_state(rng, [1 - MIN_EIGENVALUE + 1e-12, MIN_EIGENVALUE - 1e-12])
+        outcome = self.assert_same_outcome(block, context="integrator step")
+        assert outcome.endswith("at integrator step 5")
+
+    def test_nan_coherence(self):
+        bad = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        bad[0, 1] = bad[1, 0] = np.nan
+        assert self.assert_same_outcome(bad[None]) == "non-finite entry at step 1"
+
+    def test_non_finite_states(self):
+        good = np.diag([0.7, 0.3, 0.0]).astype(complex)
+        block = np.stack([good, good, good, good])
+        block[2, 2, 2] = np.inf
+        block[3] = np.nan
+        assert self.assert_same_outcome(block) == "non-finite entry at step 3"
+
+    @pytest.mark.parametrize("mode", ["original", "effective"])
+    def test_relaxation_states_never_reach_eigvalsh(self, monkeypatch, mode):
+        # Coherences stay at rounding level in these runs, so the discs
+        # certify every state and the checker makes no eigensolve.
+        cfg = load_config(CONFIG_DIR / "collision_vs_me_short.cfg")
+        stacks = count_eigvalsh_stacks(monkeypatch)
+        traj = run_collisions(initial_system_state(cfg), model_params(cfg, n_steps=3000), mode,
+                              snapshot_stride=1)
+        assert stacks == []
+        monkeypatch.undo()
+        assert check_outcome(eigvalsh_check_states, traj.snapshot_states[1:]) == pytest.approx(1.0)
+
+    def test_master_equation_states_never_reach_eigvalsh(self, monkeypatch):
+        step_map, rho0, dt, tolerances = short_collision_maps()[1].values
+        stacks = count_eigvalsh_stacks(monkeypatch)
+        propagate(step_map, rho0, 3000, dt, snapshot_stride=0, context="integrator step",
+                  **tolerances)
+        assert stacks == []
+
+
+@st.composite
+def near_boundary_stacks(draw):
+    """Stacks of 2x2 or 3x3 unit-trace states with eigenvalues across
+    [-2e-9, 1], rotated by random unitaries from the identity (which the
+    discs certify or reject exactly) to far from it, plus anti-Hermitian
+    noise below 1e-10."""
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    small = st.floats(-2e-9, 2e-9)
+    states = []
+    for _ in range(n):
+        low = draw(st.lists(st.one_of(small, st.floats(0.0, 1.0)), min_size=d - 1, max_size=d - 1))
+        angle = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-8), st.floats(0.0, 1.0)))
+        noise = draw(st.floats(0.0, 1e-10)) * (rng.standard_normal((d, d))
+                                               + 1j * rng.standard_normal((d, d))) / 4
+        state = rotated_state(rng, [1.0 - sum(low)] + low, angle)
+        states.append(state + (noise - noise.conj().T))
+    return np.stack(states)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_boundary_stacks())
+def test_certificate_matches_eigvalsh_checker(states):
+    expected = check_outcome(eigvalsh_check_states, states)
+    assert check_outcome(batch_check_states, states) == expected
 
 
 def matrix_power_map(h, eta12, tau, substeps, dtype=complex):

@@ -242,6 +242,26 @@ class TestDensityOperator:
         mat = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
         density_operator(mat, (("S", 2),))
 
+    def test_uncertified_pure_state_passes(self):
+        # Large coherences put every Gershgorin disc below zero; `eigvalsh` decides.
+        psi = np.full(12, 1 / np.sqrt(12), dtype=complex)
+        density_operator(np.outer(psi, psi.conj()), (("A1", 2), ("A2", 2), ("S", 3)))
+
+    @pytest.mark.parametrize("offset", [-1e-13, 1e-13])
+    def test_positivity_verdict_is_eigvalsh_at_the_bound(self, offset):
+        u = expm_hermitian_propagator(SIGMA_X + 0.3 * SIGMA_Z, 0.4)
+        low = -1e-9 + offset
+        mat = (u * [1.0 - low, low]) @ u.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        min_eig = np.linalg.eigvalsh(mat)[0]
+        if min_eig >= -1e-9:
+            density_operator(mat, (("S", 2),))
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                density_operator(mat, (("S", 2),))
+            assert str(err.value) == f"state not positive: min eigenvalue {min_eig:.3e}"
+        assert (min_eig >= -1e-9) == (offset > 0)
+
     def test_matrix_is_read_only(self):
         rho = thermal_qubit(1.0)
         with pytest.raises(ValueError):

@@ -21,10 +21,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
-# A Gershgorin bound certifies positivity only when it clears
-# MIN_EIGENVALUE by this much, far above the rounding error of `eigvalsh`
-# and of the bound itself for a unit-trace state, so near-boundary states
-# still go to `eigvalsh` and every verdict matches it.
+# Gershgorin discs certify positivity only when they clear MIN_EIGENVALUE
+# by this much, far above the rounding of `eigvalsh` and of the bound for a
+# unit-trace state, so near-boundary states still go to `eigvalsh`.
 CERT_SLACK = 1e-12
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -157,7 +156,7 @@ class DensityOperator:
             herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if not herm <= HERMITICITY_TOL:
             raise InvariantViolation(f"state not Hermitian{where}: max deviation {herm:.3e}")
-        tr = np.trace(self.matrix)
+        tr = self.trace()  # the real diagonal, which `eigvalsh` reads
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise InvariantViolation(f"state trace {tr:.12f} != 1{where}")
         failure = _first_not_positive(self.matrix[None])

@@ -263,7 +263,7 @@ def check_outcome(check, states, **kwargs):
 
 def rotated_state(rng, eigenvalues, angle=1.0):
     """``U diag(eigenvalues) U^+``, Hermitian to the last bit, for ``U = exp(i angle G)``
-    with a random Hermitian ``G`` of unit spectral scale; a small ``angle`` leaves
+    with a random Hermitian ``G`` of spectral radius pi; a small ``angle`` leaves
     small coherences."""
     d = len(eigenvalues)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

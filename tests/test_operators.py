@@ -221,7 +221,7 @@ class TestDensityOperator:
             density_operator(bad, (("S", 2),))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(InvariantViolation, match="trace"):
+        with pytest.raises(InvariantViolation, match=r"^state trace 1.200000000000 != 1$"):
             density_operator(np.diag([0.6, 0.6]).astype(complex), (("S", 2),))
 
     def test_rejects_negative_state(self):

@@ -202,6 +202,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
     required, _ = SCENARIO_KEYS[cfg.scenario]
     _require(cfg, required)
+    for name, value in vars(cfg).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+            raise ConfigError(f"{name}: must be finite, got {value}")
 
     if cfg.g <= 0:
         raise ConfigError(f"g: must be positive, got {cfg.g}")
@@ -221,8 +225,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"snapshot_stride: must be >= 0, got {cfg.snapshot_stride}")
     if cfg.n_grid < 2:
         raise ConfigError(f"n_grid: must be >= 2, got {cfg.n_grid}")
-    if not (math.isfinite(cfg.alpha_t_max) and cfg.alpha_t_max > 0):
-        raise ConfigError(f"alpha_t_max: must be positive and finite, got {cfg.alpha_t_max}")
+    if cfg.alpha_t_max <= 0:
+        raise ConfigError(f"alpha_t_max: must be positive, got {cfg.alpha_t_max}")
     if cfg.workers < 1:
         raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
 
@@ -233,8 +237,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("give either tau or alpha_tau, not both")
         if cfg.alpha_tau is not None and cfg.delta == 0:
             raise ConfigError("alpha_tau requires a nonzero delta")
-        if cfg.effective_tau() <= 0:
-            raise ConfigError("collision duration must be positive")
+        if not 0 < cfg.effective_tau() < math.inf:  # alpha_tau * delta may overflow
+            raise ConfigError(f"collision duration must be positive and finite, got {cfg.effective_tau()}")
+    if cfg.delta == 0 and cfg.scenario in ("verify-elimination", "collision-vs-me",
+                                           "negative-temperature"):
+        raise ConfigError("delta: zero detuning: adiabatic elimination is singular")
+    if cfg.omega_a1 is not None and cfg.omega_a1 == cfg.omega_a2:
+        raise ConfigError("omega_a1 = omega_a2: effective inverse temperature undefined")
 
     if cfg.scenario == "sweep":
         if cfg.sweep_scenario not in SCENARIO_NAMES or cfg.sweep_scenario == "sweep":

@@ -217,10 +217,8 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     reported only when both ancilla frequencies are given, and raises if
     they are degenerate (the effective level splitting would vanish).
     """
-    if p.delta == 0:
-        raise ValueError("zero detuning: adiabatic elimination is singular")
+    alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
     r = p.g / p.delta
-    alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
     capital_gamma = (r**2 * p.g**2 * p.tau) / ((1.0 + math.exp(p.x1)) * (1.0 + math.exp(-p.x2)))
     gamma1 = bath_rate(p, p.x1)
     gamma2 = bath_rate(p, p.x2)

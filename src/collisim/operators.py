@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvariantViolation
+
 # Invariant tolerances for density operators.
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -60,7 +62,7 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(hermiticity_defect(a) <= tol)
 
 
 def is_unitary(a: np.ndarray, tol: float) -> bool:
@@ -75,8 +77,8 @@ def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray
     generator goes through this check first.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, tol):
-        dev = float(np.max(np.abs(h - h.conj().T)))
+    dev = float(hermiticity_defect(h))
+    if not dev <= tol:
         raise ValueError(f"generator is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
     return h
 
@@ -148,12 +150,8 @@ class DensityOperator:
 
     def validate(self, *, context: str = "") -> "DensityOperator":
         """Check Hermiticity, unit trace, and positivity; raise on failure."""
-        from .errors import InvariantViolation
-
         where = f" ({context})" if context else ""
-        # A non-finite entry makes the defect NaN or inf, which fails here.
-        with np.errstate(invalid="ignore"):
-            herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        herm = float(hermiticity_defect(self.matrix))
         if not herm <= HERMITICITY_TOL:
             raise InvariantViolation(f"state not Hermitian{where}: max deviation {herm:.3e}")
         tr = self.trace()  # the real diagonal, which `eigvalsh` reads
@@ -256,17 +254,32 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 
 @functools.cache
 def _disc_layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices of the diagonal and the strict lower triangle of a d x d
-    matrix, and the 0/1 matrix that adds the modulus of each lower entry to
-    the Gershgorin radii of its row and of its column (its mirror)."""
+    """The entries of a d x d matrix that `eigvalsh` reads, as flat indices:
+    the diagonal, then the strict lower triangle; the flat indices of their
+    mirrors across the diagonal; and the 0/1 matrix that adds the modulus of
+    each lower entry to the Gershgorin radii of its row and of its column."""
     rows, cols = np.tril_indices(d, -1)
     incidence = np.zeros((len(rows), d))
     incidence[np.arange(len(rows)), rows] = 1.0
     incidence[np.arange(len(rows)), cols] = 1.0
-    layout = (np.arange(d) * (d + 1), rows * d + cols, incidence)
+    diag = np.arange(d) * (d + 1)
+    layout = (np.r_[diag, rows * d + cols], np.r_[diag, cols * d + rows], incidence)
     for a in layout:
         a.flags.writeable = False
     return layout
+
+
+def hermiticity_defect(a: np.ndarray) -> np.ndarray:
+    """``max_ij |a_ij - conj(a_ji)|`` of each matrix of a ``(..., d, d)`` stack.
+
+    Read from the entries `eigvalsh` reads against their mirrors: the same
+    bits as the full matrix, as ``|x - conj(y)| = |y - conj(x)|``.  A
+    non-finite entry makes it NaN or inf, which fails ``defect <= tol``."""
+    d = a.shape[-1]
+    read, mirror, _ = _disc_layout(d)
+    flat = a.reshape(a.shape[:-2] + (d * d,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(flat[..., read] - flat[..., mirror].conj()), axis=-1)
 
 
 def _first_not_positive(states: np.ndarray) -> tuple[int, float] | None:
@@ -284,9 +297,9 @@ def _first_not_positive(states: np.ndarray) -> tuple[int, float] | None:
     eigenvalue are those of `eigvalsh` on the whole stack.
     """
     n, d = states.shape[0], states.shape[-1]
-    diag, lower, incidence = _disc_layout(d)
+    read, _, incidence = _disc_layout(d)
     flat = states.reshape(n, d * d)
-    bound = np.min(flat[:, diag].real - np.abs(flat[:, lower]) @ incidence, axis=1)
+    bound = np.min(flat[:, read[:d]].real - np.abs(flat[:, read[d:]]) @ incidence, axis=1)
     pending = np.flatnonzero(~(bound >= MIN_EIGENVALUE + CERT_SLACK))
     if not pending.size:
         return None
@@ -312,8 +325,6 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
     states the discs cannot certify go to one batched `eigvalsh`, with the
     same verdict and message as an eigensolve of every state.
     """
-    from .errors import InvariantViolation
-
     # Overflowing or NaN results fail the `~(value <= tol)` tests below; a
     # non-finite entry always makes the Hermiticity defect NaN or inf.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +332,7 @@ def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *
         prev = np.concatenate(([prev_trace], traces[:-1]))
         drift = np.abs(traces - prev)
         trace_err = np.abs(traces - 1.0)
-        herm = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
+    herm = hermiticity_defect(states)
     bad = (
         ~(drift <= step_trace_tol)
         | ~(trace_err <= cumulative_trace_tol)

@@ -92,7 +92,6 @@ def _check(name: str, value: float, threshold: float, comparison: str = "<=") ->
 @dataclass(frozen=True)
 class MetricsFragment:
     max_abs_dev: tuple[float, float, float]
-    mean_abs_dev: tuple[float, float, float]
     final_window_a: tuple[float, float, float]
     final_window_b: tuple[float, float, float]
 
@@ -101,33 +100,13 @@ class MetricsFragment:
         return max(self.max_abs_dev)
 
 
-def metrics(a: Trajectory, b: Trajectory, *, allow_resample: bool = False) -> MetricsFragment:
-    """Per-level population deviations between two trajectories.
-
-    Requires a common time grid; with ``allow_resample`` the second
-    trajectory is sampled at the times of the first by nearest-step
-    matching (intended for a fine master-equation grid against coarse
-    collision times -- the match must be exact to within grid rounding).
-    """
-    pops_a = a.populations
-    if len(a) == len(b) and np.allclose(a.times, b.times, rtol=0, atol=1e-9):
-        pops_b = b.populations
-    elif allow_resample:
-        idx = np.searchsorted(b.times, a.times)
-        idx = np.clip(idx, 0, len(b) - 1)
-        left = np.maximum(idx - 1, 0)
-        choose_left = np.abs(b.times[left] - a.times) < np.abs(b.times[idx] - a.times)
-        idx = np.where(choose_left, left, idx)
-        scale = np.maximum(1.0, np.abs(a.times))
-        if np.any(np.abs(b.times[idx] - a.times) > 1e-6 * scale):
-            raise ValueError("trajectories do not share sample times even after matching")
-        pops_b = b.populations[idx]
-    else:
+def metrics(a: Trajectory, b: Trajectory) -> MetricsFragment:
+    """Per-level population deviations between two trajectories on a common time grid."""
+    if not (len(a) == len(b) and np.allclose(a.times, b.times, rtol=0, atol=1e-9)):
         raise ValueError("trajectories are on different grids; resampling not permitted")
-    dev = np.abs(pops_a - pops_b)
+    dev = np.abs(a.populations - b.populations)
     return MetricsFragment(
         max_abs_dev=tuple(float(v) for v in dev.max(axis=0)),
-        mean_abs_dev=tuple(float(v) for v in dev.mean(axis=0)),
         final_window_a=tuple(float(v) for v in a.final_window_mean()),
         final_window_b=tuple(float(v) for v in b.final_window_mean()),
     )
@@ -314,6 +293,7 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
             ("final_p1_exact", frag.final_window_a[1]),
             ("final_p0_me", frag.final_window_b[0]),
             ("final_p1_me", frag.final_window_b[1]),
+            *([("beta_s", rates.beta_s)] if rates.beta_s is not None else []),
         ),
         trace_distances=_snapshot_trace_distances(exact, me),
     )
@@ -357,6 +337,7 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
             ("analytic_p0", float(analytic.populations[0])),
             ("analytic_p1", p1_analytic),
             ("steady_state_residual", residual),
+            *([("beta_s", rates.beta_s)] if rates.beta_s is not None else []),
         ),
         trace_distances=approach,
     )

@@ -31,6 +31,7 @@ from collisim import (
     second_order_map,
     trace_distance,
 )
+from collisim.cli import main
 from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, GRID_BLOCK, STEP_BLOCK,
                                 STEP_TOLERANCES, propagate)
 from collisim.lindblad import (HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL, generator_superoperator,
@@ -669,6 +670,43 @@ class TestClosedEvolution:
         assert traj.snapshot_states.shape == (3, 3, 3)
         for state in traj.snapshot_states:
             density_operator(state, QUTRIT_SPACE)
+
+
+@pytest.fixture
+def failing_eigh(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+
+
+class TestEigensolveFailure:
+    @pytest.mark.parametrize("variant", ["spectral", "runge_kutta"])
+    def test_collision_map(self, failing_eigh, variant):
+        h, eta1, eta2 = map_inputs(build_h_prime, 200.0, 60.0)
+        with pytest.raises(NumericError) as info:
+            collision_superoperator(h, eta1, eta2, 60.0, PropagatorChoice(variant))
+        assert str(info.value) == "collision propagator failed: Eigenvalues did not converge"
+
+    def test_closed_evolution(self, failing_eigh):
+        with pytest.raises(NumericError) as info:
+            closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
+                             [0.0, 1.0])
+        assert str(info.value) == "eigensolve failed: Eigenvalues did not converge"
+
+    @pytest.mark.parametrize("text, message", [
+        ("scenario = collision-vs-me\ndelta = 200\nx1 = 0\nx2 = 0\nalpha_tau = 0.3\n",
+         "collision propagator failed"),
+        ("scenario = collision-vs-me\ndelta = 200\nx1 = 0\nx2 = 0\nalpha_tau = 0.3\n"
+         "propagator = runge_kutta\n", "collision propagator failed"),
+        ("scenario = verify-elimination\ndelta = 50\n", "eigensolve failed"),
+    ], ids=["spectral", "runge_kutta", "closed-evolution"])
+    def test_cli_exits_3(self, failing_eigh, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"numeric error: {message}: Eigenvalues did not converge\n"
+        assert captured.out == ""
 
 
 def loop_closed_evolution(sigma0, h, t, snapshot_stride):

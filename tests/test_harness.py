@@ -1,6 +1,8 @@
 import hashlib
 import importlib.util
+import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from collisim import (
     parse_config_text,
     run_scenario,
     run_sweep,
+    validate_config,
 )
 from collisim import scenarios
 from collisim.cli import main
@@ -22,6 +25,7 @@ from collisim.scenarios import subsample, write_trajectory_csv
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 # SHA-256 of every file the shipped configs write, keyed
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
@@ -130,9 +134,20 @@ sweep_values = 25, 0, 100
 """
         # delta = 0 is singular for the eliminated-level builder; the sweep
         # validation must reject it up front.
-        with pytest.raises((ConfigError, ValueError)):
-            cfg = parse_config_text(text)
-            run_sweep(cfg, "/tmp/never-used")
+        with pytest.raises(ConfigError, match="zero detuning"):
+            parse_config_text(text)
+
+    def test_validates_configs_built_in_code(self):
+        cfg = parse_config_text(FIG3B)
+        for bad in (dict(delta=float("nan")), dict(tau=float("inf"), alpha_tau=None),
+                    dict(omega_a1=2.0, omega_a2=2.0)):
+            with pytest.raises(ConfigError):
+                validate_config(replace(cfg, **bad))
+
+    def test_zero_detuning_stays_valid_beyond_far_off(self):
+        cfg = parse_config_text("scenario = beyond-far-off\ndelta = 0\nx1 = 1\nx2 = 1\n"
+                                "tau = 0.05\n")
+        assert cfg.delta == 0.0
 
     def test_rejects_fractional_n_steps_sweep(self):
         with pytest.raises(ConfigError, match="n_steps must be whole numbers"):
@@ -148,7 +163,6 @@ class TestMetrics:
         a = constant_trajectory([0.5, 0.5, 0.0])
         frag = metrics(a, a)
         assert frag.max_dev == 0.0
-        assert frag.mean_abs_dev == (0.0, 0.0, 0.0)
 
     def test_constant_offset(self):
         a = constant_trajectory([0.5, 0.5, 0.0])
@@ -161,12 +175,6 @@ class TestMetrics:
         b = constant_trajectory([1.0, 0.0, 0.0], n=20, dt=0.5)
         with pytest.raises(ValueError, match="resampling"):
             metrics(a, b)
-
-    def test_resamples_fine_grid(self):
-        a = constant_trajectory([1.0, 0.0, 0.0], n=5, dt=2.0)
-        b = constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0)
-        frag = metrics(a, b, allow_resample=True)
-        assert frag.max_dev == 0.0
 
     def test_subsample_renumbers_steps(self):
         b = constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0)
@@ -429,6 +437,59 @@ n_steps = 40000
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("text, match", [
+        (FIG3B.replace("delta = 200", "delta = nan"), "delta: must be finite"),
+        (FIG3B.replace("x1 = 1e-4", "x1 = inf"), "x1: must be finite"),
+        (FIG3B + "g = nan\n", "g: must be finite"),
+        (FIG3B + "omega_a1 = -inf\nomega_a2 = 1\n", "omega_a1: must be finite"),
+        (FIG3B + "initial_state = custom\ninitial_populations = 1, 0, nan\n",
+         "initial_populations: must be finite"),
+        (N_STEPS_SWEEP.replace("n_steps = 60", "n_steps = 60\nsweep_values = 10, nan"),
+         "sweep_values: must be finite"),
+        ("scenario = collision-vs-me\ndelta = 0\nx1 = 0\nx2 = 0\ntau = 60\n", "zero detuning"),
+        ("scenario = negative-temperature\ndelta = 0\nx1 = 0\nx2 = 1\ntau = 60\n",
+         "zero detuning"),
+        ("scenario = verify-elimination\ndelta = 0\n", "zero detuning"),
+        ("scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\n"
+         "omega_a1 = 3\nomega_a2 = 3\n", "omega_a1 = omega_a2"),
+        (FIG3B + "omega_a1 = 4\nomega_a2 = 4\n", "omega_a1 = omega_a2"),
+        (FIG3B.replace("delta = 200", "delta = 1e300").replace("alpha_tau = 0.3", "alpha_tau = 1e300"),
+         "collision duration must be positive and finite"),
+    ], ids=["delta-nan", "x1-inf", "g-nan", "omega-inf", "population-nan", "sweep-value-nan",
+            "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "bfo-equal-omegas",
+            "cvm-equal-omegas", "tau-overflow"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_text(text)
+        path = self.write(tmp_path, text)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count(match) == 2
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, beta_s", [
+        (FIG3B, "0"),
+        ("scenario = negative-temperature\ndelta = 200\nx1 = 0.5\nx2 = 1.5\n"
+         "alpha_tau = 0.3\nn_steps = 300\n", "-0.5"),
+    ], ids=["collision-vs-me", "negative-temperature"])
+    def test_reports_beta_s_when_both_frequencies_are_given(self, tmp_path, text, beta_s):
+        for name, extra in (("with", "omega_a1 = 5\nomega_a2 = 3\n"), ("without", "")):
+            out = tmp_path / name
+            assert main(["run", self.write(tmp_path, text + extra), "--output-dir", str(out)]) == 0
+            kv, txt = (out / "report.kv").read_text(), (out / "report.txt").read_text()
+            assert (f"\nbeta_s = {beta_s}\n" in kv) == bool(extra)
+            assert (f"\n  {'beta_s':<32s} {beta_s}\n" in txt) == bool(extra)
+            assert ("beta_s" in kv + txt) == bool(extra)
+
+
+def load_bench_module(path):
+    spec = importlib.util.spec_from_file_location(f"bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
 
 def test_benchmark_span_targets_resolve():
     """Every attribute the benchmark's tracer wraps still exists and is callable.
@@ -436,11 +497,22 @@ def test_benchmark_span_targets_resolve():
     `bench/spans.py` looks layers up by module attribute name, so moving or
     renaming one of them would otherwise only show as a failed traced run.
     """
-    spec = importlib.util.spec_from_file_location("bench_spans", BENCH_SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    targets = spans.targets()
+    targets = load_bench_module(BENCH_SPANS).targets()
     assert targets
     for owner, attr, _name, count in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
         assert count is None or callable(count)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_workload_configs_parse(seed):
+    """Every config the benchmark runs passes config validation.
+
+    A benchmark input that validation rejects would only show as a failed
+    benchmark run.
+    """
+    workloads = load_bench_module(BENCH_WORKLOADS)
+    assert set(workloads.WORKLOADS) == {"long_relax", "small_batch", "closed_sweep"}
+    for make in workloads.WORKLOADS.values():
+        for run in make(seed).runs:
+            assert parse_config_text(run.config_text()).scenario == run.config["scenario"]

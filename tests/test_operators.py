@@ -18,7 +18,7 @@ from collisim import (
     transition,
 )
 from collisim.collision import as_qutrit_matrix
-from collisim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z
+from collisim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect
 
 
 def kron_oracle(a, b):
@@ -272,6 +272,38 @@ class TestDensityOperator:
         assert not is_hermitian(1j * SIGMA_X + np.eye(2), 1e-10)
         assert is_unitary(SIGMA_X, 1e-15)
         assert not is_unitary(2 * np.eye(2), 1e-10)
+
+
+def full_matrix_defect(a):
+    """``max |a - a^H|`` over every entry: the oracle for `hermiticity_defect`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+
+
+SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 12])
+def test_hermiticity_defect_equals_full_matrix_defect(d):
+    rng = np.random.default_rng(d)
+    for trial in range(60):
+        a = rng.normal(size=(50, d, d)) + 1j * rng.normal(size=(50, d, d))
+        if trial % 3:  # Hermitian, or Hermitian up to a small defect
+            a = 0.5 * (a + np.swapaxes(a, -1, -2).conj()) + (trial % 3 - 1) * 1e-12 * a
+        for part in (a.real, a.imag):
+            hit = rng.random(a.shape) < 0.1
+            part[hit] = rng.choice(SPECIAL_ENTRIES, hit.sum())
+        defect = hermiticity_defect(a)
+        assert defect.shape == (50,)
+        assert np.array_equal(defect, full_matrix_defect(a), equal_nan=True)
+        assert np.array_equal(hermiticity_defect(a.reshape(5, 10, d, d)),
+                              full_matrix_defect(a).reshape(5, 10), equal_nan=True)
+        assert np.array_equal(hermiticity_defect(a[0]), full_matrix_defect(a[0]), equal_nan=True)
+
+
+def test_hermiticity_defect_of_a_real_infinite_diagonal_is_nan():
+    # |a_ii - conj(a_ii)| = |inf - inf|; 2 |Im a_ii| would read 0 and pass.
+    assert np.isnan(hermiticity_defect(np.diag([np.inf, 0.5]).astype(complex)))
 
 
 def test_trace_distance():

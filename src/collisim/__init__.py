@@ -10,7 +10,6 @@ equations, and quantifies where the effective descriptions hold.
 from .collision import (
     PropagatorChoice,
     closed_evolution,
-    collision_step,
     collision_superoperator,
     default_substeps,
     run_collisions,
@@ -83,7 +82,6 @@ __all__ = [
     "build_h_prime",
     "build_v",
     "closed_evolution",
-    "collision_step",
     "collision_superoperator",
     "commutator",
     "compute_alpha",

@@ -4,7 +4,7 @@
 <config>`` a parameter sweep, and ``collisim validate <config>`` checks a
 config without computing anything.  Exit codes: 0 all tolerance checks
 passed, 1 a tolerance check failed, 2 usage or configuration error,
-3 numerical failure mid-run.
+3 numerical failure or out of memory mid-run.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericError, OverflowError) as exc:
+    except (NumericError, OverflowError, MemoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

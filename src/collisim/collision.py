@@ -261,21 +261,6 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states).validate()
 
 
-def collision_step(rho_s: DensityOperator, p: ModelParams, h: np.ndarray,
-                   prop: PropagatorChoice = PropagatorChoice()) -> DensityOperator:
-    """One ancilla-refresh / collide / trace-out cycle on the system state.
-
-    Preserves the trace to 1e-10 and returns a state passing all
-    density-operator invariants.
-    """
-    mat = as_qutrit_matrix(rho_s)
-    eta1, eta2 = ancilla_pair(p)
-    m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, prop)
-    out = (m @ mat.reshape(9)).reshape(3, 3)
-    batch_check_states(out[None], 1, float(np.real(np.trace(mat))), **STEP_TOLERANCES)
-    return density_operator(out, QUTRIT_SPACE)
-
-
 def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
                    prop: PropagatorChoice = PropagatorChoice(), *,
                    snapshot_stride: int = 10) -> Trajectory:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .operators import TRACE_TOL
 
 SCENARIO_NAMES = (
     "verify-elimination",
@@ -100,7 +101,7 @@ def _parse_populations(key: str, raw: str) -> tuple[float, float, float]:
     values = tuple(_parse_float(key, s) for s in parts)
     if any(v < 0 for v in values):
         raise ConfigError(f"{key}: populations must be nonnegative, got {values}")
-    if abs(sum(values) - 1.0) > 1e-9:
+    if abs(sum(values) - 1.0) > TRACE_TOL:
         raise ConfigError(f"{key}: populations must sum to 1, got sum {sum(values)!r}")
     return values
 
@@ -239,6 +240,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("alpha_tau requires a nonzero delta")
         if not 0 < cfg.effective_tau() < math.inf:  # alpha_tau * delta may overflow
             raise ConfigError(f"collision duration must be positive and finite, got {cfg.effective_tau()}")
+    if (cfg.scenario == "collision-vs-me" and cfg.initial_populations is not None
+            and cfg.initial_populations[2] != 0):
+        raise ConfigError("collision-vs-me requires zero initial top-level population "
+                          "(the master equation describes the effective qubit)")
     if cfg.delta == 0 and cfg.scenario in ("verify-elimination", "collision-vs-me",
                                            "negative-temperature"):
         raise ConfigError("delta: zero detuning: adiabatic elimination is singular")

@@ -179,11 +179,6 @@ def build_h_eff(p: ModelParams) -> np.ndarray:
     return h
 
 
-def _h_eff_doubled_shift(p: ModelParams) -> np.ndarray:
-    """Rejected variant with doubled level shifts, kept for the regression test."""
-    return _h_eff_terms(p, shift_weight=2.0)
-
-
 def build_v(p: ModelParams) -> np.ndarray:
     """Exchange part of the effective Hamiltonian, in the frame rotating
     with the level shifts.

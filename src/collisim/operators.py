@@ -28,10 +28,6 @@ MIN_EIGENVALUE = -1e-9
 # unit-trace state, so near-boundary states still go to `eigvalsh`.
 CERT_SLACK = 1e-12
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 def transition(dim: int, k: int, kp: int) -> np.ndarray:
     """Level transition / population operator ``|k><kp|`` on a dim-level space."""
@@ -70,20 +66,21 @@ def is_unitary(a: np.ndarray, tol: float) -> bool:
     return bool(np.max(np.abs(a @ a.conj().T - eye)) <= tol)
 
 
-def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """``h`` as a complex array; ValueError unless Hermitian within ``tol`` (max elementwise deviation).
+def require_hermitian(h: np.ndarray) -> np.ndarray:
+    """``h`` as a complex array; ValueError unless Hermitian within `HERMITICITY_TOL`.
 
     ``eigh`` reads one triangle only, so every eigendecomposition of a
     generator goes through this check first.
     """
     h = np.asarray(h, dtype=complex)
     dev = float(hermiticity_defect(h))
-    if not dev <= tol:
-        raise ValueError(f"generator is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
+    if not dev <= HERMITICITY_TOL:
+        raise ValueError(
+            f"generator is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
     return h
 
 
-def expm_hermitian_propagator(h: np.ndarray, t: float, *, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def expm_hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
     """Unitary ``exp(-i h t)`` of a Hermitian generator via eigendecomposition.
 
     The spectral route is exact in exact arithmetic (no truncation) and
@@ -92,15 +89,15 @@ def expm_hermitian_propagator(h: np.ndarray, t: float, *, tol: float = HERMITICI
 
     Parameters
     ----------
-    h : Hermitian matrix (checked against `tol`, max elementwise deviation).
+    h : Hermitian matrix (checked against `HERMITICITY_TOL`, max elementwise deviation).
     t : evolution time, in units of the inverse of h's energy unit.
 
     Raises
     ------
     ValueError
-        If ``h`` is not Hermitian within `tol`.
+        If ``h`` is not Hermitian within `HERMITICITY_TOL`.
     """
-    evals, vecs = np.linalg.eigh(require_hermitian(h, tol))
+    evals, vecs = np.linalg.eigh(require_hermitian(h))
     phases = np.exp(-1j * evals * t)
     return (vecs * phases) @ vecs.conj().T
 
@@ -163,13 +160,9 @@ class DensityOperator:
         return self
 
 
-def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...],
-                     validate: bool = True) -> DensityOperator:
-    """Wrap a matrix as a labeled state, validating invariants by default."""
-    rho = DensityOperator(space=tuple(space), matrix=matrix)
-    if validate:
-        rho.validate()
-    return rho
+def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...]) -> DensityOperator:
+    """Wrap a matrix as a labeled state and validate its invariants."""
+    return DensityOperator(space=tuple(space), matrix=matrix).validate()
 
 
 def thermal_qubit(x: float, label: str = "A") -> DensityOperator:

@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 from collisim import (
+    DensityOperator,
     ModelParams,
     PropagatorChoice,
     QUTRIT_SPACE,
@@ -272,7 +273,7 @@ def test_criterion_9_invariant_suite():
     for traj in collision_runs + [closed, me]:
         for step, state in zip(traj.snapshot_steps, traj.snapshot_states):
             space = (("S", state.shape[0]),)
-            density_operator(state, space, validate=False).validate(context=f"snapshot step {step}")
+            DensityOperator(space, state).validate(context=f"snapshot step {step}")
             checked += 1
 
     # GKSL structure: trace-zero and Hermiticity-preserving right-hand

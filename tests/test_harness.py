@@ -117,9 +117,15 @@ class TestConfigParsing:
 
     def test_custom_initial_state(self):
         cfg = parse_config_text(
-            FIG3B + "initial_state = custom\ninitial_populations = 0.2, 0.3, 0.5\n"
+            FIG3B.replace("collision-vs-me", "negative-temperature")
+            + "initial_state = custom\ninitial_populations = 0.2, 0.3, 0.5\n"
         )
         assert cfg.initial_populations == (0.2, 0.3, 0.5)
+        # within the state trace tolerance 1e-10; 1 + 5e-10 is rejected
+        cfg = parse_config_text(
+            FIG3B + "initial_state = custom\ninitial_populations = 0.60000000005, 0.4, 0\n"
+        )
+        assert cfg.initial_populations == (0.60000000005, 0.4, 0.0)
         with pytest.raises(ConfigError, match="sum to 1"):
             parse_config_text(FIG3B + "initial_state = custom\ninitial_populations = 0.9,0.3,0\n")
         with pytest.raises(ConfigError, match="custom"):
@@ -455,9 +461,13 @@ n_steps = 40000
         (FIG3B + "omega_a1 = 4\nomega_a2 = 4\n", "omega_a1 = omega_a2"),
         (FIG3B.replace("delta = 200", "delta = 1e300").replace("alpha_tau = 0.3", "alpha_tau = 1e300"),
          "collision duration must be positive and finite"),
+        (FIG3B + "initial_state = custom\ninitial_populations = 0.5, 0.3, 0.2\n",
+         "collision-vs-me requires zero initial top-level population"),
+        (FIG3B + "initial_state = custom\ninitial_populations = 0.6000000005, 0.4, 0\n",
+         "populations must sum to 1"),
     ], ids=["delta-nan", "x1-inf", "g-nan", "omega-inf", "population-nan", "sweep-value-nan",
             "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "bfo-equal-omegas",
-            "cvm-equal-omegas", "tau-overflow"])
+            "cvm-equal-omegas", "tau-overflow", "cvm-top-level-population", "population-sum"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
@@ -466,6 +476,19 @@ n_steps = 40000
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count(match) == 2
+        assert "Traceback" not in err
+
+    def test_out_of_memory_is_numeric_error(self, tmp_path, capsys, monkeypatch):
+        # A real allocation this large could succeed under memory overcommit
+        # and then fill memory page by page, so the failure is simulated.
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 TiB for an array with shape "
+                              "(1000000000001, 3) and data type float64")
+        monkeypatch.setattr(scenarios, "run_collisions", out_of_memory)
+        path = self.write(tmp_path, FIG3B.replace("n_steps = 60", "n_steps = 1000000000000"))
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error: Unable to allocate" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("text, beta_s", [

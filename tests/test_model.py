@@ -19,7 +19,7 @@ from collisim import (
     expm_hermitian_propagator,
     steady_state_qubit,
 )
-from collisim.model import _h_eff_doubled_shift
+from collisim.model import _h_eff_terms
 
 
 def fig2_initial():
@@ -171,7 +171,7 @@ class TestHEff:
         low_prime = np.sort(np.linalg.eigvalsh(build_h_prime(p)[np.ix_(sub3, sub3)]))[:2]
         sub2 = [basis_index(1, 0, 0), basis_index(0, 1, 1)]
         single = np.sort(np.linalg.eigvalsh(build_h_eff(p)[np.ix_(sub2, sub2)]))
-        doubled = np.sort(np.linalg.eigvalsh(_h_eff_doubled_shift(p)[np.ix_(sub2, sub2)]))
+        doubled = np.sort(np.linalg.eigvalsh(_h_eff_terms(p, shift_weight=2.0)[np.ix_(sub2, sub2)]))
         assert np.max(np.abs(single - low_prime)) < 1e-2 * alpha
         assert np.max(np.abs(doubled - low_prime)) > 0.4 * alpha
 

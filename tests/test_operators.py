@@ -18,7 +18,11 @@ from collisim import (
     transition,
 )
 from collisim.collision import as_qutrit_matrix
-from collisim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, hermiticity_defect
+from collisim.operators import hermiticity_defect
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def kron_oracle(a, b):

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -749,9 +750,9 @@ class TestClosedEvolutionBlocks:
         sigma0 = joint_basis_state(1, 0, 0)
         traj = closed_evolution(sigma0, h, t, snapshot_stride=stride)
         pops, snapshot_steps, snapshot_states = loop_closed_evolution(sigma0, h, t, stride)
-        assert np.array_equal(traj.populations, pops)
+        assert np.max(np.abs(traj.populations - pops), initial=0.0) <= 1e-15
         assert np.array_equal(traj.snapshot_steps, snapshot_steps)
-        assert np.array_equal(traj.snapshot_states, snapshot_states)
+        assert np.max(np.abs(traj.snapshot_states - snapshot_states), initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("gamma, first_bad", [(1e-10 / (4 * 99.5), 100), (np.nan, 0)])
     def test_purity_drift_names_first_bad_point(self, monkeypatch, gamma, first_bad):
@@ -763,6 +764,61 @@ class TestClosedEvolutionBlocks:
         with pytest.raises(InvariantViolation, match=f"at grid point {first_bad}$"):
             closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
                              np.arange(2 * GRID_BLOCK + 1.0))
+
+
+def mp_closed_populations(h, t, start_index, dps=30):
+    """System populations of ``exp(-i h t) |start_index>`` from a ``dps``-digit `mp.eigsy` of ``h``.
+
+    ``h`` is the real symmetric 12x12 joint Hamiltonian in A1 (x) A2 (x) S
+    order; each double entry of ``h`` and ``t`` is taken exactly.
+    """
+    with mp.workdps(dps):
+        e, q = mp.eigsy(mp.matrix(h.real.tolist()))
+        pops = np.zeros((len(t), 3))
+        for n, tn in enumerate(t):
+            c = [mp.expj(-e[j] * mp.mpf(float(tn))) * q[start_index, j] for j in range(12)]
+            weights = [abs(mp.fsum(q[i, j] * c[j] for j in range(12))) ** 2 for i in range(12)]
+            pops[n] = [float(mp.fsum(weights[s::3])) for s in range(3)]
+    return pops
+
+
+class TestClosedEvolutionReference:
+    @pytest.mark.parametrize("delta", [25.0, 50.0, 100.0])
+    @pytest.mark.parametrize("builder", [build_h_prime, build_h_eff])
+    def test_populations_match_extended_precision(self, builder, delta):
+        # The verify-elimination grid, 2000 points up to alpha t = 5, read at
+        # every 50th point against a 30-digit eigendecomposition.
+        p = ModelParams(delta=delta)
+        h = builder(p)
+        t = np.linspace(0.0, 5.0 / derive_rates(p).alpha, 2000)
+        traj = closed_evolution(joint_basis_state(1, 0, 0), h, t)
+        reference = mp_closed_populations(h, t[::50], basis_index(1, 0, 0))
+        assert np.max(np.abs(traj.populations[::50] - reference)) <= 2e-15
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(2.0, 100.0), g=st.floats(0.25, 4.0), c=st.floats(0.25, 4.0),
+       t_max=st.floats(1.0, 300.0))
+def test_closed_evolution_units_covariance(delta, g, c, t_max):
+    # H'(c g, c delta) = c H'(g, delta), so time t / c under the scaled
+    # Hamiltonian is time t under the original one.
+    t = np.linspace(0.0, t_max, 50)
+    start = joint_basis_state(1, 0, 0)
+    base = closed_evolution(start, build_h_prime(ModelParams(delta=delta, g=g)), t)
+    scaled = closed_evolution(start, build_h_prime(ModelParams(delta=c * delta, g=c * g)), t / c)
+    assert np.max(np.abs(scaled.populations - base.populations)) <= 1e-11
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(2.0, 100.0), g=st.floats(0.25, 4.0), t_max=st.floats(1.0, 300.0))
+def test_closed_evolution_bath_swap(delta, g, t_max):
+    # Swapping the ancillas and relabelling system levels 0 <-> 1 maps H' to
+    # itself and |1,0,0> to |0,1,1>, so the two runs swap p0 and p1.
+    t = np.linspace(0.0, t_max, 50)
+    h = build_h_prime(ModelParams(delta=delta, g=g))
+    direct = closed_evolution(joint_basis_state(1, 0, 0), h, t).populations
+    swapped = closed_evolution(joint_basis_state(0, 1, 1), h, t).populations
+    assert np.max(np.abs(swapped - direct[:, [1, 0, 2]])) <= 1e-14
 
 
 def test_partial_trace_matrix_stack_matches_each_matrix():

@@ -293,14 +293,16 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
 
 def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
                      *, snapshot_stride: int = 0) -> Trajectory:
-    """Evolve a joint state unitarily and sample system populations.
+    """Evolve a pure joint state unitarily and sample system populations.
 
-    No ancilla refresh: ``sigma(t) = exp(-i h t) sigma0 exp(+i h t)``,
-    taken from the spectrum of ``h`` for ``GRID_BLOCK`` grid points at a
-    time: each block is phased in the eigenbasis, transformed back and
-    reduced to the system with one batched product and one partial
-    trace.  When ``sigma0`` is pure, the global purity is monitored and
-    must stay constant to 1e-10 at every grid point.
+    No ancilla refresh: ``sigma0 = |psi0><psi0|`` stays pure, and
+    ``psi(t) = q (exp(-i e t) o q+ psi0)`` comes from the spectrum
+    ``h = q diag(e) q+`` for ``GRID_BLOCK`` grid points at a time.  The
+    system populations are ``sum_a |psi_{a,s}|^2`` over the other factors
+    ``a``, and snapshots are the reduced states ``sum_a psi_{a,s}
+    psi*_{a,s'}``.  A mixed ``sigma0`` raises `ValueError`.  The global
+    purity ``||psi(t)||^4`` must stay within 1e-10 of ``Tr sigma0^2`` at
+    every grid point.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -315,39 +317,42 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
         raise ValueError(f"state dim {sigma0.dim} does not match Hamiltonian {h.shape}")
     if "S" not in sigma0.labels:
         raise ValueError("joint state must contain the system label 'S'")
+    purity0 = sigma0.purity()
+    if not purity0 >= 1.0 - 1e-12:
+        raise ValueError(f"closed evolution needs a pure joint state, got purity {purity0:.12g}")
 
     try:
         evals, q = np.linalg.eigh(require_hermitian(h))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed: {exc}") from exc
 
-    sig0 = q.conj().T @ sigma0.matrix @ q
-    purity0 = sigma0.purity()
-    track_purity = purity0 >= 1.0 - 1e-12
-
+    # psi0 is the largest column of |psi0><psi0|, rescaled; its global phase is arbitrary
+    k = int(np.argmax(np.real(np.diag(sigma0.matrix))))
+    c0 = q.conj().T @ (sigma0.matrix[:, k] / np.sqrt(np.real(sigma0.matrix[k, k])))
     dims = tuple(d for _, d in sigma0.space)
     s_pos = sigma0.labels.index("S")
     s_dim = dims[s_pos]
+    # rows of q reordered so that the system index runs fastest
+    q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
 
     pops = np.zeros((t.size, 3))
     snapshot_steps = np.arange(0, t.size, snapshot_stride) if snapshot_stride else np.zeros(0, int)
     snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
     for start in range(0, t.size, GRID_BLOCK):
         tb = t[start:start + GRID_BLOCK]
-        phases = np.exp(-1j * evals * tb[:, None])
-        sig_t = (phases[:, :, None] * phases.conj()[:, None, :]) * sig0
-        if track_purity:
-            purity = np.sum(np.abs(sig_t) ** 2, axis=(1, 2))
-            bad = np.flatnonzero(~(np.abs(purity - purity0) <= 1e-10))
-            if bad.size:
-                i = int(bad[0])
-                raise InvariantViolation(
-                    f"purity drifted by {purity[i] - purity0:.3e} at grid point {start + i}"
-                )
-        reduced = partial_trace_matrix(q @ sig_t @ q.conj().T, dims, (s_pos,))
-        pops[start:start + len(tb), :s_dim] = np.real(np.einsum("nii->ni", reduced))
+        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q_rows.T).reshape(len(tb), -1, s_dim)
+        block_pops = np.sum(psi.real**2 + psi.imag**2, axis=1)
+        purity = np.sum(block_pops, axis=1) ** 2
+        bad = np.flatnonzero(~(np.abs(purity - purity0) <= 1e-10))
+        if bad.size:
+            i = int(bad[0])
+            raise InvariantViolation(
+                f"purity drifted by {purity[i] - purity0:.3e} at grid point {start + i}"
+            )
+        pops[start:start + len(tb), :s_dim] = block_pops
         lo, hi = np.searchsorted(snapshot_steps, (start, start + len(tb)))
-        snapshot_states[lo:hi] = reduced[snapshot_steps[lo:hi] - start]
+        kept = psi[snapshot_steps[lo:hi] - start]
+        snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
 
     return Trajectory(steps=np.arange(t.size), times=t, populations=pops,
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states).validate()

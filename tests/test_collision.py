@@ -667,6 +667,11 @@ class TestClosedEvolution:
             closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
                              [0.0, bad])
 
+    def test_rejects_mixed_state(self):
+        mixed = density_operator(np.eye(12, dtype=complex) / 12, TRIPARTITE_SPACE)
+        with pytest.raises(ValueError, match="needs a pure joint state"):
+            closed_evolution(mixed, build_h_prime(ModelParams(delta=50.0)), [0.0, 1.0])
+
     def test_snapshots_are_reduced_states(self):
         p = ModelParams(delta=50.0)
         traj = closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(p),
@@ -753,6 +758,19 @@ class TestClosedEvolutionBlocks:
         assert np.max(np.abs(traj.populations - pops), initial=0.0) <= 1e-15
         assert np.array_equal(traj.snapshot_steps, snapshot_steps)
         assert np.max(np.abs(traj.snapshot_states - snapshot_states), initial=0.0) <= 1e-15
+
+    def test_superposition_matches_per_point_loop(self):
+        # A pure state that is not a basis state, with complex amplitudes.
+        psi = np.zeros(12, dtype=complex)
+        psi[basis_index(1, 0, 0)] = 0.6
+        psi[basis_index(0, 1, 1)] = 0.8j
+        sigma0 = density_operator(np.outer(psi, psi.conj()), TRIPARTITE_SPACE)
+        h = build_h_prime(ModelParams(delta=50.0))
+        t = np.linspace(0.0, 5.0 / 0.02, 2 * GRID_BLOCK + 1)
+        traj = closed_evolution(sigma0, h, t, snapshot_stride=7)
+        pops, _, snapshot_states = loop_closed_evolution(sigma0, h, t, 7)
+        assert np.max(np.abs(traj.populations - pops)) <= 1e-15
+        assert np.max(np.abs(traj.snapshot_states - snapshot_states)) <= 1e-15
 
     @pytest.mark.parametrize("gamma, first_bad", [(1e-10 / (4 * 99.5), 100), (np.nan, 0)])
     def test_purity_drift_names_first_bad_point(self, monkeypatch, gamma, first_bad):

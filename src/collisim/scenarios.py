@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
-from .config import ScenarioConfig, sweep_point_config
+from .config import ScenarioConfig, sweep_point_config, validate_config
 from .errors import ConfigError
 from .lindblad import (
     DT_MARGIN,
@@ -437,9 +437,10 @@ def _prepare_output_dir(cfg: ScenarioConfig, output_dir: str | Path | None) -> P
 
 
 def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
-    """Execute a non-sweep scenario and write its trajectory and report files."""
+    """Validate and execute a non-sweep scenario, then write its trajectory and report files."""
     if cfg.scenario == "sweep":
         raise ConfigError("use run_sweep for sweep configs")
+    validate_config(cfg)
     out_dir = _prepare_output_dir(cfg, output_dir)
     report, trajectories = _RUNNERS[cfg.scenario](cfg)
     for source, traj in trajectories.items():
@@ -464,6 +465,7 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     """
     if cfg.scenario != "sweep":
         raise ConfigError("run_sweep requires scenario = sweep")
+    validate_config(cfg)
     out_dir = _prepare_output_dir(cfg, output_dir)
 
     jobs = []

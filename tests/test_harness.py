@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from collisim import (
     ConfigError,
+    ScenarioConfig,
     Trajectory,
     load_config,
     metrics,
@@ -310,6 +311,25 @@ class TestScenarioOutputs:
         )
         with pytest.raises(ConfigError):
             run_scenario(cfg, tmp_path)
+
+    @pytest.mark.parametrize("cfg, message", [
+        (ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
+                        n_steps=60, initial_state="custom",
+                        initial_populations=(0.5, 0.3, 0.2)), "zero initial top-level"),
+        (ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5),
+         "requires tau or alpha_tau"),
+    ], ids=["top-level-population", "no-duration"])
+    def test_run_scenario_validates_before_any_work(self, tmp_path, cfg, message):
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_run_sweep_validates_before_any_work(self, tmp_path):
+        cfg = ScenarioConfig("sweep", x1=0.5, x2=1.5, sweep_scenario="negative-temperature",
+                             sweep_param="delta", sweep_values=(200.0,))
+        with pytest.raises(ConfigError, match="requires tau or alpha_tau"):
+            run_sweep(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestShippedConfigs:

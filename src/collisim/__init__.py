@@ -19,7 +19,6 @@ from .config import ScenarioConfig, load_config, parse_config_text, validate_con
 from .errors import ConfigError, InvariantViolation, NumericError
 from .lindblad import (
     LindbladGenerator,
-    default_dt,
     generator_effective_qubit,
     generator_qutrit_two_bath,
     integrate,
@@ -85,7 +84,6 @@ __all__ = [
     "collision_superoperator",
     "commutator",
     "compute_alpha",
-    "default_dt",
     "default_substeps",
     "density_operator",
     "derive_rates",

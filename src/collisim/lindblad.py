@@ -164,12 +164,6 @@ def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
     return g
 
 
-def default_dt(gen: LindbladGenerator) -> float:
-    """Step size keeping the stability guard satisfied with 5x margin."""
-    scale = gen.rate_scale
-    return DT_MARGIN / scale if scale > 0 else 1.0
-
-
 def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: float,
               *, snapshot_stride: int = 10) -> Trajectory:
     """Fixed-step RK4 integration from 0 to (at least) ``t_end``.

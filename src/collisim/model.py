@@ -108,9 +108,6 @@ class DerivedRates:
     alpha: float
     capital_gamma: float
     x_s: float
-    gamma1: float
-    gamma2: float
-    r_ratio: float
     beta_s: float | None = None
 
 
@@ -205,9 +202,9 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     """All scalar rates of the continuous-time descriptions.
 
     ``capital_gamma`` is the effective-qubit relaxation rate
-    ``R^2 g^2 tau / ((1+e^x1)(1+e^-x2))`` with ``R = g/delta``;
-    ``gamma1, gamma2 = g^2 tau / (1+e^x_m)`` are the per-bath rates of
-    the qutrit two-bath description.  ``x_s = x1 - x2`` is the effective
+    ``R^2 g^2 tau / ((1+e^x1)(1+e^-x2))`` with ``R = g/delta``; the
+    per-bath rates of the qutrit two-bath description are `bath_rate`.
+    ``x_s = x1 - x2`` is the effective
     thermal exponent; ``beta_s = (x1 - x2)/(omega_a1 - omega_a2)`` is
     reported only when both ancilla frequencies are given, and raises if
     they are degenerate (the effective level splitting would vanish).
@@ -215,8 +212,6 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
     r = p.g / p.delta
     capital_gamma = (r**2 * p.g**2 * p.tau) / ((1.0 + math.exp(p.x1)) * (1.0 + math.exp(-p.x2)))
-    gamma1 = bath_rate(p, p.x1)
-    gamma2 = bath_rate(p, p.x2)
     beta_s = None
     if p.omega_a1 is not None and p.omega_a2 is not None:
         if p.omega_a1 == p.omega_a2:
@@ -228,9 +223,6 @@ def derive_rates(p: ModelParams) -> DerivedRates:
         alpha=alpha,
         capital_gamma=capital_gamma,
         x_s=p.x1 - p.x2,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        r_ratio=r,
         beta_s=beta_s,
     )
 

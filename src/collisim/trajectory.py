@@ -72,9 +72,6 @@ class Trajectory:
             raise InvariantViolation("times are not strictly increasing")
         return self
 
-    def population(self, level: int) -> np.ndarray:
-        return self.populations[:, level]
-
     def final_window_mean(self, frac: float = 0.1) -> np.ndarray:
         """Mean populations over the trailing ``frac`` of the entries."""
         n = max(1, int(round(frac * len(self))))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from collisim import (
     LindbladGenerator,
     ModelParams,
     QUTRIT_SPACE,
-    default_dt,
     density_operator,
     derive_rates,
     generator_effective_qubit,
@@ -20,12 +20,12 @@ from collisim import (
     steady_state_qubit,
     transition,
 )
-from collisim.lindblad import generator_superoperator
+from collisim.lindblad import DT_MARGIN, generator_superoperator
+from collisim.scenarios import me_substep_count
 
 
 def rates_for(x_s=0.0, gamma=0.5):
-    return DerivedRates(alpha=0.1, capital_gamma=gamma, x_s=x_s,
-                        gamma1=0.0, gamma2=0.0, r_ratio=0.1)
+    return DerivedRates(alpha=0.1, capital_gamma=gamma, x_s=x_s)
 
 
 def random_state(rng, dim):
@@ -193,16 +193,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="dt"):
             integrate(gen, QUBIT_GROUND, 1.0, 0.0)
 
-    def test_default_dt_satisfies_guard(self):
-        for gen in (
+    def test_me_substep_count_satisfies_guard(self):
+        for tau, gen in itertools.product((0.05, 1.0, 60.0), (
             generator_effective_qubit(rates_for(x_s=2.0, gamma=3.0)),
             generator_qutrit_two_bath(ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05)),
-        ):
-            dt = default_dt(gen)
-            assert dt * gen.rate_scale <= 0.1
+        )):
+            dt = tau / me_substep_count(tau, gen)
+            assert dt * gen.rate_scale <= DT_MARGIN
             integrate(gen, density_operator(np.eye(gen.dim, dtype=complex) / gen.dim,
                                             QUTRIT_SPACE if gen.dim == 3 else (("S", 2),)),
-                      10 * dt, dt, snapshot_stride=0)
+                      tau, dt, snapshot_stride=0)
 
     def test_qubit_populations_zero_padded(self):
         gen = generator_effective_qubit(rates_for())

@@ -19,7 +19,7 @@ from collisim import (
     expm_hermitian_propagator,
     steady_state_qubit,
 )
-from collisim.model import _h_eff_terms
+from collisim.model import _h_eff_terms, bath_rate
 
 
 def fig2_initial():
@@ -240,15 +240,15 @@ class TestDeriveRates:
         assert_allclose(r.capital_gamma, 3.75e-4, rtol=1e-6)
 
     def test_alpha_and_ratio(self):
-        r = derive_rates(ModelParams(delta=50.0))
-        assert_allclose(r.alpha, 0.02, rtol=1e-15)
-        assert_allclose(r.r_ratio, 0.02, rtol=1e-15)
+        # alpha = g R with the ratio R = g / delta
+        p = ModelParams(delta=50.0)
+        assert_allclose(derive_rates(p).alpha, 0.02, rtol=1e-15)
+        assert_allclose(derive_rates(p).alpha, p.g * (p.g / p.delta), rtol=1e-15)
 
     def test_bath_rates(self):
         p = ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05)
-        r = derive_rates(p)
-        assert_allclose(r.gamma1, 0.05 / (1 + math.e), rtol=1e-14)
-        assert_allclose(r.gamma2, 0.05 / (1 + math.e**2), rtol=1e-14)
+        assert_allclose(bath_rate(p, p.x1), 0.05 / (1 + math.e), rtol=1e-14)
+        assert_allclose(bath_rate(p, p.x2), 0.05 / (1 + math.e**2), rtol=1e-14)
 
     def test_gamma_quadratic_in_inverse_detuning(self):
         base = ModelParams(delta=100.0, x1=0.2, x2=0.4, tau=10.0)

@@ -204,10 +204,10 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     ``capital_gamma`` is the effective-qubit relaxation rate
     ``R^2 g^2 tau / ((1+e^x1)(1+e^-x2))`` with ``R = g/delta``; the
     per-bath rates of the qutrit two-bath description are `bath_rate`.
-    ``x_s = x1 - x2`` is the effective
-    thermal exponent; ``beta_s = (x1 - x2)/(omega_a1 - omega_a2)`` is
-    reported only when both ancilla frequencies are given, and raises if
-    they are degenerate (the effective level splitting would vanish).
+    ``x_s = x1 - x2`` is the effective thermal exponent;
+    ``beta_s = (x1 - x2)/(omega_a1 - omega_a2)`` is reported only when
+    both ancilla frequencies are given, and raises if they are degenerate
+    (the effective level splitting would vanish).
     """
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
     r = p.g / p.delta

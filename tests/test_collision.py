@@ -755,7 +755,7 @@ class TestClosedEvolutionBlocks:
         sigma0 = joint_basis_state(1, 0, 0)
         traj = closed_evolution(sigma0, h, t, snapshot_stride=stride)
         pops, snapshot_steps, snapshot_states = loop_closed_evolution(sigma0, h, t, stride)
-        assert np.max(np.abs(traj.populations - pops), initial=0.0) <= 1e-15
+        assert np.max(np.abs(traj.populations - pops)) <= 1e-15
         assert np.array_equal(traj.snapshot_steps, snapshot_steps)
         assert np.max(np.abs(traj.snapshot_states - snapshot_states), initial=0.0) <= 1e-15
 

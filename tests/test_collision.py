@@ -519,6 +519,143 @@ class TestRungeKuttaMap:
         assert np.array_equal(m, explicit)
 
 
+def mp_collision_map(h, eta12, tau, dps=40):
+    """The spectral collision map from a ``dps``-digit `mp.expm` of ``-i h tau`` and the ancilla trace.
+
+    Each double entry of ``h``, ``eta12`` and ``tau`` is taken exactly.  The
+    thermal ``eta12`` is diagonal, so ``M[ij, kl] = sum_{a, c} eta_c
+    U[ai, ck] U*[aj, cl]`` with ``a`` and ``c`` the joint ancilla index.
+    """
+    assert np.array_equal(eta12, np.diag(np.diag(eta12)))
+    with mp.workdps(dps):
+        u = mp.expm(mp.matrix([[mp.mpc(0, -1) * mp.mpc(complex(x)) * mp.mpf(float(tau)) for x in row]
+                               for row in h]))
+        eta = [mp.mpf(float(x.real)) for x in np.diag(eta12)]
+        m = np.empty((3, 3, 3, 3), dtype=complex)
+        for i, j, k, l in np.ndindex(3, 3, 3, 3):
+            m[i, j, k, l] = complex(mp.fsum(eta[c] * u[3 * a + i, 3 * c + k]
+                                            * mp.conj(u[3 * a + j, 3 * c + l])
+                                            for a in range(4) for c in range(4)))
+    return m.reshape(9, 9)
+
+
+def reference_map_cases():
+    """The four shipped collision configs, the small_batch corners, zero detuning and V."""
+    cases = []
+    for name in ("collision_vs_me_short", "collision_vs_me_long", "negative_temperature",
+                 "beyond_far_off"):
+        p = model_params(load_config(CONFIG_DIR / f"{name}.cfg"))
+        cases.append(pytest.param(build_h_prime, p, id=name))
+    for delta in (150.0, 250.0):
+        for alpha_tau in (0.3, 0.01):
+            cases.append(pytest.param(build_h_prime, ModelParams(delta, 0.3, -0.2, alpha_tau * delta),
+                                      id=f"delta{delta:g}-alpha_tau{alpha_tau:g}"))
+    for delta in (0.5, 4.0):
+        cases.append(pytest.param(build_h_prime, ModelParams(delta, 0.3, -0.2, 0.05),
+                                  id=f"delta{delta:g}-tau0.05"))
+    cases.append(pytest.param(build_h_prime, ModelParams(0.0, 0.3, -0.2, 3.0), id="delta0"))
+    cases.append(pytest.param(build_v, ModelParams(200.0, 0.3, -0.2, 60.0), id="v-delta200"))
+    return cases
+
+
+@pytest.mark.parametrize("builder, p", reference_map_cases())
+def test_spectral_map_matches_extended_precision(builder, p):
+    # The map's entries are O(1); the double eigensolve leaves phase errors
+    # of about |e| tau * 1e-16, so the longest collisions sit near 1e-12.
+    h = builder(p)
+    eta1, eta2 = ancilla_pair(p)
+    m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, PropagatorChoice())
+    reference = mp_collision_map(h, np.kron(eta1.matrix, eta2.matrix), p.tau)
+    assert float(np.max(np.abs(m - reference))) <= 2e-12
+
+
+def conserved_charges():
+    """Diagonals of ``Q1 = n_A1 - |0><0|_S`` and ``Q2 = n_A2 - |1><1|_S`` in A1 (x) A2 (x) S order."""
+    a1, a2, s = np.unravel_index(np.arange(12), (2, 2, 3))
+    return a1 - (s == 0), a2 - (s == 1)
+
+
+def map_for(variant, delta, tau, x1=0.0, x2=0.0, g=1.0, substeps=None):
+    p = ModelParams(delta=delta, x1=x1, x2=x2, tau=tau, g=g)
+    eta1, eta2 = ancilla_pair(p)
+    return collision_superoperator(build_h_prime(p), eta1.matrix, eta2.matrix, tau,
+                                   PropagatorChoice(variant, substeps))
+
+
+VARIANTS = st.sampled_from(["spectral", "runge_kutta"])
+MAP_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@MAP_PROPERTY
+@given(delta=st.floats(0.0, 250.0), g=st.floats(0.25, 4.0))
+def test_h_prime_conserves_both_charges(delta, g):
+    # Each bath channel moves one excitation between its ancilla and the
+    # system level it addresses, so both charges commute with H' exactly.
+    h = build_h_prime(ModelParams(delta=delta, g=g))
+    for q in conserved_charges():
+        charge = np.diag(q).astype(complex)
+        assert not np.any(h @ charge - charge @ h)
+
+
+@MAP_PROPERTY
+@given(variant=VARIANTS, delta=st.floats(0.0, 250.0), tau=st.floats(0.05, 75.0),
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_collision_map_bath_swap(variant, delta, tau, x1, x2):
+    # Swapping the ancillas and relabelling system levels 0 <-> 1 maps H' to
+    # itself, so swapping x1 and x2 conjugates the map by that relabelling.
+    relabel = np.array([3 * i + j for i in (1, 0, 2) for j in (1, 0, 2)])
+    direct = map_for(variant, delta, tau, x1, x2)
+    swapped = map_for(variant, delta, tau, x2, x1)
+    assert np.max(np.abs(swapped[np.ix_(relabel, relabel)] - direct)) <= 1e-14
+
+
+@MAP_PROPERTY
+@given(variant=VARIANTS, delta=st.floats(0.0, 250.0), g=st.floats(0.25, 4.0),
+       c=st.floats(0.25, 4.0), tau=st.floats(0.05, 75.0), x1=st.floats(-3.0, 3.0),
+       x2=st.floats(-3.0, 3.0))
+def test_collision_map_units_covariance(variant, delta, g, c, tau, x1, x2):
+    # H'(c g, c delta) = c H'(g, delta): a collision of tau / c under the
+    # scaled Hamiltonian is the same map.  runge_kutta keeps its substep count.
+    substeps = default_substeps(build_h_prime(ModelParams(delta=delta, g=g)), tau)
+    base = map_for(variant, delta, tau, x1, x2, g, substeps)
+    scaled = map_for(variant, c * delta, tau / c, x1, x2, c * g, substeps)
+    assert np.max(np.abs(scaled - base)) <= 1e-11
+
+
+@MAP_PROPERTY
+@given(variant=VARIANTS, delta=st.floats(0.0, 250.0), tau=st.floats(0.05, 75.0),
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_collision_map_keeps_the_charge_gibbs_state(variant, delta, tau, x1, x2):
+    # eta1 (x) eta2 (x) diag(e^x1, e^x2, 1) is proportional to exp(-x1 Q1 - x2 Q2),
+    # which commutes with H', so its system part is a fixed point of the map.
+    fixed = np.diag([np.exp(x1), np.exp(x2), 1.0]).astype(complex)
+    fixed /= np.trace(fixed)
+    m = map_for(variant, delta, tau, x1, x2)
+    assert np.max(np.abs(m @ fixed.reshape(9) - fixed.reshape(9))) <= 1e-14
+
+
+@MAP_PROPERTY
+@given(variant=VARIANTS, delta=st.floats(0.0, 250.0), tau=st.floats(0.05, 75.0),
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_collision_map_is_completely_positive_and_trace_preserving(variant, delta, tau, x1, x2):
+    c = choi(map_for(variant, delta, tau, x1, x2))
+    assert np.max(np.abs(c - c.conj().T)) <= 1e-12
+    assert abs(np.trace(c) - 3.0) <= 1e-12
+    assert np.linalg.eigvalsh(c)[0] >= -1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(delta=st.floats(20.0, 250.0), alpha_tau=st.floats(0.01, 0.3), x1=st.floats(-3.0, 3.0),
+       x2=st.floats(-3.0, 3.0))
+def test_spectral_and_runge_kutta_populations_agree(delta, alpha_tau, x1, x2):
+    # The default substep rule keeps RK4's phase error under 1e-7 per
+    # collision; over 300 collisions the populations stay within 1e-5.
+    p = ModelParams(delta=delta, x1=x1, x2=x2, tau=alpha_tau * delta, n_steps=300)
+    runs = [run_collisions(GROUND, p, "original", PropagatorChoice(variant), snapshot_stride=0)
+            for variant in ("spectral", "runge_kutta")]
+    assert np.max(np.abs(runs[0].populations - runs[1].populations)) <= 1e-5
+
+
 def extended_iterates(step_map, vec0, n):
     """``vec0, M vec0, ..., M^n vec0`` for the double ``step_map`` iterated in ``np.clongdouble``."""
     m = np.asarray(step_map, dtype=np.clongdouble)

@@ -49,7 +49,6 @@ from .operators import (
     batch_check_states,
     commutator,
     density_operator,
-    expm_hermitian_propagator,
     kron,
     partial_trace_matrix,
     require_hermitian,
@@ -138,41 +137,43 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     """The 9x9 map ``vec(rho_S) -> vec(Tr_A[U (eta1 (x) eta2 (x) rho_S) U+])``.
 
     ``h`` acts on the 12-dimensional joint space in A1 (x) A2 (x) S order
-    and must be Hermitian.  Raises `NumericError` when a runge_kutta
-    substep count is unstable: the map is not finite, or some
-    ``|e_j - e_k| dt`` exceeds RK4's stability bound ``2 sqrt(2)``.
+    and must be Hermitian.  With ``h = q diag(e) q+``, the map sends the
+    joint state ``x`` to ``q (F o (q+ x q)) q+`` before the ancilla trace,
+    where ``F_jk = exp(-i (e_j - e_k) tau)`` for ``spectral`` and the RK4
+    factors of `_rk4_power_factors` for ``runge_kutta``.  Raises
+    `NumericError` when the eigensolve fails or a runge_kutta substep
+    count is unstable: the map is not finite, or some ``|e_j - e_k| dt``
+    exceeds RK4's stability bound ``2 sqrt(2)``.
     """
     if h.shape != (12, 12):
         raise ValueError(f"collision Hamiltonian must be 12x12, got {h.shape}")
-    eta12 = np.kron(eta1, eta2)
     try:
-        if prop.variant == "spectral":
-            w = expm_hermitian_propagator(h, tau)
-            w4 = w.reshape(4, 3, 4, 3)
-            m = np.einsum("aick,cd,ajdl->ijkl", w4, eta12, w4.conj())
-        else:
-            e, q = np.linalg.eigh(require_hermitian(h))
-            substeps = prop.substeps if prop.substeps is not None else _substeps_for_spectrum(e, tau)
-            dt = tau / substeps
-            # x -> q (F o (q+ x q)) q+ on x = eta12 (x) rho_S, then the ancilla trace
-            q4 = q.reshape(4, 3, 12)
-            out = np.einsum("aij,alk->iljk", q4, q4.conj()).reshape(9, 144)
-            into = np.einsum("bij,bc,clk->jkil", q4.conj(), eta12, q4)
-            with np.errstate(over="ignore", invalid="ignore"):  # flagged just below
-                f = _rk4_power_factors(e, dt, substeps)
-                m = out @ (f[:, :, None, None] * into).reshape(144, 9)
-            if not np.all(np.isfinite(m)):
-                raise NumericError(f"collision map is not finite: {substeps} runge_kutta "
-                                   "substeps are unstable for this collision")
-            # |T4(-i theta)| > 1 exactly when |theta| > 2 sqrt(2): such a map is finite but wrong
-            theta_max = (e[-1] - e[0]) * dt
-            if theta_max > RK4_STABILITY_BOUND:
-                raise NumericError(
-                    f"{substeps} runge_kutta substeps are unstable for this collision: "
-                    f"max |e_j - e_k| dt = {theta_max:.4g} exceeds RK4's stability "
-                    f"bound 2*sqrt(2) = {RK4_STABILITY_BOUND:.4g}")
+        e, q = np.linalg.eigh(require_hermitian(h))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"collision propagator failed: {exc}") from exc
+    # x -> q (F o (q+ x q)) q+ on x = eta12 (x) rho_S, then the ancilla trace
+    q4 = q.reshape(4, 3, 12)
+    out = np.einsum("aij,alk->iljk", q4, q4.conj()).reshape(9, 144)
+    into = np.einsum("bij,bc,clk->jkil", q4.conj(), np.kron(eta1, eta2), q4)
+    with np.errstate(over="ignore", invalid="ignore"):  # an unstable runge_kutta map is flagged below
+        if prop.variant == "spectral":
+            f = np.exp(-1j * tau * (e[:, None] - e[None, :]))
+        else:
+            substeps = prop.substeps if prop.substeps is not None else _substeps_for_spectrum(e, tau)
+            dt = tau / substeps
+            f = _rk4_power_factors(e, dt, substeps)
+        m = out @ (f[:, :, None, None] * into).reshape(144, 9)
+    if prop.variant == "runge_kutta":
+        if not np.all(np.isfinite(m)):
+            raise NumericError(f"collision map is not finite: {substeps} runge_kutta "
+                               "substeps are unstable for this collision")
+        # |T4(-i theta)| > 1 exactly when |theta| > 2 sqrt(2): such a map is finite but wrong
+        theta_max = (e[-1] - e[0]) * dt
+        if theta_max > RK4_STABILITY_BOUND:
+            raise NumericError(
+                f"{substeps} runge_kutta substeps are unstable for this collision: "
+                f"max |e_j - e_k| dt = {theta_max:.4g} exceeds RK4's stability "
+                f"bound 2*sqrt(2) = {RK4_STABILITY_BOUND:.4g}")
     return m.reshape(9, 9)
 
 

@@ -76,7 +76,8 @@ class ScenarioConfig:
         """Collision duration, from ``tau`` directly or from ``alpha_tau``."""
         if self.tau is not None:
             return self.tau
-        assert self.alpha_tau is not None and self.delta is not None
+        if self.alpha_tau is None:
+            raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
         return self.alpha_tau * self.delta / self.g**2
 
 

@@ -116,6 +116,13 @@ class TestConfigParsing:
         cfg = parse_config_text(FIG3B)
         assert_allclose(cfg.effective_tau(), 60.0)
 
+    def test_effective_tau_without_a_duration_is_a_config_error(self):
+        cfg = ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5)
+        for call in (cfg.effective_tau, lambda: scenarios.model_params(cfg)):
+            with pytest.raises(ConfigError) as info:
+                call()
+            assert str(info.value) == "scenario 'negative-temperature' requires tau or alpha_tau"
+
     def test_custom_initial_state(self):
         cfg = parse_config_text(
             FIG3B.replace("collision-vs-me", "negative-temperature")

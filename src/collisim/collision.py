@@ -8,19 +8,18 @@ on the reduced system state.  That map is precomputed once per run, and
 `propagate` applies its powers to whole blocks of steps at once, which
 keeps hundred-thousand-collision runs cheap.
 
-Two propagators generate the collision unitary:
+Both propagators build that map from one formula.  With the collision
+Hamiltonian ``H = q diag(e) q+``, each eigenbasis entry ``|j><k|`` of the
+joint state is scaled by a factor ``F_jk`` of the gap ``e_j - e_k``, and
+then the ancillas are traced out:
 
-* ``spectral`` -- eigendecompose the (time-independent) Hamiltonian and
-  build ``exp(-i H tau)`` exactly from its spectrum;
-* ``runge_kutta`` -- integrate the Liouville equation with fixed-step
-  classical RK4.  For a linear autonomous equation one RK4 substep is
-  RK4's stability function ``T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``
-  evaluated at the Liouvillian times the substep.  The Liouvillian
-  ``x -> -i[H, x]`` is diagonal in H's eigenbasis, with eigenvalue
-  ``-i(e_j - e_k)`` on ``|j><k|``, so the composed map over all substeps
-  scales each eigenbasis entry of the joint state by
-  ``T4(-i(e_j - e_k) dt)`` raised to the substep count: the same
-  iteration, evaluated in closed form.
+* ``spectral`` -- ``F_jk = exp(-i (e_j - e_k) tau)``, exact unitary evolution;
+* ``runge_kutta`` -- fixed-step classical RK4 on the Liouville equation.
+  The Liouvillian ``x -> -i[H, x]`` has eigenvalue ``-i(e_j - e_k)`` on
+  ``|j><k|``, so each substep multiplies that entry by RK4's stability
+  function ``T4(z) = 1 + z + z^2/2 + z^3/6 + z^4/24`` at
+  ``z = -i(e_j - e_k) dt``, and ``F_jk`` is that factor raised to the
+  substep count: the same iteration, evaluated in closed form.
 
 The default substep count keeps (spectral radius of H) * dt <= 1/30, so
 the integrator resolves the fast oscillation of period ~ 1/delta that
@@ -137,13 +136,10 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     """The 9x9 map ``vec(rho_S) -> vec(Tr_A[U (eta1 (x) eta2 (x) rho_S) U+])``.
 
     ``h`` acts on the 12-dimensional joint space in A1 (x) A2 (x) S order
-    and must be Hermitian.  With ``h = q diag(e) q+``, the map sends the
-    joint state ``x`` to ``q (F o (q+ x q)) q+`` before the ancilla trace,
-    where ``F_jk = exp(-i (e_j - e_k) tau)`` for ``spectral`` and the RK4
-    factors of `_rk4_power_factors` for ``runge_kutta``.  Raises
-    `NumericError` when the eigensolve fails or a runge_kutta substep
-    count is unstable: the map is not finite, or some ``|e_j - e_k| dt``
-    exceeds RK4's stability bound ``2 sqrt(2)``.
+    and must be Hermitian; ``prop`` selects the factor ``F`` of the module's
+    eigenbasis formula.  Raises `NumericError` when the eigensolve fails or
+    a runge_kutta substep count is unstable: the map is not finite, or some
+    ``|e_j - e_k| dt`` exceeds RK4's stability bound ``2 sqrt(2)``.
     """
     if h.shape != (12, 12):
         raise ValueError(f"collision Hamiltonian must be 12x12, got {h.shape}")
@@ -155,7 +151,7 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     q4 = q.reshape(4, 3, 12)
     out = np.einsum("aij,alk->iljk", q4, q4.conj()).reshape(9, 144)
     into = np.einsum("bij,bc,clk->jkil", q4.conj(), np.kron(eta1, eta2), q4)
-    with np.errstate(over="ignore", invalid="ignore"):  # an unstable runge_kutta map is flagged below
+    with np.errstate(over="ignore", invalid="ignore"):  # runge_kutta failures are flagged below
         if prop.variant == "spectral":
             f = np.exp(-1j * tau * (e[:, None] - e[None, :]))
         else:
@@ -356,7 +352,7 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
         snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
 
     return Trajectory(steps=np.arange(t.size), times=t, populations=pops,
-                      snapshot_steps=snapshot_steps, snapshot_states=snapshot_states).validate()
+                      snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 
 def second_order_map(rho_s: DensityOperator | np.ndarray, p: ModelParams) -> np.ndarray:

@@ -78,6 +78,7 @@ class ScenarioConfig:
             return self.tau
         if self.alpha_tau is None:
             raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
+        _require(self, {"delta"})
         return self.alpha_tau * self.delta / self.g**2
 
 

@@ -116,12 +116,17 @@ class TestConfigParsing:
         cfg = parse_config_text(FIG3B)
         assert_allclose(cfg.effective_tau(), 60.0)
 
-    def test_effective_tau_without_a_duration_is_a_config_error(self):
-        cfg = ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5)
+    @pytest.mark.parametrize("cfg, message", [
+        (ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5),
+         "scenario 'negative-temperature' requires tau or alpha_tau"),
+        (ScenarioConfig("negative-temperature", x1=0.5, x2=1.5, alpha_tau=0.3),
+         "scenario 'negative-temperature' requires key(s): delta"),
+    ], ids=["no-duration", "alpha_tau-without-delta"])
+    def test_effective_tau_of_an_incomplete_config_is_a_config_error(self, cfg, message):
         for call in (cfg.effective_tau, lambda: scenarios.model_params(cfg)):
             with pytest.raises(ConfigError) as info:
                 call()
-            assert str(info.value) == "scenario 'negative-temperature' requires tau or alpha_tau"
+            assert str(info.value) == message
 
     def test_custom_initial_state(self):
         cfg = parse_config_text(

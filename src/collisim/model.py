@@ -64,7 +64,7 @@ class ModelParams:
     n_steps : number of collisions.
     omega_a1, omega_a2 : ancilla transition frequencies in units of g.
         Only needed to report the effective inverse temperature itself;
-        populations depend on x1 - x2 alone.
+        effective-qubit populations depend on x1 - x2 alone.
     """
 
     delta: float

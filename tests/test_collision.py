@@ -431,8 +431,8 @@ def matrix_power_map(h, eta12, tau, substeps, dtype=complex):
     return np.einsum("aiajckdl,cd->ijkl", p8, np.asarray(eta12, dtype=dtype)).reshape(9, 9)
 
 
-def map_inputs(builder, delta, tau):
-    p = ModelParams(delta=delta, x1=0.3, x2=-0.2, tau=tau)
+def map_inputs(builder, delta, tau, x1=0.3, x2=-0.2, g=1.0):
+    p = ModelParams(delta=delta, x1=x1, x2=x2, tau=tau, g=g)
     eta1, eta2 = ancilla_pair(p)
     return builder(p), eta1.matrix, eta2.matrix
 
@@ -575,11 +575,9 @@ def conserved_charges():
     return a1 - (s == 0), a2 - (s == 1)
 
 
-def map_for(variant, delta, tau, x1=0.0, x2=0.0, g=1.0, substeps=None):
-    p = ModelParams(delta=delta, x1=x1, x2=x2, tau=tau, g=g)
-    eta1, eta2 = ancilla_pair(p)
-    return collision_superoperator(build_h_prime(p), eta1.matrix, eta2.matrix, tau,
-                                   PropagatorChoice(variant, substeps))
+def map_for(variant, delta, tau, x1, x2, g=1.0, substeps=None):
+    h, eta1, eta2 = map_inputs(build_h_prime, delta, tau, x1, x2, g)
+    return collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant, substeps))
 
 
 VARIANTS = st.sampled_from(["spectral", "runge_kutta"])

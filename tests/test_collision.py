@@ -569,12 +569,6 @@ def test_spectral_map_matches_extended_precision(builder, p):
     assert float(np.max(np.abs(m - reference))) <= 2e-12
 
 
-def conserved_charges():
-    """Diagonals of ``Q1 = n_A1 - |0><0|_S`` and ``Q2 = n_A2 - |1><1|_S`` in A1 (x) A2 (x) S order."""
-    a1, a2, s = np.unravel_index(np.arange(12), (2, 2, 3))
-    return a1 - (s == 0), a2 - (s == 1)
-
-
 def map_for(variant, delta, tau, x1, x2, g=1.0, substeps=None):
     h, eta1, eta2 = map_inputs(build_h_prime, delta, tau, x1, x2, g)
     return collision_superoperator(h, eta1, eta2, tau, PropagatorChoice(variant, substeps))
@@ -587,10 +581,12 @@ MAP_PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, datab
 @MAP_PROPERTY
 @given(delta=st.floats(0.0, 250.0), g=st.floats(0.25, 4.0))
 def test_h_prime_conserves_both_charges(delta, g):
-    # Each bath channel moves one excitation between its ancilla and the
-    # system level it addresses, so both charges commute with H' exactly.
+    # Q1 = n_A1 - |0><0|_S and Q2 = n_A2 - |1><1|_S are diagonal.  Each bath
+    # channel moves one excitation between its ancilla and the system level
+    # it addresses, so both charges commute with H' exactly.
+    a1, a2, s = np.unravel_index(np.arange(12), (2, 2, 3))
     h = build_h_prime(ModelParams(delta=delta, g=g))
-    for q in conserved_charges():
+    for q in (a1 - (s == 0), a2 - (s == 1)):
         charge = np.diag(q).astype(complex)
         assert not np.any(h @ charge - charge @ h)
 
@@ -646,8 +642,8 @@ def test_collision_map_is_completely_positive_and_trace_preserving(variant, delt
 @given(delta=st.floats(20.0, 250.0), alpha_tau=st.floats(0.01, 0.3), x1=st.floats(-3.0, 3.0),
        x2=st.floats(-3.0, 3.0))
 def test_spectral_and_runge_kutta_populations_agree(delta, alpha_tau, x1, x2):
-    # The default substep rule keeps RK4's phase error under 1e-7 per
-    # collision; over 300 collisions the populations stay within 1e-5.
+    # With the default substep rule, RK4's truncation error over 300
+    # collisions stays well inside 1e-5 in the populations.
     p = ModelParams(delta=delta, x1=x1, x2=x2, tau=alpha_tau * delta, n_steps=300)
     runs = [run_collisions(GROUND, p, "original", PropagatorChoice(variant), snapshot_stride=0)
             for variant in ("spectral", "runge_kutta")]

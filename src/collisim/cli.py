@@ -10,6 +10,7 @@ passed, 1 a tolerance check failed, 2 usage or configuration error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import load_config
@@ -22,6 +23,7 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collisim",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collision import propagate
 from .model import DerivedRates, ModelParams, bath_rate
-from .operators import DensityOperator, is_hermitian, transition
+from .operators import DensityOperator, is_hermitian, kron, transition
 # Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
 from .operators import batch_check_states  # noqa: F401
 from .trajectory import Trajectory
@@ -148,7 +148,7 @@ def liouvillian_superop(h: np.ndarray) -> np.ndarray:
     """Matrix of ``x -> -i[h, x]`` acting on row-major vectorized operators."""
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return -1j * (kron(h, eye) - kron(eye, h.T))
 
 
 def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
@@ -158,8 +158,8 @@ def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
     for op, rate in gen.dissipators:
         opdop = op.conj().T @ op
         g = g + rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opdop, eye) + np.kron(eye, opdop.T))
+            kron(op, op.conj())
+            - 0.5 * (kron(opdop, eye) + kron(eye, opdop.T))
         )
     return g
 

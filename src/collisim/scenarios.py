@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -234,15 +233,17 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     return report, {"orig": orig, "eff": eff}
 
 
-def _collision_run(cfg: ScenarioConfig, relaxation_rate_of) -> tuple[ModelParams, Trajectory]:
+def _collision_run(cfg: ScenarioConfig,
+                   relaxation_rate_of) -> tuple[ModelParams, Trajectory, DensityOperator]:
+    """The collision run of ``cfg``: its parameters, trajectory and initial state."""
     p = model_params(cfg)
     n = cfg.n_steps if cfg.n_steps is not None else default_collision_count(
         p, relaxation_rate_of(p))
     p = model_params(cfg, n_steps=n)
-    traj = run_collisions(initial_system_state(cfg), p, "original",
-                          PropagatorChoice(cfg.propagator, cfg.substeps),
+    rho0 = initial_system_state(cfg)
+    traj = run_collisions(rho0, p, "original", PropagatorChoice(cfg.propagator, cfg.substeps),
                           snapshot_stride=cfg.snapshot_stride)
-    return p, traj
+    return p, traj, rho0
 
 
 def _me_at_collision_times(gen: LindbladGenerator, rho0: DensityOperator, p: ModelParams,
@@ -256,11 +257,10 @@ def _me_at_collision_times(gen: LindbladGenerator, rho0: DensityOperator, p: Mod
 
 def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the effective-qubit master equation."""
-    p, exact = _collision_run(cfg, lambda p: derive_rates(p).capital_gamma)
+    p, exact, rho0 = _collision_run(cfg, lambda p: derive_rates(p).capital_gamma)
     rates = derive_rates(p)
     gen = generator_effective_qubit(rates)
 
-    rho0 = initial_system_state(cfg)
     rho0_q = density_operator(np.array(rho0.matrix[:2, :2]), (("S", 2),))
 
     me = _me_at_collision_times(gen, rho0_q, p, cfg.snapshot_stride)
@@ -299,7 +299,7 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
         r = derive_rates(p)
         return r.capital_gamma * (1.0 + math.exp(r.x_s))
 
-    p, exact = _collision_run(cfg, relax)
+    p, exact, _ = _collision_run(cfg, relax)
     rates = derive_rates(p)
     gen = generator_effective_qubit(rates)
     analytic = steady_state_qubit(rates.x_s)
@@ -339,9 +339,9 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
 def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the qutrit two-bath master equation
     in the short-collision, modest-detuning regime."""
-    p, exact = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
+    p, exact, rho0 = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
     gen = generator_qutrit_two_bath(p)
-    me = _me_at_collision_times(gen, initial_system_state(cfg), p, cfg.snapshot_stride)
+    me = _me_at_collision_times(gen, rho0, p, cfg.snapshot_stride)
     frag = metrics(exact, me)
 
     checks = (
@@ -475,6 +475,7 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
 
     workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_sweep_point, jobs))
     else:

@@ -143,6 +143,12 @@ class TestRunCollisions:
         with pytest.raises(ValueError, match="mode"):
             run_collisions(GROUND, p, "exact")
 
+    def test_zero_duration_is_an_invariant_violation(self):
+        # Every collision of a zero-duration run would sit at t = 0.
+        p = ModelParams(delta=50.0, x1=0.3, x2=0.8, tau=0.0, n_steps=3)
+        with pytest.raises(InvariantViolation, match="times are not strictly increasing"):
+            run_collisions(GROUND, p, "original")
+
     def test_snapshot_stride(self):
         p = ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=60.0, n_steps=20)
         traj = run_collisions(GROUND, p, "original", snapshot_stride=5)
@@ -876,9 +882,10 @@ def loop_closed_evolution(sigma0, h, t, snapshot_stride):
 
 
 class TestClosedEvolutionBlocks:
-    @pytest.mark.parametrize("stride", [0, 1, 7, GRID_BLOCK, 100])
-    @pytest.mark.parametrize("n_grid", [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1,
-                                        2 * GRID_BLOCK + 1, 2000])
+    # 63, 64, 65, 129 and stride 64 are the edges of the earlier 64-point blocks.
+    @pytest.mark.parametrize("stride", [0, 1, 7, 64, GRID_BLOCK, 100])
+    @pytest.mark.parametrize("n_grid", [1, 63, 64, 65, 129, GRID_BLOCK - 1, GRID_BLOCK,
+                                        GRID_BLOCK + 1, 2 * GRID_BLOCK + 1, 2000])
     @pytest.mark.parametrize("builder", [build_h_prime, build_h_eff])
     def test_matches_per_point_loop(self, builder, n_grid, stride):
         h = builder(ModelParams(delta=50.0))
@@ -907,6 +914,17 @@ class TestClosedEvolutionBlocks:
     def test_purity_drift_names_first_bad_point(self, monkeypatch, gamma, first_bad):
         # Eigenvalues e - i gamma scale the pure state's purity by exp(-4 gamma t),
         # so on integer times it first leaves 1e-10 at t = 100, in the second block.
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: (real_eigh(a)[0] - 1j * gamma, real_eigh(a)[1]))
+        with pytest.raises(InvariantViolation, match=f"at grid point {first_bad}$"):
+            closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
+                             np.arange(2 * GRID_BLOCK + 1.0))
+
+    def test_purity_drift_past_the_first_block_names_its_grid_point(self, monkeypatch):
+        # As above, with the first drift past 1e-10 in the middle of the second block.
+        first_bad = GRID_BLOCK + GRID_BLOCK // 2
+        gamma = 1e-10 / (4 * (first_bad - 0.5))
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: (real_eigh(a)[0] - 1j * gamma, real_eigh(a)[1]))

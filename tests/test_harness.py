@@ -1,5 +1,8 @@
+import concurrent.futures
 import hashlib
 import importlib.util
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import collisim
 from collisim import (
     ConfigError,
     ScenarioConfig,
@@ -306,7 +310,7 @@ class TestScenarioOutputs:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(scenarios, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
         cfg = parse_config_text(
             "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
@@ -475,6 +479,19 @@ n_steps = 40000
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
 
+    def test_parser_reuse_keeps_calls_apart(self, tmp_path, monkeypatch):
+        # The parser is built once per process: an --output-dir given to one
+        # call must not carry over to the next.
+        monkeypatch.chdir(tmp_path)
+        path = self.write(tmp_path, VERIFY + "output_path = own\n")
+        assert main(["run", path, "--output-dir", "override"]) == 0
+        assert not (tmp_path / "own").exists()
+        assert main(["run", path]) == 0
+        assert (tmp_path / "own" / "report.kv").read_text() == (
+            tmp_path / "override" / "report.kv").read_text()
+        assert main(["run"]) == 2
+        assert main(["validate", path]) == 0
+
     @pytest.mark.parametrize("text, match", [
         (FIG3B.replace("delta = 200", "delta = nan"), "delta: must be finite"),
         (FIG3B.replace("x1 = 1e-4", "x1 = inf"), "x1: must be finite"),
@@ -536,6 +553,15 @@ n_steps = 40000
             assert (f"\nbeta_s = {beta_s}\n" in kv) == bool(extra)
             assert (f"\n  {'beta_s':<32s} {beta_s}\n" in txt) == bool(extra)
             assert ("beta_s" in kv + txt) == bool(extra)
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a pooled sweep imports the process pool, with multiprocessing and socket.
+    src = Path(collisim.__file__).resolve().parents[1]
+    code = "import sys, collisim; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout.strip() == "False"
 
 
 def load_bench_module(path):

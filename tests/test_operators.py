@@ -43,6 +43,61 @@ def random_state(rng, dim):
     return rho / np.trace(rho)
 
 
+def np_kron_chain(*ops):
+    out = np.asarray(ops[0], dtype=complex)
+    for op in ops[1:]:
+        out = np.kron(out, op)
+    return out
+
+
+def special_operand(rng, dim, dtype=complex):
+    """A random dim x dim operand salted with NaN, signed zeros, infinities and subnormals."""
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -2.2e-310, 1e-300, -3.5])
+    if dtype is float:
+        return rng.choice(special, (dim, dim))
+    z = np.empty((dim, dim), dtype=complex)
+    z.real, z.imag = rng.choice(special, (2, dim, dim))
+    return z
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+class TestKronBits:
+    """`kron` gives the bits of numpy's ``np.kron``, whatever the entries."""
+
+    @pytest.fixture(autouse=True)
+    def quiet_special_values(self):
+        with np.errstate(all="ignore"):  # inf * 0 and friends are the point here
+            yield
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2, 2), (2, 2, 3, 2)])
+    def test_factor_chains(self, dims):
+        rng = np.random.default_rng(len(dims))
+        for _ in range(20):
+            ops = [special_operand(rng, d) for d in dims]
+            assert same_bits(kron(*ops), np_kron_chain(*ops))
+            ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for d in dims]
+            assert same_bits(kron(*ops), np_kron_chain(*ops))
+
+    @pytest.mark.parametrize("first, second", [(complex, float), (float, complex)])
+    def test_complex_times_real(self, first, second):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            a, b = special_operand(rng, 3, first), special_operand(rng, 2, second)
+            assert same_bits(kron(a, b), np.kron(a, b))
+
+    def test_transposed_operands(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            h, g = special_operand(rng, 3), special_operand(rng, 2)
+            assert not h.T.flags.c_contiguous
+            assert same_bits(kron(h.T, g.T), np.kron(h.T, g.T))
+            assert same_bits(kron(g, h.T, g.conj()), np_kron_chain(g, h.T, g.conj()))
+
+
 class TestKron:
     def test_identity(self):
         assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))

@@ -272,8 +272,11 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
     state; every intermediate state is checked against the
     density-operator invariants, and a violation aborts with the
     offending step index.  ``snapshot_stride = 0`` disables full-state
-    snapshots.
+    snapshots.  A non-positive or non-finite ``p.tau`` raises `ValueError`
+    before the map is built.
     """
+    if not (math.isfinite(p.tau) and p.tau > 0):
+        raise ValueError(f"collision runs need a positive, finite tau, got {p.tau}")
     if mode == "original":
         h = build_h_prime(p)
     elif mode == "effective":

@@ -78,7 +78,8 @@ class ModelParams:
 
     def __post_init__(self):
         # Zero coupling / zero duration are degenerate but representable
-        # (they realize the exact no-interaction identity limits).
+        # (they realize the exact no-interaction identity limits); a
+        # collision run still needs tau > 0, see `run_collisions`.
         if not (self.g >= 0):
             raise ValueError(f"coupling strength g must be nonnegative, got {self.g}")
         if not (self.tau >= 0):

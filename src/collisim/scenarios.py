@@ -382,19 +382,49 @@ def _format_float(x: float) -> str:
     return FLOAT_FMT % x
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, source: str):
+@dataclass(frozen=True, eq=False)
+class CsvColumns:
+    """The step and time columns of a trajectory CSV, formatted once.
+
+    ``chunks`` holds one row template per ``CSV_CHUNK`` rows: the step and
+    time text filled in, a ``FLOAT_FMT`` slot left for each population.
+    ``steps`` and ``times`` are the arrays it was formatted from.
+    """
+
+    steps: np.ndarray
+    times: np.ndarray
+    chunks: tuple[str, ...]
+
+    def matches(self, traj: Trajectory) -> bool:
+        """Whether ``traj`` has these steps and times bit for bit (so -0.0 is not 0.0)."""
+        return (np.array_equal(self.steps, traj.steps)
+                and np.array_equal(self.times.view(np.int64), traj.times.view(np.int64)))
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
+                         columns: CsvColumns | None = None) -> CsvColumns:
     """CSV schema: step, t_in_inverse_g, p0, p1, p2, source.
 
-    Rows are formatted from one %-template, ``CSV_CHUNK`` rows per write,
-    so the text of a long trajectory is never held in memory at once.
+    The step and time columns are formatted once, into one %-template per
+    ``CSV_CHUNK`` rows with a ``FLOAT_FMT`` slot per population, and rows
+    are written a chunk at a time from those templates.  The templates are
+    returned; passed back as ``columns`` for a trajectory whose steps and
+    times match them bit for bit, they are reused, so only the populations
+    are formatted.  Any other ``columns`` are ignored.
     """
-    row = ",".join(["%d"] + [FLOAT_FMT] * 4 + [source.replace("%", "%%")]) + "\n"
-    table = np.column_stack((traj.steps, traj.times, traj.populations))
+    if columns is None or not columns.matches(traj):
+        prefix = "%d," + FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * 3 + "\n"
+        grid = np.column_stack((traj.steps, traj.times))
+        chunks = (grid[start:start + CSV_CHUNK] for start in range(0, len(grid), CSV_CHUNK))
+        columns = CsvColumns(traj.steps, traj.times, tuple(
+            (prefix * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks))
+    row_end = "," + source.replace("%", "%%") + "\n"
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        for start in range(0, len(table), CSV_CHUNK):
-            chunk = table[start:start + CSV_CHUNK]
-            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+        for start, template in zip(range(0, len(traj), CSV_CHUNK), columns.chunks):
+            pops = traj.populations[start:start + CSV_CHUNK]
+            f.write(template.replace("\n", row_end) % tuple(pops.ravel().tolist()))
+    return columns
 
 
 def write_report_files(out_dir: Path, report: ComparisonReport):
@@ -443,8 +473,9 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
     validate_config(cfg)
     out_dir = _prepare_output_dir(cfg, output_dir)
     report, trajectories = _RUNNERS[cfg.scenario](cfg)
+    columns = None
     for source, traj in trajectories.items():
-        write_trajectory_csv(out_dir / f"{source}.csv", traj, source)
+        columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
     write_report_files(out_dir, report)
     return report
 

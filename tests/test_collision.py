@@ -144,9 +144,10 @@ class TestRunCollisions:
             run_collisions(GROUND, p, "exact")
 
     def test_zero_duration_is_an_invariant_violation(self):
-        # Every collision of a zero-duration run would sit at t = 0.
+        # Every collision of a zero-duration run would sit at t = 0, so the
+        # input is rejected before the map is built.
         p = ModelParams(delta=50.0, x1=0.3, x2=0.8, tau=0.0, n_steps=3)
-        with pytest.raises(InvariantViolation, match="times are not strictly increasing"):
+        with pytest.raises(ValueError, match="positive, finite tau, got 0.0"):
             run_collisions(GROUND, p, "original")
 
     def test_snapshot_stride(self):
@@ -913,7 +914,8 @@ class TestClosedEvolutionBlocks:
     @pytest.mark.parametrize("gamma, first_bad", [(1e-10 / (4 * 99.5), 100), (np.nan, 0)])
     def test_purity_drift_names_first_bad_point(self, monkeypatch, gamma, first_bad):
         # Eigenvalues e - i gamma scale the pure state's purity by exp(-4 gamma t),
-        # so on integer times it first leaves 1e-10 at t = 100, in the second block.
+        # so on integer times it first leaves 1e-10 at t = 100, inside the first
+        # block; the next test places the first bad point in a later block.
         real_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda a: (real_eigh(a)[0] - 1j * gamma, real_eigh(a)[1]))

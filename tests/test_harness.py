@@ -70,6 +70,27 @@ def reference_write_trajectory_csv(path, traj, source):
     path.write_text("\n".join(lines) + "\n")
 
 
+def single_template_write_trajectory_csv(path, traj, source):
+    """The one-template writer that formatted all five columns of every file:
+    the byte-level oracle of column reuse."""
+    row = ",".join(["%d"] + [scenarios.FLOAT_FMT] * 4 + [source.replace("%", "%%")]) + "\n"
+    table = np.column_stack((traj.steps, traj.times, traj.populations))
+    with open(path, "w") as f:
+        f.write(scenarios.CSV_HEADER + "\n")
+        for start in range(0, len(table), scenarios.CSV_CHUNK):
+            chunk = table[start:start + scenarios.CSV_CHUNK]
+            f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def grid_pair(n):
+    """Two trajectories of ``n`` rows on one step and time grid, with different populations."""
+    rng = np.random.default_rng(n)
+    steps, times = np.arange(n), np.arange(n) * 0.1
+    return (Trajectory(steps=steps, times=times, populations=rng.dirichlet((1, 1, 1), n)),
+            Trajectory(steps=steps.copy(), times=times.copy(),
+                       populations=rng.dirichlet((1, 1, 1), n)))
+
+
 ADVERSARIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.5e-13, 1.0 / 3.0, 0.5,
                       123456789.123456789, float("inf"), float("nan"))
 
@@ -228,6 +249,65 @@ class TestScenarioOutputs:
         write_trajectory_csv(tmp_path / "new.csv", traj, source)
         reference_write_trajectory_csv(tmp_path / "ref.csv", traj, source)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, scenarios.CSV_CHUNK - 1, scenarios.CSV_CHUNK,
+                                   scenarios.CSV_CHUNK + 1, 2 * scenarios.CSV_CHUNK + 1])
+    def test_reused_columns_keep_bytes(self, tmp_path, n):
+        first, second = grid_pair(n)
+        columns = write_trajectory_csv(tmp_path / "orig.csv", first, "orig")
+        assert len(columns.chunks) == (n + scenarios.CSV_CHUNK - 1) // scenarios.CSV_CHUNK
+        assert write_trajectory_csv(tmp_path / "reused.csv", second, "me5", columns) is columns
+        write_trajectory_csv(tmp_path / "alone.csv", second, "me5")
+        single_template_write_trajectory_csv(tmp_path / "ref_orig.csv", first, "orig")
+        single_template_write_trajectory_csv(tmp_path / "ref.csv", second, "me5")
+        assert (tmp_path / "orig.csv").read_bytes() == (tmp_path / "ref_orig.csv").read_bytes()
+        expected = (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "reused.csv").read_bytes() == expected
+        assert (tmp_path / "alone.csv").read_bytes() == expected
+
+    @pytest.mark.parametrize("first_time, second_time", [
+        (0.5, np.nextafter(0.5, 1.0)),  # one ulp
+        (0.0, -0.0),                    # only the sign of zero
+    ])
+    def test_columns_are_not_reused_off_the_bit_pattern(self, tmp_path, first_time, second_time):
+        first, second = grid_pair(scenarios.CSV_CHUNK + 1)
+        row = scenarios.CSV_CHUNK - 1
+        times_a, times_b = first.times.copy(), second.times.copy()
+        times_a[row], times_b[row] = first_time, second_time
+        first = replace(first, times=times_a)
+        second = replace(second, times=times_b)
+        columns = write_trajectory_csv(tmp_path / "orig.csv", first, "orig")
+        assert write_trajectory_csv(tmp_path / "new.csv", second, "me5", columns) is not columns
+        single_template_write_trajectory_csv(tmp_path / "ref.csv", second, "me5")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["me%5", "%d%%s", "%"])
+    def test_reused_columns_write_percent_in_source(self, tmp_path, source):
+        first, second = grid_pair(3)
+        columns = write_trajectory_csv(tmp_path / "orig.csv", first, "%.12g")
+        assert write_trajectory_csv(tmp_path / "new.csv", second, source, columns) is columns
+        single_template_write_trajectory_csv(tmp_path / "ref.csv", second, source)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().splitlines()[1].endswith("," + source)
+
+    def test_run_scenario_writes_each_csv_once_path_first(self, tmp_path, monkeypatch):
+        # The benchmark times this module attribute and sizes the file named by
+        # its first argument, so each CSV must pass through it once, path first.
+        calls = []
+        real = scenarios.write_trajectory_csv
+
+        def recorder(*args, **kwargs):
+            columns = real(*args, **kwargs)
+            calls.append((args, kwargs, columns))
+            return columns
+
+        monkeypatch.setattr(scenarios, "write_trajectory_csv", recorder)
+        run_scenario(parse_config_text(FIG3B), tmp_path)
+        assert [(args[0], args[2], kwargs) for args, kwargs, _ in calls] == [
+            (tmp_path / "orig.csv", "orig", {}), (tmp_path / "me5.csv", "me5", {})]
+        assert sorted(tmp_path.glob("*.csv")) == sorted(args[0] for args, _, _ in calls)
+        # the second call is handed the first call's columns, and reuses them
+        assert calls[1][0][3] is calls[0][2] is calls[1][2]
 
     def test_report_table_matches_per_line_writer(self, tmp_path):
         pairs = tuple(zip(ADVERSARIAL_FLOATS, reversed(ADVERSARIAL_FLOATS)))

@@ -45,11 +45,8 @@ from .operators import (
     anticommutator,
     commutator,
     density_operator,
-    expm_hermitian_propagator,
     is_hermitian,
-    is_unitary,
     kron,
-    partial_trace,
     thermal_qubit,
     trace_distance,
     transition,
@@ -87,17 +84,14 @@ __all__ = [
     "default_substeps",
     "density_operator",
     "derive_rates",
-    "expm_hermitian_propagator",
     "generator_effective_qubit",
     "generator_qutrit_two_bath",
     "integrate",
     "is_hermitian",
-    "is_unitary",
     "kron",
     "load_config",
     "metrics",
     "parse_config_text",
-    "partial_trace",
     "rhs",
     "run_collisions",
     "run_scenario",

@@ -72,8 +72,9 @@ CHECK_BLOCK = 4096
 # `propagate` computes this many consecutive states with one product.
 STEP_BLOCK = 128
 # `closed_evolution` evaluates this many grid points per batched product.
-# A block holds 12 amplitudes per point, under 100 kB; a 2000-point grid
-# runs fastest at 512-1024 and 1.8x slower at 64 (timings in CHANGES.md).
+# A block's phases and amplitudes take at most 12 complex numbers per point
+# each, about 100 kB; on a 2000-point grid 64 runs about 2x slower than 512,
+# and 2048 is no faster (timings in CHANGES.md).
 GRID_BLOCK = 512
 
 
@@ -299,7 +300,8 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
 
     No ancilla refresh: ``sigma0 = |psi0><psi0|`` stays pure, and
     ``psi(t) = q (exp(-i e t) o q+ psi0)`` comes from the spectrum
-    ``h = q diag(e) q+`` for ``GRID_BLOCK`` grid points at a time.  The
+    ``h = q diag(e) q+`` for ``GRID_BLOCK`` grid points at a time, over
+    the eigenvectors with a nonzero overlap ``q+ psi0`` only.  The
     system populations are ``sum_a |psi_{a,s}|^2`` over the other factors
     ``a``, and snapshots are the reduced states ``sum_a psi_{a,s}
     psi*_{a,s'}``.  A mixed ``sigma0`` raises `ValueError`.  The global
@@ -336,6 +338,9 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
     s_dim = dims[s_pos]
     # rows of q reordered so that the system index runs fastest
     q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
+    # eigencomponents psi0 does not occupy add exact zeros to psi(t): skip them
+    occupied = c0 != 0
+    evals, c0, q_rows = evals[occupied], c0[occupied], q_rows[:, occupied]
 
     pops = np.zeros((t.size, 3))
     snapshot_steps = np.arange(0, t.size, snapshot_stride) if snapshot_stride else np.zeros(0, int)

@@ -63,11 +63,6 @@ def is_hermitian(a: np.ndarray, tol: float) -> bool:
     return bool(hermiticity_defect(a) <= tol)
 
 
-def is_unitary(a: np.ndarray, tol: float) -> bool:
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a @ a.conj().T - eye)) <= tol)
-
-
 def require_hermitian(h: np.ndarray) -> np.ndarray:
     """``h`` as a complex array; ValueError unless Hermitian within `HERMITICITY_TOL`.
 
@@ -80,28 +75,6 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"generator is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
     return h
-
-
-def expm_hermitian_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Unitary ``exp(-i h t)`` of a Hermitian generator via eigendecomposition.
-
-    The spectral route is exact in exact arithmetic (no truncation) and
-    returns a matrix unitary to solver accuracy, which downstream trace
-    and positivity checks rely on.
-
-    Parameters
-    ----------
-    h : Hermitian matrix (checked against `HERMITICITY_TOL`, max elementwise deviation).
-    t : evolution time, in units of the inverse of h's energy unit.
-
-    Raises
-    ------
-    ValueError
-        If ``h`` is not Hermitian within `HERMITICITY_TOL`.
-    """
-    evals, vecs = np.linalg.eigh(require_hermitian(h))
-    phases = np.exp(-1j * evals * t)
-    return (vecs * phases) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -211,26 +184,6 @@ def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int
     out = np.einsum(tensor, [Ellipsis] + bra + ket)
     kept_dim = math.prod(dims[i] for i in keep)
     return out.reshape(mat.shape[:-2] + (kept_dim, kept_dim))
-
-
-def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
-    """Trace out every subsystem whose label is not in ``keep``.
-
-    The kept labels retain their original order.  Unknown labels raise a
-    ValueError; the trace is preserved to numerical precision.
-    """
-    keep_set = set(keep) if not isinstance(keep, str) else {keep}
-    labels = rho.labels
-    unknown = keep_set - set(labels)
-    if unknown:
-        raise ValueError(f"unknown subsystem label(s) {sorted(unknown)}; state has {list(labels)}")
-    if not keep_set:
-        raise ValueError("must keep at least one subsystem")
-    keep_idx = tuple(i for i, lab in enumerate(labels) if lab in keep_set)
-    dims = tuple(d for _, d in rho.space)
-    reduced = partial_trace_matrix(rho.matrix, dims, keep_idx)
-    new_space = tuple(rho.space[i] for i in keep_idx)
-    return DensityOperator(space=new_space, matrix=reduced)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

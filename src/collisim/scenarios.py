@@ -14,9 +14,10 @@ collision times.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,11 +249,16 @@ def _collision_run(cfg: ScenarioConfig,
 
 def _me_at_collision_times(gen: LindbladGenerator, rho0: DensityOperator, p: ModelParams,
                            snapshot_stride: int) -> Trajectory:
-    """Master-equation run over ``p.n_steps`` collisions, sampled at the collision times."""
+    """Master-equation run over ``p.n_steps`` collisions, sampled at the collision times.
+
+    The samples carry the collision run's own times ``j * tau``: the
+    integrator's ``(j k) * (tau / k)`` equal them in exact arithmetic but
+    can differ in the last bit.
+    """
     k = me_substep_count(p.tau, gen)
     me_full = integrate(gen, rho0, p.n_steps * p.tau, p.tau / k,
                         snapshot_stride=snapshot_stride * k)
-    return subsample(me_full, k)
+    return replace(subsample(me_full, k), times=np.arange(p.n_steps + 1) * p.tau)
 
 
 def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
@@ -454,15 +460,22 @@ def write_report_files(out_dir: Path, report: ComparisonReport):
     (out_dir / "report.txt").write_text("\n".join(txt_lines) + "\n")
 
 
+@contextlib.contextmanager
+def _writing_to(target: Path):
+    """Report an `OSError` raised while writing under ``target`` as a `ConfigError` (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"output path not writable: {target} ({exc})") from exc
+
+
 def _prepare_output_dir(cfg: ScenarioConfig, output_dir: str | Path | None) -> Path:
     target = Path(output_dir) if output_dir else Path(cfg.output_path or f"out/{cfg.scenario}")
-    try:
+    with _writing_to(target):
         target.mkdir(parents=True, exist_ok=True)
         probe = target / ".write-probe"
         probe.write_text("")
         probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output path not writable: {target} ({exc})") from exc
     return target
 
 
@@ -474,9 +487,10 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
     out_dir = _prepare_output_dir(cfg, output_dir)
     report, trajectories = _RUNNERS[cfg.scenario](cfg)
     columns = None
-    for source, traj in trajectories.items():
-        columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
-    write_report_files(out_dir, report)
+    with _writing_to(out_dir):
+        for source, traj in trajectories.items():
+            columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
+        write_report_files(out_dir, report)
     return report
 
 
@@ -523,12 +537,12 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
         checks.append(_check(f"point_{i:03d}_passed", float(report.passed), 1.0, ">="))
         metrics_rows.append((f"point_{i:03d}_{cfg.sweep_param}", float(value)))
         metrics_rows.append((f"point_{i:03d}_{head.name}", head.value))
-    (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")
-
     report = ComparisonReport(
         scenario=f"sweep({cfg.sweep_scenario})",
         checks=tuple(checks),
         metrics=(("sweep_points", float(len(results))), *metrics_rows),
     )
-    write_report_files(out_dir, report)
+    with _writing_to(out_dir):
+        (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")
+        write_report_files(out_dir, report)
     return report

@@ -857,6 +857,25 @@ class TestEigensolveFailure:
         assert captured.out == ""
 
 
+def pure_joint_state(psi):
+    return density_operator(np.outer(psi, psi.conj()), TRIPARTITE_SPACE)
+
+
+def superposition_state():
+    """A pure state that is not a basis state, with complex amplitudes."""
+    psi = np.zeros(12, dtype=complex)
+    psi[basis_index(1, 0, 0)] = 0.6
+    psi[basis_index(0, 1, 1)] = 0.8j
+    return pure_joint_state(psi)
+
+
+def full_support_state():
+    """A random pure state that overlaps every eigenvector of any 12x12 Hamiltonian."""
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+    return pure_joint_state(psi / np.linalg.norm(psi))
+
+
 def loop_closed_evolution(sigma0, h, t, snapshot_stride):
     """The per-grid-point loop that grid blocks replaced, kept as their oracle.
 
@@ -899,11 +918,7 @@ class TestClosedEvolutionBlocks:
         assert np.max(np.abs(traj.snapshot_states - snapshot_states), initial=0.0) <= 1e-15
 
     def test_superposition_matches_per_point_loop(self):
-        # A pure state that is not a basis state, with complex amplitudes.
-        psi = np.zeros(12, dtype=complex)
-        psi[basis_index(1, 0, 0)] = 0.6
-        psi[basis_index(0, 1, 1)] = 0.8j
-        sigma0 = density_operator(np.outer(psi, psi.conj()), TRIPARTITE_SPACE)
+        sigma0 = superposition_state()
         h = build_h_prime(ModelParams(delta=50.0))
         t = np.linspace(0.0, 5.0 / 0.02, 2 * GRID_BLOCK + 1)
         traj = closed_evolution(sigma0, h, t, snapshot_stride=7)
@@ -933,6 +948,94 @@ class TestClosedEvolutionBlocks:
         with pytest.raises(InvariantViolation, match=f"at grid point {first_bad}$"):
             closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
                              np.arange(2 * GRID_BLOCK + 1.0))
+
+
+def full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride):
+    """`closed_evolution`'s block formula over all 12 eigencomponents, kept as
+    the bitwise oracle for skipping the ones the start state does not occupy.
+
+    Returns the populations and snapshot states; the purity check and the
+    grid validation are left out.
+    """
+    evals, q = np.linalg.eigh(np.asarray(h, dtype=complex))
+    k = int(np.argmax(np.real(np.diag(sigma0.matrix))))
+    c0 = q.conj().T @ (sigma0.matrix[:, k] / np.sqrt(np.real(sigma0.matrix[k, k])))
+    dims = tuple(d for _, d in sigma0.space)
+    s_pos = sigma0.labels.index("S")
+    s_dim = dims[s_pos]
+    q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
+    pops = np.zeros((len(t), 3))
+    snapshot_steps = np.arange(0, len(t), snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
+    for start in range(0, len(t), GRID_BLOCK):
+        tb = t[start:start + GRID_BLOCK]
+        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q_rows.T).reshape(len(tb), -1, s_dim)
+        pops[start:start + len(tb), :s_dim] = np.sum(psi.real**2 + psi.imag**2, axis=1)
+        lo, hi = np.searchsorted(snapshot_steps, (start, start + len(tb)))
+        kept = psi[snapshot_steps[lo:hi] - start]
+        snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
+    return pops, snapshot_states
+
+
+def assert_matches_full_spectrum(sigma0, h, t, snapshot_stride=7):
+    traj = closed_evolution(sigma0, h, t, snapshot_stride=snapshot_stride)
+    pops, snapshot_states = full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride)
+    if len(t) % GRID_BLOCK == 1:
+        # A one-point block is a vector-matrix product, which BLAS may sum in
+        # an order set by the number of terms, so it agrees to a rounding unit.
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(traj.populations - pops)) <= eps
+        assert np.max(np.abs(traj.snapshot_states - snapshot_states)) <= eps
+    else:
+        assert np.array_equal(traj.populations, pops)
+        assert np.array_equal(traj.snapshot_states, snapshot_states)
+
+
+CLOSED_STARTS = {
+    "basis-100": lambda: joint_basis_state(1, 0, 0),
+    "basis-010": lambda: joint_basis_state(0, 1, 0),
+    "basis-002": lambda: joint_basis_state(0, 0, 2),
+    "superposition": superposition_state,
+    "full-support": full_support_state,
+}
+
+
+class TestClosedEvolutionOccupiedComponents:
+    @pytest.mark.parametrize("n_grid", [1, GRID_BLOCK - 1, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1, 2000])
+    @pytest.mark.parametrize("builder", [build_h_prime, build_h_eff])
+    @pytest.mark.parametrize("start", CLOSED_STARTS)
+    def test_matches_full_spectrum(self, start, builder, n_grid):
+        h = builder(ModelParams(delta=50.0))
+        assert_matches_full_spectrum(CLOSED_STARTS[start](), h, np.linspace(0.0, 5.0 / 0.02, n_grid))
+
+    @pytest.mark.filterwarnings("ignore:delta = .* far-off-resonant:UserWarning")
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(delta=st.floats(2.0, 300.0), g=st.floats(0.2, 3.0),
+           builder=st.sampled_from([build_h_prime, build_h_eff]),
+           start=st.sampled_from(sorted(CLOSED_STARTS)))
+    def test_matches_full_spectrum_over_parameters(self, delta, g, builder, start):
+        h = builder(ModelParams(delta=delta, g=g))
+        t = np.linspace(0.0, 5.0 * delta / g**2, GRID_BLOCK + 100)
+        assert_matches_full_spectrum(CLOSED_STARTS[start](), h, t)
+
+    @pytest.mark.parametrize("builder, start, width", [
+        (build_h_prime, "basis-100", 4), (build_h_eff, "basis-100", 2),
+        (build_h_prime, "full-support", 12)])
+    def test_phases_only_the_occupied_eigencomponents(self, monkeypatch, builder, start, width):
+        # The exchange protocol conserves two charges, so a basis start state
+        # overlaps 4 eigenvectors of H' and 2 of H_eff; the phase array has a
+        # column for each occupied eigenvector and no others.
+        sigma0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
+        shapes = []
+        real_exp = np.exp
+
+        def recording_exp(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        closed_evolution(sigma0, h, np.linspace(0.0, 100.0, 10))
+        assert shapes == [(10, width)]
 
 
 def mp_closed_populations(h, t, start_index, dps=30):

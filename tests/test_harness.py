@@ -17,6 +17,7 @@ from collisim import (
     ConfigError,
     ScenarioConfig,
     Trajectory,
+    generator_qutrit_two_bath,
     load_config,
     metrics,
     parse_config_text,
@@ -309,6 +310,19 @@ class TestScenarioOutputs:
         # the second call is handed the first call's columns, and reuses them
         assert calls[1][0][3] is calls[0][2] is calls[1][2]
 
+    def test_master_equation_carries_the_collision_times(self, tmp_path):
+        # With k > 1 integrator substeps the master-equation samples still carry
+        # the collision times bit for bit, so its CSV reuses the first file's columns.
+        cfg = parse_config_text(
+            "scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\nn_steps = 100\n")
+        p = scenarios.model_params(cfg)
+        assert scenarios.me_substep_count(p.tau, generator_qutrit_two_bath(p)) > 1
+        _, trajectories = scenarios.run_beyond_far_off(cfg)
+        orig, me = trajectories["orig"], trajectories["me10"]
+        assert np.array_equal(orig.times.view(np.int64), me.times.view(np.int64))
+        columns = write_trajectory_csv(tmp_path / "orig.csv", orig, "orig")
+        assert write_trajectory_csv(tmp_path / "me10.csv", me, "me10", columns) is columns
+
     def test_report_table_matches_per_line_writer(self, tmp_path):
         pairs = tuple(zip(ADVERSARIAL_FLOATS, reversed(ADVERSARIAL_FLOATS)))
         report = scenarios.ComparisonReport("beyond-far-off", (), (), trace_distances=pairs)
@@ -488,6 +502,16 @@ n_steps = 40000
         path = self.write(tmp_path, text)
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("blocked", ["orig.csv", "report.kv"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        config = str(CONFIG_DIR / "collision_vs_me_short.cfg")
+        assert main(["run", config, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output path not writable: {out} (")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2

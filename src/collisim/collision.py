@@ -71,7 +71,9 @@ RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
 CHECK_BLOCK = 4096
 # `propagate` computes this many consecutive states with one product.
 STEP_BLOCK = 128
-# `closed_evolution` evaluates this many grid points per batched product.
+# `closed_evolution` evaluates this many grid points per batched product,
+# and the last block also takes a lone point left over, so that no block of
+# a grid of 2 or more points is a one-point vector-matrix product.
 # A block's phases and amplitudes take at most 12 complex numbers per point
 # each, about 100 kB; on a 2000-point grid 64 runs about 2x slower than 512,
 # and 2048 is no faster (timings in CHANGES.md).
@@ -186,6 +188,11 @@ def as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
     raise ValueError(f"system state must be 2x2 or 3x3, got {mat.shape}")
 
 
+def _snapshot_steps(count: int, stride: int) -> np.ndarray:
+    """Every ``stride``-th index below ``count`` (0: none); any stride past the end keeps index 0."""
+    return np.arange(0, count, min(stride, count)) if stride else np.zeros(0, int)
+
+
 def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
               snapshot_stride: int, step_trace_tol: float, cumulative_trace_tol: float,
               hermiticity_tol: float, context: str) -> Trajectory:
@@ -214,7 +221,7 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
     dd = d * d
     pops = np.zeros((n + 1, 3))
     pops[0, :d] = np.real(np.diag(mat0))
-    snapshot_steps = np.arange(0, n + 1, snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_steps = _snapshot_steps(n + 1, snapshot_stride)
     snapshot_states = np.empty((len(snapshot_steps), d, d), dtype=complex)
     snapshot_states[:1] = mat0  # step 0, when snapshots are kept
 
@@ -343,10 +350,11 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
     evals, c0, q_rows = evals[occupied], c0[occupied], q_rows[:, occupied]
 
     pops = np.zeros((t.size, 3))
-    snapshot_steps = np.arange(0, t.size, snapshot_stride) if snapshot_stride else np.zeros(0, int)
+    snapshot_steps = _snapshot_steps(t.size, snapshot_stride)
     snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
-    for start in range(0, t.size, GRID_BLOCK):
-        tb = t[start:start + GRID_BLOCK]
+    edges = [*range(0, max(t.size - 1, 1), GRID_BLOCK), t.size]
+    for start, stop in zip(edges, edges[1:]):
+        tb = t[start:stop]
         psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q_rows.T).reshape(len(tb), -1, s_dim)
         block_pops = np.sum(psi.real**2 + psi.imag**2, axis=1)
         purity = np.sum(block_pops, axis=1) ** 2
@@ -356,8 +364,8 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
             raise InvariantViolation(
                 f"purity drifted by {purity[i] - purity0:.3e} at grid point {start + i}"
             )
-        pops[start:start + len(tb), :s_dim] = block_pops
-        lo, hi = np.searchsorted(snapshot_steps, (start, start + len(tb)))
+        pops[start:stop, :s_dim] = block_pops
+        lo, hi = np.searchsorted(snapshot_steps, (start, stop))
         kept = psi[snapshot_steps[lo:hi] - start]
         snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
 

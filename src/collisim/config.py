@@ -10,19 +10,13 @@ likely way to produce a plausible-looking wrong answer.
 from __future__ import annotations
 
 import math
+import typing
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConfigError
 from .operators import TRACE_TOL
-
-SCENARIO_NAMES = (
-    "verify-elimination",
-    "collision-vs-me",
-    "negative-temperature",
-    "beyond-far-off",
-    "sweep",
-)
 
 _BASE_KEYS = {"scenario", "g", "output_path"}
 _COLLISION_KEYS = {
@@ -41,6 +35,7 @@ SCENARIO_KEYS: dict[str, tuple[set[str], set[str]]] = {
         _BASE_KEYS | _COLLISION_KEYS | {"n_grid", "alpha_t_max", "workers"},
     ),
 }
+SCENARIO_NAMES = tuple(SCENARIO_KEYS)
 
 SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "g"}
 
@@ -96,49 +91,21 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
 
 
-def _parse_populations(key: str, raw: str) -> tuple[float, float, float]:
-    parts = [s.strip() for s in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three comma-separated populations, got {raw!r}")
-    values = tuple(_parse_float(key, s) for s in parts)
-    if any(v < 0 for v in values):
-        raise ConfigError(f"{key}: populations must be nonnegative, got {values}")
-    if abs(sum(values) - 1.0) > TRACE_TOL:
-        raise ConfigError(f"{key}: populations must sum to 1, got sum {sum(values)!r}")
-    return values
+def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
+    return tuple(_parse_float(key, s) for s in map(str.strip, raw.split(",")) if s)
 
 
-def _parse_values_list(key: str, raw: str) -> tuple[float, ...]:
-    parts = [s.strip() for s in raw.split(",") if s.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated value list")
-    return tuple(_parse_float(key, s) for s in parts)
+def _parser_for(declared) -> Callable[[str, str], object]:
+    """The text parser for a field declared as ``declared`` or ``declared | None``."""
+    kind = next(t for t in typing.get_args(declared) or (declared,) if t is not type(None))
+    if typing.get_origin(kind) is tuple:
+        return _parse_floats
+    return {float: _parse_float, int: _parse_int, str: lambda key, raw: raw}[kind]
 
 
-_PARSERS = {
-    "scenario": str,
-    "g": _parse_float,
-    "delta": _parse_float,
-    "x1": _parse_float,
-    "x2": _parse_float,
-    "tau": _parse_float,
-    "alpha_tau": _parse_float,
-    "n_steps": _parse_int,
-    "omega_a1": _parse_float,
-    "omega_a2": _parse_float,
-    "propagator": str,
-    "substeps": _parse_int,
-    "initial_state": str,
-    "initial_populations": _parse_populations,
-    "output_path": str,
-    "n_grid": _parse_int,
-    "alpha_t_max": _parse_float,
-    "snapshot_stride": _parse_int,
-    "sweep_scenario": str,
-    "sweep_param": str,
-    "sweep_values": _parse_values_list,
-    "workers": _parse_int,
-}
+# key -> text parser, one per `ScenarioConfig` field, from its declared type
+_PARSERS = {key: _parser_for(declared)
+            for key, declared in typing.get_type_hints(ScenarioConfig).items()}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -175,11 +142,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             f"key(s) not applicable to scenario {scenario!r}: {', '.join(sorted(disallowed))}"
         )
 
-    parsed = {}
-    for key, value in raw.items():
-        parser = _PARSERS[key]
-        parsed[key] = parser(key, value) if parser is not str else value
-    cfg = ScenarioConfig(**parsed)
+    cfg = ScenarioConfig(**{key: _PARSERS[key](key, value) for key, value in raw.items()})
     validate_config(cfg)
     return cfg
 
@@ -192,7 +155,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 
 def _require(cfg: ScenarioConfig, keys: set[str]):
-    missing = sorted(k for k in keys if getattr(cfg, k.replace("-", "_")) is None)
+    missing = sorted(k for k in keys if getattr(cfg, k) is None)
     if missing:
         raise ConfigError(
             f"scenario {cfg.scenario!r} requires key(s): {', '.join(missing)}"
@@ -209,6 +172,18 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         values = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in values if isinstance(v, float)):
             raise ConfigError(f"{name}: must be finite, got {value}")
+    pops = cfg.initial_populations
+    if pops is not None:
+        if len(pops) != 3:
+            raise ConfigError(
+                f"initial_populations: expected three comma-separated populations, got {pops}")
+        if any(v < 0 for v in pops):
+            raise ConfigError(f"initial_populations: populations must be nonnegative, got {pops}")
+        if abs(sum(pops) - 1.0) > TRACE_TOL:
+            raise ConfigError(
+                f"initial_populations: populations must sum to 1, got sum {sum(pops)!r}")
+    if cfg.sweep_values == ():
+        raise ConfigError("sweep_values: expected a comma-separated value list")
 
     if cfg.g <= 0:
         raise ConfigError(f"g: must be positive, got {cfg.g}")

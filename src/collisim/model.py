@@ -146,16 +146,13 @@ def _warn_if_not_far_off(p: ModelParams) -> None:
         )
 
 
-def _h_eff_terms(p: ModelParams, shift_weight: float) -> np.ndarray:
+def _exchange(p: ModelParams) -> np.ndarray:
+    """`build_v` without its far-off-resonant warning."""
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
-    shift = -alpha * shift_weight * (
-        op_a1(transition(2, 1, 1)) @ op_s(transition(3, 0, 0))
-        + op_a2(transition(2, 1, 1)) @ op_s(transition(3, 1, 1))
-    )
     exchange = -alpha * (
         op_a1(transition(2, 0, 1)) @ op_a2(transition(2, 1, 0)) @ op_s(transition(3, 1, 0))
     )
-    return shift + exchange + exchange.conj().T
+    return exchange + exchange.conj().T
 
 
 def build_h_eff(p: ModelParams) -> np.ndarray:
@@ -166,15 +163,19 @@ def build_h_eff(p: ModelParams) -> np.ndarray:
     elimination, and doubling it breaks the closed-dynamics agreement
     with `build_h_prime` -- see the variant regression test), and the
     ancilla pair jointly exchanges one excitation with the effective
-    qubit at amplitude ``-alpha``.  Every matrix element touching system
-    level 2 is zero.
+    qubit at amplitude ``-alpha``: the exchange term is `build_v`.
+    Every matrix element touching system level 2 is zero.
 
     Warns if the parameters are not in the far-off-resonant regime,
     where this description degrades.
     """
-    h = _h_eff_terms(p, shift_weight=1.0)
+    v = _exchange(p)
+    shift = -compute_alpha(p.g, p.g, p.delta, p.delta) * (
+        op_a1(transition(2, 1, 1)) @ op_s(transition(3, 0, 0))
+        + op_a2(transition(2, 1, 1)) @ op_s(transition(3, 1, 1))
+    )
     _warn_if_not_far_off(p)
-    return h
+    return shift + v
 
 
 def build_v(p: ModelParams) -> np.ndarray:
@@ -186,7 +187,7 @@ def build_v(p: ModelParams) -> np.ndarray:
     product basis, so level populations evolve identically under V and
     under `build_h_eff`.
     """
-    v = _h_eff_terms(p, shift_weight=0.0)
+    v = _exchange(p)
     _warn_if_not_far_off(p)
     return v
 

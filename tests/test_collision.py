@@ -951,8 +951,9 @@ class TestClosedEvolutionBlocks:
 
 
 def full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride):
-    """`closed_evolution`'s block formula over all 12 eigencomponents, kept as
-    the bitwise oracle for skipping the ones the start state does not occupy.
+    """`closed_evolution`'s formula over all 12 eigencomponents and the whole
+    grid in one product, kept as the bitwise oracle for skipping the ones the
+    start state does not occupy and for evaluating the grid in blocks.
 
     Returns the populations and snapshot states; the purity check and the
     grid validation are left out.
@@ -964,24 +965,18 @@ def full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride):
     s_pos = sigma0.labels.index("S")
     s_dim = dims[s_pos]
     q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
+    psi = ((np.exp(-1j * evals * t[:, None]) * c0) @ q_rows.T).reshape(len(t), -1, s_dim)
     pops = np.zeros((len(t), 3))
-    snapshot_steps = np.arange(0, len(t), snapshot_stride) if snapshot_stride else np.zeros(0, int)
-    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
-    for start in range(0, len(t), GRID_BLOCK):
-        tb = t[start:start + GRID_BLOCK]
-        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q_rows.T).reshape(len(tb), -1, s_dim)
-        pops[start:start + len(tb), :s_dim] = np.sum(psi.real**2 + psi.imag**2, axis=1)
-        lo, hi = np.searchsorted(snapshot_steps, (start, start + len(tb)))
-        kept = psi[snapshot_steps[lo:hi] - start]
-        snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
-    return pops, snapshot_states
+    pops[:, :s_dim] = np.sum(psi.real**2 + psi.imag**2, axis=1)
+    kept = psi[::snapshot_stride] if snapshot_stride else psi[:0]
+    return pops, np.einsum("nas,nat->nst", kept, kept.conj())
 
 
 def assert_matches_full_spectrum(sigma0, h, t, snapshot_stride=7):
     traj = closed_evolution(sigma0, h, t, snapshot_stride=snapshot_stride)
     pops, snapshot_states = full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride)
-    if len(t) % GRID_BLOCK == 1:
-        # A one-point block is a vector-matrix product, which BLAS may sum in
+    if len(t) == 1:
+        # A one-point grid is a vector-matrix product, which BLAS may sum in
         # an order set by the number of terms, so it agrees to a rounding unit.
         eps = np.finfo(float).eps
         assert np.max(np.abs(traj.populations - pops)) <= eps
@@ -1007,6 +1002,19 @@ class TestClosedEvolutionOccupiedComponents:
     def test_matches_full_spectrum(self, start, builder, n_grid):
         h = builder(ModelParams(delta=50.0))
         assert_matches_full_spectrum(CLOSED_STARTS[start](), h, np.linspace(0.0, 5.0 / 0.02, n_grid))
+
+    @pytest.mark.parametrize("prefix", [2, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1])
+    @pytest.mark.parametrize("builder", [build_h_prime, build_h_eff])
+    @pytest.mark.parametrize("start", CLOSED_STARTS)
+    def test_grid_prefix_matches_the_full_grid(self, start, builder, prefix):
+        # No block of a grid of 2 or more points holds a lone point, so a
+        # point's results do not depend on how many points follow it.
+        sigma0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
+        t = np.linspace(0.0, 5.0 / 0.02, 2000)
+        full = closed_evolution(sigma0, h, t, snapshot_stride=7)
+        part = closed_evolution(sigma0, h, t[:prefix], snapshot_stride=7)
+        assert np.array_equal(part.populations, full.populations[:prefix])
+        assert np.array_equal(part.snapshot_states, full.snapshot_states[:len(part.snapshot_steps)])
 
     @pytest.mark.filterwarnings("ignore:delta = .* far-off-resonant:UserWarning")
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

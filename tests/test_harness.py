@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.
 # SHA-256 of every file the shipped configs write, keyed
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FIG3B = """
 scenario = collision-vs-me
@@ -50,6 +52,38 @@ scenario = verify-elimination
 delta = 50
 n_grid = 400
 """
+
+# Every key but alpha_tau, which ALL_KEYS_ALPHA_TAU swaps in for tau.
+ALL_KEYS_SWEEP = """
+scenario = sweep
+g = 2
+delta = 200
+x1 = 0.5
+x2 = 1.5
+tau = 40
+n_steps = 7
+omega_a1 = 5
+omega_a2 = 3
+propagator = runge_kutta
+substeps = 4000
+initial_state = custom
+initial_populations = 0.2, 0.3, 0.5
+output_path = out/all-keys
+n_grid = 50
+alpha_t_max = 2.5
+snapshot_stride = 3
+sweep_scenario = negative-temperature
+sweep_param = delta
+sweep_values = 150, 250
+workers = 2
+"""
+ALL_KEYS_CONFIG = ScenarioConfig(
+    "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7, omega_a1=5.0,
+    omega_a2=3.0, propagator="runge_kutta", substeps=4000, initial_state="custom",
+    initial_populations=(0.2, 0.3, 0.5), output_path="out/all-keys", n_grid=50,
+    alpha_t_max=2.5, snapshot_stride=3, sweep_scenario="negative-temperature",
+    sweep_param="delta", sweep_values=(150.0, 250.0), workers=2)
+ALL_KEYS_ALPHA_TAU = ALL_KEYS_SWEEP.replace("tau = 40", "alpha_tau = 0.3")
 
 N_STEPS_SWEEP = FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
                               "sweep_scenario = collision-vs-me\nsweep_param = n_steps")
@@ -197,6 +231,20 @@ sweep_values = 25, 0, 100
     def test_rejects_fractional_n_steps_sweep(self):
         with pytest.raises(ConfigError, match="n_steps must be whole numbers"):
             parse_config_text(N_STEPS_SWEEP + "sweep_values = 10.7\n")
+
+    def test_every_field_parses_to_its_declared_type(self):
+        cases = ((ALL_KEYS_SWEEP, ALL_KEYS_CONFIG),
+                 (ALL_KEYS_ALPHA_TAU, replace(ALL_KEYS_CONFIG, tau=None, alpha_tau=0.3)))
+        keys = {line.partition(" =")[0] for text, _ in cases for line in text.split("\n") if line}
+        assert keys == {f.name for f in fields(ScenarioConfig)}
+        for text, expected in cases:
+            cfg = parse_config_text(text)
+            assert cfg == expected
+            for f in fields(ScenarioConfig):
+                value = getattr(cfg, f.name)
+                if value is not None:
+                    assert f.type.startswith(type(value).__name__), (f.name, value)
+            assert all(type(v) is float for v in cfg.initial_populations + cfg.sweep_values)
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -434,6 +482,27 @@ class TestScenarioOutputs:
             run_scenario(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(initial_state="custom", initial_populations=(0.9, 0.3, 0)),
+         "initial_populations: populations must sum to 1"),
+        (dict(initial_state="custom", initial_populations=(-0.1, 1.1, 0)),
+         "initial_populations: populations must be nonnegative"),
+        (dict(initial_state="custom", initial_populations=(0.5, 0.5)),
+         "initial_populations: expected three comma-separated populations"),
+        (dict(sweep_values=()), "sweep_values: expected a comma-separated value list"),
+    ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values"])
+    def test_code_built_values_are_checked_before_any_work(self, tmp_path, bad, message):
+        single = ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
+                                n_steps=60)
+        sweep = replace(single, scenario="sweep", sweep_scenario="collision-vs-me",
+                        sweep_param="n_steps", sweep_values=(10.0,))
+        for cfg, run in ((replace(single, **bad), run_scenario), (replace(sweep, **bad), run_sweep)):
+            with pytest.raises(ConfigError, match=message):
+                validate_config(cfg)
+            with pytest.raises(ConfigError, match=message):
+                run(cfg, tmp_path / "out")
+            assert not (tmp_path / "out").exists()
+
     def test_run_sweep_validates_before_any_work(self, tmp_path):
         cfg = ScenarioConfig("sweep", x1=0.5, x2=1.5, sweep_scenario="negative-temperature",
                              sweep_param="delta", sweep_values=(200.0,))
@@ -580,6 +649,28 @@ n_steps = 40000
         assert main(["run", path, "--output-dir", str(tmp_path / "b")]) == default
         assert "trace distance" not in (tmp_path / "b" / "report.txt").read_text()
 
+    @pytest.mark.parametrize("text, n_steps, stride", [
+        ("scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 1.5\ntau = 0.05\nn_steps = 10\n",
+         10, 2**62),
+        ("scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 1.5\ntau = 0.05\nn_steps = 10\n",
+         10, 2**63),
+        (FIG3B, 60, 2**63),
+        ("scenario = negative-temperature\ndelta = 200\nx1 = 0.5\nx2 = 1.5\n"
+         "alpha_tau = 0.3\nn_steps = 300\n", 300, 2**63),
+    ], ids=["beyond-far-off-2^62", "beyond-far-off-2^63", "collision-vs-me-2^63",
+            "negative-temperature-2^63"])
+    def test_snapshot_stride_past_the_run_keeps_only_the_start(self, tmp_path, capsys, text,
+                                                               n_steps, stride):
+        path = self.write(tmp_path, text + f"snapshot_stride = {stride}\n", "huge.cfg")
+        assert main(["run", path, "--output-dir", str(tmp_path / "huge")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        path = self.write(tmp_path, text + f"snapshot_stride = {n_steps + 1}\n", "past.cfg")
+        assert main(["run", path, "--output-dir", str(tmp_path / "past")]) == 0
+        written = sorted(p.name for p in (tmp_path / "huge").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "past").iterdir())
+        for name in written:
+            assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "past" / name).read_bytes()
+
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -657,6 +748,14 @@ n_steps = 40000
             assert (f"\nbeta_s = {beta_s}\n" in kv) == bool(extra)
             assert (f"\n  {'beta_s':<32s} {beta_s}\n" in txt) == bool(extra)
             assert ("beta_s" in kv + txt) == bool(extra)
+
+
+def test_readme_config_table_lists_every_config_key():
+    text = README.read_text()
+    table = text[text.index("### Config format"):text.index("### CSV schema")]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert keys == {f.name for f in fields(ScenarioConfig)}
 
 
 def test_import_leaves_the_process_pool_unloaded():

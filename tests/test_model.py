@@ -18,7 +18,7 @@ from collisim import (
     derive_rates,
     steady_state_qubit,
 )
-from collisim.model import _h_eff_terms, bath_rate
+from collisim.model import bath_rate
 
 
 def fig2_initial():
@@ -154,9 +154,11 @@ class TestHEff:
         with pytest.raises(ValueError, match="singular"):
             build_h_eff(ModelParams(delta=0.0))
 
-    def test_warns_when_not_far_off(self):
-        with pytest.warns(UserWarning, match="far-off-resonant"):
-            build_h_eff(ModelParams(delta=5.0))
+    @pytest.mark.parametrize("builder", [build_h_eff, build_v])
+    def test_warns_once_at_the_caller_when_not_far_off(self, builder):
+        with pytest.warns(UserWarning, match="far-off-resonant") as record:
+            builder(ModelParams(delta=5.0))
+        assert [w.filename for w in record] == [__file__]
 
     def test_shift_weight_regression(self):
         # Permanent selection check for the level-shift weight: the shipped
@@ -170,7 +172,8 @@ class TestHEff:
         low_prime = np.sort(np.linalg.eigvalsh(build_h_prime(p)[np.ix_(sub3, sub3)]))[:2]
         sub2 = [basis_index(1, 0, 0), basis_index(0, 1, 1)]
         single = np.sort(np.linalg.eigvalsh(build_h_eff(p)[np.ix_(sub2, sub2)]))
-        doubled = np.sort(np.linalg.eigvalsh(_h_eff_terms(p, shift_weight=2.0)[np.ix_(sub2, sub2)]))
+        doubled_h = 2 * build_h_eff(p) - build_v(p)
+        doubled = np.sort(np.linalg.eigvalsh(doubled_h[np.ix_(sub2, sub2)]))
         assert np.max(np.abs(single - low_prime)) < 1e-2 * alpha
         assert np.max(np.abs(doubled - low_prime)) > 0.4 * alpha
 

@@ -12,29 +12,26 @@ import numpy as np
 
 from collisim import (
     ModelParams,
-    TRIPARTITE_SPACE,
     basis_index,
     build_h_eff,
     build_h_prime,
     closed_evolution,
-    density_operator,
     derive_rates,
 )
 
 DELTAS = (25.0, 50.0, 100.0)
 
 # |1_A1, 0_A2, 0_S>: one quantum ready to be exchanged
-sigma0 = np.zeros((12, 12), dtype=complex)
-sigma0[basis_index(1, 0, 0), basis_index(1, 0, 0)] = 1.0
-joint = density_operator(sigma0, TRIPARTITE_SPACE)
+psi0 = np.zeros(12, dtype=complex)
+psi0[basis_index(1, 0, 0)] = 1.0
 
 curves = {}
 for delta in DELTAS:
     p = ModelParams(delta=delta)
     alpha = derive_rates(p).alpha
     t = np.linspace(0.0, 5.0 / alpha, 2000)
-    orig = closed_evolution(joint, build_h_prime(p), t)
-    eff = closed_evolution(joint, build_h_eff(p), t)
+    orig = closed_evolution(psi0, build_h_prime(p), t)
+    eff = closed_evolution(psi0, build_h_eff(p), t)
     dev = np.max(np.abs(orig.populations[:, :2] - eff.populations[:, :2]))
     p2max = np.max(orig.populations[:, 2])
     cos_defect = np.max(np.abs(eff.populations[:, 0] - np.cos(alpha * t) ** 2))

@@ -44,6 +44,7 @@ from .errors import InvariantViolation, NumericError
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
 from .operators import (
     DensityOperator,
+    TRACE_TOL,
     anticommutator,
     batch_check_states,
     commutator,
@@ -301,19 +302,18 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
                      context="step", **STEP_TOLERANCES)
 
 
-def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
-                     *, snapshot_stride: int = 0) -> Trajectory:
-    """Evolve a pure joint state unitarily and sample system populations.
+def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -> Trajectory:
+    """Evolve pure joint start amplitudes unitarily and sample system populations.
 
-    No ancilla refresh: ``sigma0 = |psi0><psi0|`` stays pure, and
-    ``psi(t) = q (exp(-i e t) o q+ psi0)`` comes from the spectrum
-    ``h = q diag(e) q+`` for ``GRID_BLOCK`` grid points at a time, over
-    the eigenvectors with a nonzero overlap ``q+ psi0`` only.  The
-    system populations are ``sum_a |psi_{a,s}|^2`` over the other factors
-    ``a``, and snapshots are the reduced states ``sum_a psi_{a,s}
-    psi*_{a,s'}``.  A mixed ``sigma0`` raises `ValueError`.  The global
-    purity ``||psi(t)||^4`` must stay within 1e-10 of ``Tr sigma0^2`` at
-    every grid point.
+    ``psi0`` holds the 12 amplitudes in the A1 (x) A2 (x) S order of
+    `model.basis_index`; another shape, or ``||psi0||^2`` off 1 by more
+    than `TRACE_TOL`, raises `ValueError`.  No ancilla refresh: ``psi(t) =
+    q (exp(-i e t) o q+ psi0)`` comes from the spectrum ``h = q diag(e)
+    q+`` for ``GRID_BLOCK`` grid points at a time, over the eigenvectors
+    with a nonzero overlap ``q+ psi0`` only.  The system populations are
+    ``sum_a |psi_{a,s}|^2`` over the ancilla index ``a``, and snapshots
+    are the reduced states ``sum_a psi_{a,s} psi*_{a,s'}``.  The global
+    purity ``||psi(t)||^4`` must stay within 1e-10 of ``||psi0||^4``.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -324,38 +324,31 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
         raise ValueError("t_grid must start at a nonnegative time")
     if np.any(np.diff(t) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    if sigma0.dim != h.shape[0]:
-        raise ValueError(f"state dim {sigma0.dim} does not match Hamiltonian {h.shape}")
-    if "S" not in sigma0.labels:
-        raise ValueError("joint state must contain the system label 'S'")
-    purity0 = sigma0.purity()
-    if not purity0 >= 1.0 - 1e-12:
-        raise ValueError(f"closed evolution needs a pure joint state, got purity {purity0:.12g}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (12,) or h.shape != (12, 12):
+        raise ValueError(f"need 12 start amplitudes and a 12x12 h, got {psi0.shape}, {h.shape}")
+    norm2 = float(np.vdot(psi0, psi0).real)
+    if not abs(norm2 - 1.0) <= TRACE_TOL:
+        raise ValueError(f"start amplitudes must have unit norm, got |psi0|^2 = {norm2:.12g}")
+    purity0 = norm2**2
 
     try:
         evals, q = np.linalg.eigh(require_hermitian(h))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed: {exc}") from exc
 
-    # psi0 is the largest column of |psi0><psi0|, rescaled; its global phase is arbitrary
-    k = int(np.argmax(np.real(np.diag(sigma0.matrix))))
-    c0 = q.conj().T @ (sigma0.matrix[:, k] / np.sqrt(np.real(sigma0.matrix[k, k])))
-    dims = tuple(d for _, d in sigma0.space)
-    s_pos = sigma0.labels.index("S")
-    s_dim = dims[s_pos]
-    # rows of q reordered so that the system index runs fastest
-    q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
+    c0 = q.conj().T @ psi0
     # eigencomponents psi0 does not occupy add exact zeros to psi(t): skip them
     occupied = c0 != 0
-    evals, c0, q_rows = evals[occupied], c0[occupied], q_rows[:, occupied]
+    evals, c0, q = evals[occupied], c0[occupied], q[:, occupied]
 
     pops = np.zeros((t.size, 3))
     snapshot_steps = _snapshot_steps(t.size, snapshot_stride)
-    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
+    snapshot_states = np.empty((len(snapshot_steps), 3, 3), dtype=complex)
     edges = [*range(0, max(t.size - 1, 1), GRID_BLOCK), t.size]
     for start, stop in zip(edges, edges[1:]):
         tb = t[start:stop]
-        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q_rows.T).reshape(len(tb), -1, s_dim)
+        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q.T).reshape(len(tb), 4, 3)
         block_pops = np.sum(psi.real**2 + psi.imag**2, axis=1)
         purity = np.sum(block_pops, axis=1) ** 2
         bad = np.flatnonzero(~(np.abs(purity - purity0) <= 1e-10))
@@ -364,7 +357,7 @@ def closed_evolution(sigma0: DensityOperator, h: np.ndarray, t_grid,
             raise InvariantViolation(
                 f"purity drifted by {purity[i] - purity0:.3e} at grid point {start + i}"
             )
-        pops[start:stop, :s_dim] = block_pops
+        pops[start:stop] = block_pops
         lo, hi = np.searchsorted(snapshot_steps, (start, stop))
         kept = psi[snapshot_steps[lo:hi] - start]
         snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())

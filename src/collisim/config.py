@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import typing
-from collections.abc import Callable
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 from .errors import ConfigError
@@ -95,17 +95,33 @@ def _parse_floats(key: str, raw: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, s) for s in map(str.strip, raw.split(",")) if s)
 
 
-def _parser_for(declared) -> Callable[[str, str], object]:
-    """The text parser for a field declared as ``declared`` or ``declared | None``."""
+# A field's declared type -> its text parser, the class its values are
+# instances of in a config built in code, and how an error names that class
+_KINDS = {
+    float: (_parse_float, Real, "a number"),
+    int: (_parse_int, Integral, "an integer"),
+    str: (lambda key, raw: raw, str, "a string"),
+    tuple: (_parse_floats, tuple, "a tuple of numbers"),
+}
+
+
+def _kind_of(declared) -> tuple[tuple, bool]:
+    """The `_KINDS` entry of a field declared as ``kind`` or ``kind | None``,
+    and whether it allows None."""
     kind = next(t for t in typing.get_args(declared) or (declared,) if t is not type(None))
-    if typing.get_origin(kind) is tuple:
-        return _parse_floats
-    return {float: _parse_float, int: _parse_int, str: lambda key, raw: raw}[kind]
+    return _KINDS[typing.get_origin(kind) or kind], type(None) in typing.get_args(declared)
 
 
-# key -> text parser, one per `ScenarioConfig` field, from its declared type
-_PARSERS = {key: _parser_for(declared)
-            for key, declared in typing.get_type_hints(ScenarioConfig).items()}
+def _fits(cls, value) -> bool:
+    """Whether ``value`` is a ``cls``, holding only numbers if a tuple; a bool is no number."""
+    if cls is tuple:
+        return isinstance(value, tuple) and all(_fits(Real, v) for v in value)
+    return isinstance(value, cls) and not isinstance(value, bool)
+
+
+# key -> (`_KINDS` entry, whether None is allowed), one per `ScenarioConfig` field
+_FIELDS = {key: _kind_of(declared) for key, declared in typing.get_type_hints(ScenarioConfig).items()}
+_PARSERS = {key: kind[0] for key, (kind, _) in _FIELDS.items()}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -168,10 +184,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
     required, _ = SCENARIO_KEYS[cfg.scenario]
     _require(cfg, required)
-    for name, value in vars(cfg).items():
+    for key, ((_, cls, expected), optional) in _FIELDS.items():
+        value = getattr(cfg, key)
+        if not (value is None and optional or _fits(cls, value)):
+            raise ConfigError(f"{key}: expected {expected}, got {value!r}")
         values = value if isinstance(value, tuple) else (value,)
         if not all(math.isfinite(v) for v in values if isinstance(v, float)):
-            raise ConfigError(f"{name}: must be finite, got {value}")
+            raise ConfigError(f"{key}: must be finite, got {value}")
     pops = cfg.initial_populations
     if pops is not None:
         if len(pops) != 3:

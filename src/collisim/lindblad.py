@@ -144,17 +144,11 @@ def rk4_step_matrix(a: np.ndarray, dt: float) -> np.ndarray:
     return m
 
 
-def liouvillian_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of ``x -> -i[h, x]`` acting on row-major vectorized operators."""
-    dim = h.shape[0]
-    eye = np.eye(dim, dtype=complex)
-    return -1j * (kron(h, eye) - kron(eye, h.T))
-
-
 def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
     """Matrix of the generator on row-major vectorized states."""
     eye = np.eye(gen.dim, dtype=complex)
-    g = liouvillian_superop(gen.hamiltonian_part)
+    h = gen.hamiltonian_part
+    g = -1j * (kron(h, eye) - kron(eye, h.T))
     for op, rate in gen.dissipators:
         opdop = op.conj().T @ op
         g = g + rate * (

@@ -106,19 +106,12 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.space)
-
-    @property
     def populations(self) -> np.ndarray:
         """Real diagonal of the matrix."""
         return np.real(np.diag(self.matrix)).copy()
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
     def validate(self, *, context: str = "") -> "DensityOperator":
         """Check Hermiticity, unit trace, and positivity; raise on failure."""

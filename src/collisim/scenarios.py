@@ -35,7 +35,6 @@ from .lindblad import (
 )
 from .model import (
     ModelParams,
-    TRIPARTITE_SPACE,
     basis_index,
     bath_rate,
     build_h_eff,
@@ -196,14 +195,11 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     alpha = rates.alpha
     t_grid = np.linspace(0.0, cfg.alpha_t_max / alpha, cfg.n_grid)
 
-    idx = basis_index(1, 0, 0)
-    sigma0 = np.zeros((12, 12), dtype=complex)
-    sigma0[idx, idx] = 1.0
-    joint = density_operator(sigma0, TRIPARTITE_SPACE)
+    psi0 = np.eye(12, dtype=complex)[basis_index(1, 0, 0)]
 
     stride = max(1, cfg.n_grid // 100)
-    orig = closed_evolution(joint, build_h_prime(p), t_grid, snapshot_stride=stride)
-    eff = closed_evolution(joint, build_h_eff(p), t_grid, snapshot_stride=stride)
+    orig = closed_evolution(psi0, build_h_prime(p), t_grid, snapshot_stride=stride)
+    eff = closed_evolution(psi0, build_h_eff(p), t_grid, snapshot_stride=stride)
 
     frag = metrics(orig, eff)
     max_p2 = float(np.max(orig.populations[:, 2]))

@@ -23,7 +23,6 @@ from collisim import (
     ModelParams,
     PropagatorChoice,
     QUTRIT_SPACE,
-    TRIPARTITE_SPACE,
     ancilla_pair,
     basis_index,
     build_h_eff,
@@ -52,10 +51,10 @@ def report(criterion: int, passed: bool, detail: str):
 
 
 def fig2_joint_state():
-    idx = basis_index(1, 0, 0)
-    mat = np.zeros((12, 12), dtype=complex)
-    mat[idx, idx] = 1.0
-    return density_operator(mat, TRIPARTITE_SPACE)
+    """Start amplitudes of the joint basis state |1_A1, 0_A2, 0_S>."""
+    psi = np.zeros(12, dtype=complex)
+    psi[basis_index(1, 0, 0)] = 1.0
+    return psi
 
 
 def elimination_deviation(delta: float, n_grid: int = 2000):

@@ -14,7 +14,6 @@ from collisim import (
     NumericError,
     PropagatorChoice,
     QUTRIT_SPACE,
-    TRIPARTITE_SPACE,
     Trajectory,
     ancilla_pair,
     basis_index,
@@ -50,10 +49,10 @@ def qutrit_state(p0, p1, p2, coherence01=0.0):
 
 
 def joint_basis_state(a1, a2, s):
-    idx = basis_index(a1, a2, s)
-    mat = np.zeros((12, 12), dtype=complex)
-    mat[idx, idx] = 1.0
-    return density_operator(mat, TRIPARTITE_SPACE)
+    """Start amplitudes of the joint basis state |a1, a2, s>."""
+    psi = np.zeros(12, dtype=complex)
+    psi[basis_index(a1, a2, s)] = 1.0
+    return psi
 
 
 GROUND = qutrit_state(1.0, 0.0, 0.0)
@@ -765,8 +764,8 @@ class TestClosedEvolution:
     def test_rabi_transfer_at_quarter_period(self):
         p = ModelParams(delta=50.0)
         alpha = 0.02
-        sigma0 = joint_basis_state(1, 0, 0)
-        traj = closed_evolution(sigma0, build_v(p), [0.0, np.pi / (2 * alpha)])
+        psi0 = joint_basis_state(1, 0, 0)
+        traj = closed_evolution(psi0, build_v(p), [0.0, np.pi / (2 * alpha)])
         assert traj.populations[-1, 0] <= 1e-10
         assert_allclose(traj.populations[-1, 1], 1.0, atol=1e-10)
 
@@ -785,19 +784,19 @@ class TestClosedEvolution:
         assert np.max(traj.populations[:, 2]) <= 4 * (1 / 50.0) ** 2 * 1.5
 
     def test_zero_hamiltonian_is_constant(self):
-        sigma0 = joint_basis_state(1, 0, 0)
-        traj = closed_evolution(sigma0, np.zeros((12, 12)), np.linspace(0, 10, 11))
+        psi0 = joint_basis_state(1, 0, 0)
+        traj = closed_evolution(psi0, np.zeros((12, 12)), np.linspace(0, 10, 11))
         assert np.all(traj.populations == traj.populations[0])
 
     def test_grid_validation(self):
-        sigma0 = joint_basis_state(0, 0, 0)
+        psi0 = joint_basis_state(0, 0, 0)
         h = np.zeros((12, 12))
         with pytest.raises(ValueError, match="nonnegative"):
-            closed_evolution(sigma0, h, [-1.0, 0.0])
+            closed_evolution(psi0, h, [-1.0, 0.0])
         with pytest.raises(ValueError, match="increasing"):
-            closed_evolution(sigma0, h, [0.0, 2.0, 1.0])
+            closed_evolution(psi0, h, [0.0, 2.0, 1.0])
         with pytest.raises(ValueError, match="nonempty"):
-            closed_evolution(sigma0, h, [])
+            closed_evolution(psi0, h, [])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_grid(self, bad):
@@ -805,10 +804,21 @@ class TestClosedEvolution:
             closed_evolution(joint_basis_state(1, 0, 0), build_h_prime(ModelParams(delta=50.0)),
                              [0.0, bad])
 
-    def test_rejects_mixed_state(self):
-        mixed = density_operator(np.eye(12, dtype=complex) / 12, TRIPARTITE_SPACE)
-        with pytest.raises(ValueError, match="needs a pure joint state"):
-            closed_evolution(mixed, build_h_prime(ModelParams(delta=50.0)), [0.0, 1.0])
+    @pytest.mark.parametrize("psi0, message", [
+        (joint_basis_state(1, 0, 0)[:9], "need 12 start amplitudes"),
+        (np.diag(joint_basis_state(1, 0, 0)), "need 12 start amplitudes"),
+        (np.sqrt(1 + 2e-10) * joint_basis_state(1, 0, 0), "must have unit norm"),
+        (np.sqrt(1 - 2e-10) * joint_basis_state(1, 0, 0), "must have unit norm"),
+        (np.r_[np.nan, joint_basis_state(1, 0, 0)[1:]], "must have unit norm"),
+    ], ids=["nine-amplitudes", "density-matrix", "norm-high", "norm-low", "nan"])
+    def test_rejects_bad_start_amplitudes(self, psi0, message):
+        with pytest.raises(ValueError, match=message):
+            closed_evolution(psi0, build_h_prime(ModelParams(delta=50.0)), [0.0, 1.0])
+
+    def test_accepts_a_norm_within_the_trace_tolerance(self):
+        psi0 = np.sqrt(1 + 5e-11) * joint_basis_state(1, 0, 0)
+        traj = closed_evolution(psi0, build_h_prime(ModelParams(delta=50.0)), [0.0, 1.0])
+        assert_allclose(traj.populations.sum(axis=1), 1 + 5e-11, rtol=0, atol=1e-15)
 
     def test_snapshots_are_reduced_states(self):
         p = ModelParams(delta=50.0)
@@ -857,45 +867,40 @@ class TestEigensolveFailure:
         assert captured.out == ""
 
 
-def pure_joint_state(psi):
-    return density_operator(np.outer(psi, psi.conj()), TRIPARTITE_SPACE)
-
-
 def superposition_state():
-    """A pure state that is not a basis state, with complex amplitudes."""
+    """Start amplitudes of a pure state that is not a basis state, with complex amplitudes."""
     psi = np.zeros(12, dtype=complex)
     psi[basis_index(1, 0, 0)] = 0.6
     psi[basis_index(0, 1, 1)] = 0.8j
-    return pure_joint_state(psi)
+    return psi
 
 
 def full_support_state():
-    """A random pure state that overlaps every eigenvector of any 12x12 Hamiltonian."""
+    """Random start amplitudes that overlap every eigenvector of any 12x12 Hamiltonian."""
     rng = np.random.default_rng(17)
     psi = rng.normal(size=12) + 1j * rng.normal(size=12)
-    return pure_joint_state(psi / np.linalg.norm(psi))
+    return psi / np.linalg.norm(psi)
 
 
-def loop_closed_evolution(sigma0, h, t, snapshot_stride):
+def loop_closed_evolution(psi0, h, t, snapshot_stride):
     """The per-grid-point loop that grid blocks replaced, kept as their oracle.
 
-    Returns the populations, snapshot steps and snapshot states; the
-    purity check and the grid validation are left out.
+    It evolves the joint density matrix ``|psi0><psi0|`` and traces the
+    ancillas out, independently of the amplitude form.  Returns the
+    populations, snapshot steps and snapshot states; the purity check and
+    the grid validation are left out.
     """
     evals, q = np.linalg.eigh(h)
-    sig0 = q.conj().T @ sigma0.matrix @ q
-    dims = tuple(d for _, d in sigma0.space)
-    s_pos = sigma0.labels.index("S")
-    s_dim = dims[s_pos]
+    sig0 = q.conj().T @ np.outer(psi0, psi0.conj()) @ q
     pops = np.zeros((len(t), 3))
     snapshot_steps = np.arange(0, len(t), snapshot_stride) if snapshot_stride else np.zeros(0, int)
-    snapshot_states = np.empty((len(snapshot_steps), s_dim, s_dim), dtype=complex)
+    snapshot_states = np.empty((len(snapshot_steps), 3, 3), dtype=complex)
     for i, ti in enumerate(t):
         phases = np.exp(-1j * evals * ti)
         sig_t = (phases[:, None] * phases.conj()[None, :]) * sig0
         full = q @ sig_t @ q.conj().T
-        reduced = partial_trace_matrix(full, dims, (s_pos,))
-        pops[i, :s_dim] = np.real(np.diag(reduced))
+        reduced = partial_trace_matrix(full, (2, 2, 3), (2,))
+        pops[i] = np.real(np.diag(reduced))
         if snapshot_stride and i % snapshot_stride == 0:
             snapshot_states[i // snapshot_stride] = reduced
     return pops, snapshot_steps, snapshot_states
@@ -910,19 +915,19 @@ class TestClosedEvolutionBlocks:
     def test_matches_per_point_loop(self, builder, n_grid, stride):
         h = builder(ModelParams(delta=50.0))
         t = np.linspace(0.0, 5.0 / 0.02, n_grid)
-        sigma0 = joint_basis_state(1, 0, 0)
-        traj = closed_evolution(sigma0, h, t, snapshot_stride=stride)
-        pops, snapshot_steps, snapshot_states = loop_closed_evolution(sigma0, h, t, stride)
+        psi0 = joint_basis_state(1, 0, 0)
+        traj = closed_evolution(psi0, h, t, snapshot_stride=stride)
+        pops, snapshot_steps, snapshot_states = loop_closed_evolution(psi0, h, t, stride)
         assert np.max(np.abs(traj.populations - pops)) <= 1e-15
         assert np.array_equal(traj.snapshot_steps, snapshot_steps)
         assert np.max(np.abs(traj.snapshot_states - snapshot_states), initial=0.0) <= 1e-15
 
     def test_superposition_matches_per_point_loop(self):
-        sigma0 = superposition_state()
+        psi0 = superposition_state()
         h = build_h_prime(ModelParams(delta=50.0))
         t = np.linspace(0.0, 5.0 / 0.02, 2 * GRID_BLOCK + 1)
-        traj = closed_evolution(sigma0, h, t, snapshot_stride=7)
-        pops, _, snapshot_states = loop_closed_evolution(sigma0, h, t, 7)
+        traj = closed_evolution(psi0, h, t, snapshot_stride=7)
+        pops, _, snapshot_states = loop_closed_evolution(psi0, h, t, 7)
         assert np.max(np.abs(traj.populations - pops)) <= 1e-15
         assert np.max(np.abs(traj.snapshot_states - snapshot_states)) <= 1e-15
 
@@ -950,7 +955,7 @@ class TestClosedEvolutionBlocks:
                              np.arange(2 * GRID_BLOCK + 1.0))
 
 
-def full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride):
+def full_spectrum_closed_evolution(psi0, h, t, snapshot_stride):
     """`closed_evolution`'s formula over all 12 eigencomponents and the whole
     grid in one product, kept as the bitwise oracle for skipping the ones the
     start state does not occupy and for evaluating the grid in blocks.
@@ -959,22 +964,16 @@ def full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride):
     grid validation are left out.
     """
     evals, q = np.linalg.eigh(np.asarray(h, dtype=complex))
-    k = int(np.argmax(np.real(np.diag(sigma0.matrix))))
-    c0 = q.conj().T @ (sigma0.matrix[:, k] / np.sqrt(np.real(sigma0.matrix[k, k])))
-    dims = tuple(d for _, d in sigma0.space)
-    s_pos = sigma0.labels.index("S")
-    s_dim = dims[s_pos]
-    q_rows = np.moveaxis(q.reshape(dims + (-1,)), s_pos, -2).reshape(sigma0.dim, -1)
-    psi = ((np.exp(-1j * evals * t[:, None]) * c0) @ q_rows.T).reshape(len(t), -1, s_dim)
-    pops = np.zeros((len(t), 3))
-    pops[:, :s_dim] = np.sum(psi.real**2 + psi.imag**2, axis=1)
+    c0 = q.conj().T @ psi0
+    psi = ((np.exp(-1j * evals * t[:, None]) * c0) @ q.T).reshape(len(t), 4, 3)
+    pops = np.sum(psi.real**2 + psi.imag**2, axis=1)
     kept = psi[::snapshot_stride] if snapshot_stride else psi[:0]
     return pops, np.einsum("nas,nat->nst", kept, kept.conj())
 
 
-def assert_matches_full_spectrum(sigma0, h, t, snapshot_stride=7):
-    traj = closed_evolution(sigma0, h, t, snapshot_stride=snapshot_stride)
-    pops, snapshot_states = full_spectrum_closed_evolution(sigma0, h, t, snapshot_stride)
+def assert_matches_full_spectrum(psi0, h, t, snapshot_stride=7):
+    traj = closed_evolution(psi0, h, t, snapshot_stride=snapshot_stride)
+    pops, snapshot_states = full_spectrum_closed_evolution(psi0, h, t, snapshot_stride)
     if len(t) == 1:
         # A one-point grid is a vector-matrix product, which BLAS may sum in
         # an order set by the number of terms, so it agrees to a rounding unit.
@@ -1009,10 +1008,10 @@ class TestClosedEvolutionOccupiedComponents:
     def test_grid_prefix_matches_the_full_grid(self, start, builder, prefix):
         # No block of a grid of 2 or more points holds a lone point, so a
         # point's results do not depend on how many points follow it.
-        sigma0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
+        psi0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
         t = np.linspace(0.0, 5.0 / 0.02, 2000)
-        full = closed_evolution(sigma0, h, t, snapshot_stride=7)
-        part = closed_evolution(sigma0, h, t[:prefix], snapshot_stride=7)
+        full = closed_evolution(psi0, h, t, snapshot_stride=7)
+        part = closed_evolution(psi0, h, t[:prefix], snapshot_stride=7)
         assert np.array_equal(part.populations, full.populations[:prefix])
         assert np.array_equal(part.snapshot_states, full.snapshot_states[:len(part.snapshot_steps)])
 
@@ -1033,7 +1032,7 @@ class TestClosedEvolutionOccupiedComponents:
         # The exchange protocol conserves two charges, so a basis start state
         # overlaps 4 eigenvectors of H' and 2 of H_eff; the phase array has a
         # column for each occupied eigenvector and no others.
-        sigma0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
+        psi0, h = CLOSED_STARTS[start](), builder(ModelParams(delta=50.0))
         shapes = []
         real_exp = np.exp
 
@@ -1042,7 +1041,7 @@ class TestClosedEvolutionOccupiedComponents:
             return real_exp(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "exp", recording_exp)
-        closed_evolution(sigma0, h, np.linspace(0.0, 100.0, 10))
+        closed_evolution(psi0, h, np.linspace(0.0, 100.0, 10))
         assert shapes == [(10, width)]
 
 

@@ -490,7 +490,15 @@ class TestScenarioOutputs:
         (dict(initial_state="custom", initial_populations=(0.5, 0.5)),
          "initial_populations: expected three comma-separated populations"),
         (dict(sweep_values=()), "sweep_values: expected a comma-separated value list"),
-    ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values"])
+        (dict(n_grid=2.5), "n_grid: expected an integer, got 2.5"),
+        (dict(snapshot_stride=2.5), "snapshot_stride: expected an integer, got 2.5"),
+        (dict(n_steps=True), "n_steps: expected an integer, got True"),
+        (dict(initial_state="custom", initial_populations=[0.2, 0.3, float("nan")]),
+         r"initial_populations: expected a tuple of numbers, got \[0.2, 0.3, nan\]"),
+        (dict(delta="50"), "delta: expected a number, got '50'"),
+    ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values",
+            "float-n-grid", "float-snapshot-stride", "bool-n-steps", "list-populations",
+            "text-delta"])
     def test_code_built_values_are_checked_before_any_work(self, tmp_path, bad, message):
         single = ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
                                 n_steps=60)
@@ -786,6 +794,55 @@ def test_benchmark_span_targets_resolve():
     for owner, attr, _name, count in targets:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
         assert count is None or callable(count)
+
+
+_IO_SPANS = {"cli.main", "config.load_config", "scenarios.run_scenario",
+             "scenarios.write_trajectory_csv", "scenarios.write_report_files",
+             "operators.trace_distance"}
+_CLOSED_SPANS = _IO_SPANS | {"model.build_h_prime", "model.build_h_eff", "model.derive_rates",
+                             "collision.closed_evolution", "scenarios.metrics"}
+_COLLISION_SPANS = _IO_SPANS | {"model.build_h_prime", "collision.collision_superoperator",
+                                "collision.run_collisions", "operators.batch_check_states"}
+_ME_SPANS = {"lindblad.generator_superoperator", "lindblad.integrate", "scenarios.metrics"}
+# command, config text and the span names the benchmark records for that run
+SCENARIO_SPANS = {
+    "verify-elimination": ("run", VERIFY.replace("400", "50"), _CLOSED_SPANS),
+    "sweep": ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\n"
+              "sweep_param = delta\nsweep_values = 40, 50\nn_grid = 50\n", _CLOSED_SPANS),
+    "collision-vs-me": ("run", FIG3B.replace("60", "40"), _COLLISION_SPANS | _ME_SPANS | {
+        "model.derive_rates", "lindblad.generator_effective_qubit"}),
+    "negative-temperature": ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 0.5\n"
+                             "x2 = -1.5\nalpha_tau = 0.3\nn_steps = 40\n", _COLLISION_SPANS | {
+                                 "model.derive_rates", "lindblad.generator_effective_qubit"}),
+    "beyond-far-off": ("run", "scenario = beyond-far-off\ndelta = 5\nx1 = 0.5\nx2 = 1.5\n"
+                       "tau = 0.05\nn_steps = 30\n", _COLLISION_SPANS | _ME_SPANS | {
+                           "lindblad.generator_qutrit_two_bath"}),
+}
+# wrapped names that no scenario reaches
+UNREACHED_SPANS = {"model.build_v", "operators.partial_trace_matrix", "trajectory.validate"}
+
+
+@pytest.mark.parametrize("scenario", SCENARIO_SPANS)
+def test_benchmark_spans_each_scenario_reaches(tmp_path, scenario):
+    """The benchmark's tracer records the expected layers for one run of each scenario.
+
+    `bench/spans.py` wraps layers by module attribute, so a call moved out
+    from under a wrapped name would otherwise only zero a per-layer row.
+    """
+    spans = load_bench_module(BENCH_SPANS)
+    command, text, expected = SCENARIO_SPANS[scenario]
+    path = tmp_path / "cfg.txt"
+    path.write_text(text)
+    with spans.instrument(spans.Tracer()) as tracer:
+        # the benchmark harness wraps `cli.main` itself as the root span
+        traced_main = tracer.wrap("cli.main", main)
+        assert traced_main([command, str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    recorded = {span.name for span in tracer.spans}
+    assert recorded == expected
+    assert not recorded & UNREACHED_SPANS
+    wrapped = {name for _, _, name, _ in spans.targets() if name}
+    assert set().union(*(s for *_, s in SCENARIO_SPANS.values())) | UNREACHED_SPANS == (
+        wrapped | {"cli.main"})
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

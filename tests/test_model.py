@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from collisim import (
     ModelParams,
-    TRIPARTITE_SPACE,
     ancilla_pair,
     basis_index,
     build_h_eff,
@@ -14,7 +13,6 @@ from collisim import (
     build_v,
     closed_evolution,
     compute_alpha,
-    density_operator,
     derive_rates,
     steady_state_qubit,
 )
@@ -23,10 +21,9 @@ from collisim.model import bath_rate
 
 def fig2_initial():
     """Joint basis state |1_A1, 0_A2, 0_S>."""
-    idx = basis_index(1, 0, 0)
-    mat = np.zeros((12, 12), dtype=complex)
-    mat[idx, idx] = 1.0
-    return density_operator(mat, TRIPARTITE_SPACE)
+    psi = np.zeros(12, dtype=complex)
+    psi[basis_index(1, 0, 0)] = 1.0
+    return psi
 
 
 class TestModelParams:
@@ -183,9 +180,9 @@ class TestHEff:
         p = ModelParams(delta=50.0)
         alpha = 0.02
         t_grid = np.linspace(0.0, 5.0 / alpha, 501)
-        rho0 = fig2_initial()
-        orig = closed_evolution(rho0, build_h_prime(p), t_grid)
-        eff = closed_evolution(rho0, build_h_eff(p), t_grid)
+        psi0 = fig2_initial()
+        orig = closed_evolution(psi0, build_h_prime(p), t_grid)
+        eff = closed_evolution(psi0, build_h_eff(p), t_grid)
         dev = np.max(np.abs(orig.populations[:, :2] - eff.populations[:, :2]))
         assert dev <= 0.02
 
@@ -195,9 +192,9 @@ class TestHEff:
         # initial state.
         p = ModelParams(delta=50.0)
         t_grid = np.linspace(0.0, 120.0, 241)
-        rho0 = fig2_initial()
-        eff = closed_evolution(rho0, build_h_eff(p), t_grid)
-        rot = closed_evolution(rho0, build_v(p), t_grid)
+        psi0 = fig2_initial()
+        eff = closed_evolution(psi0, build_h_eff(p), t_grid)
+        rot = closed_evolution(psi0, build_v(p), t_grid)
         assert np.max(np.abs(eff.populations - rot.populations)) <= 1e-10
 
 
@@ -312,5 +309,5 @@ class TestAncillaPair:
 
     def test_labels(self):
         eta1, eta2 = ancilla_pair(ModelParams(delta=100.0))
-        assert eta1.labels == ("A1",)
-        assert eta2.labels == ("A2",)
+        assert eta1.space == (("A1", 2),)
+        assert eta2.space == (("A2", 2),)

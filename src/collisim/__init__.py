@@ -30,7 +30,6 @@ from .model import (
     FAR_OFF_THRESHOLD,
     ModelParams,
     QUTRIT_SPACE,
-    TRIPARTITE_SPACE,
     ancilla_pair,
     basis_index,
     build_h_eff,
@@ -38,10 +37,8 @@ from .model import (
     build_v,
     compute_alpha,
     derive_rates,
-    steady_state_qubit,
 )
 from .operators import (
-    DensityOperator,
     anticommutator,
     commutator,
     density_operator,
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport",
     "ConfigError",
-    "DensityOperator",
     "DerivedRates",
     "FAR_OFF_THRESHOLD",
     "InvariantViolation",
@@ -69,7 +65,6 @@ __all__ = [
     "PropagatorChoice",
     "QUTRIT_SPACE",
     "ScenarioConfig",
-    "TRIPARTITE_SPACE",
     "Trajectory",
     "ancilla_pair",
     "anticommutator",
@@ -98,7 +93,6 @@ __all__ = [
     "run_sweep",
     "second_order_map",
     "steady_residual",
-    "steady_state_qubit",
     "thermal_qubit",
     "trace_distance",
     "transition",

@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import InvariantViolation, NumericError
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
 from .operators import (
-    DensityOperator,
     TRACE_TOL,
     anticommutator,
     batch_check_states,
@@ -95,8 +95,9 @@ class PropagatorChoice:
     def __post_init__(self):
         if self.variant not in ("spectral", "runge_kutta"):
             raise ValueError(f"unknown propagator variant {self.variant!r}")
-        if self.substeps is not None and self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        n = self.substeps
+        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral) or n < 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {n!r}")
 
 
 def default_substeps(h: np.ndarray, tau: float) -> int:
@@ -177,9 +178,9 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     return m.reshape(9, 9)
 
 
-def as_qutrit_matrix(rho_s: DensityOperator | np.ndarray) -> np.ndarray:
+def as_qutrit_matrix(rho_s: np.ndarray) -> np.ndarray:
     """Coerce a system state, or a stack of them, to 3x3, zero-padding 2-level ones."""
-    mat = rho_s.matrix if isinstance(rho_s, DensityOperator) else np.asarray(rho_s, dtype=complex)
+    mat = np.asarray(rho_s, dtype=complex)
     if mat.shape[-2:] == (3, 3):
         return np.array(mat, dtype=complex)
     if mat.shape[-2:] == (2, 2):
@@ -269,18 +270,19 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 
-def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
+def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
                    prop: PropagatorChoice = PropagatorChoice(), *,
                    snapshot_stride: int = 10) -> Trajectory:
     """Iterate ``p.n_steps`` collisions and record populations per step.
 
-    ``mode`` selects the collision Hamiltonian: ``"original"`` uses the
-    accurate three-level Hamiltonian, ``"effective"`` the eliminated-level
-    exchange Hamiltonian (whose dynamics never touch level 2).  The
-    returned trajectory has ``n_steps + 1`` entries including the initial
-    state; every intermediate state is checked against the
-    density-operator invariants, and a violation aborts with the
-    offending step index.  ``snapshot_stride = 0`` disables full-state
+    ``rho0`` is a 2x2 or 3x3 system state, zero-padded to 3x3 and checked
+    by `density_operator` before the map is built.  ``mode`` selects the
+    collision Hamiltonian: ``"original"`` uses the accurate three-level
+    Hamiltonian, ``"effective"`` the eliminated-level exchange Hamiltonian
+    (whose dynamics never touch level 2).  The returned trajectory has
+    ``n_steps + 1`` entries including the initial state; every
+    intermediate state is checked against the density-operator
+    invariants, and a violation aborts with the offending step index.  ``snapshot_stride = 0`` disables full-state
     snapshots.  A non-positive or non-finite ``p.tau`` raises `ValueError`
     before the map is built.
     """
@@ -292,12 +294,10 @@ def run_collisions(rho0: DensityOperator, p: ModelParams, mode: str,
         h = build_v(p)
     else:
         raise ValueError(f"mode must be 'original' or 'effective', got {mode!r}")
+    mat = density_operator(as_qutrit_matrix(rho0), QUTRIT_SPACE)
 
     eta1, eta2 = ancilla_pair(p)
-    m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, prop)
-
-    mat = as_qutrit_matrix(rho0)
-    density_operator(mat, QUTRIT_SPACE)  # validate the initial state
+    m = collision_superoperator(h, eta1, eta2, p.tau, prop)
     return propagate(m, mat, p.n_steps, p.tau, snapshot_stride=snapshot_stride,
                      context="step", **STEP_TOLERANCES)
 
@@ -366,7 +366,7 @@ def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 
-def second_order_map(rho_s: DensityOperator | np.ndarray, p: ModelParams) -> np.ndarray:
+def second_order_map(rho_s: np.ndarray, p: ModelParams) -> np.ndarray:
     """Second-order-in-tau increment of one effective collision.
 
     Returns the traceless Hermitian 3x3 increment
@@ -378,7 +378,7 @@ def second_order_map(rho_s: DensityOperator | np.ndarray, p: ModelParams) -> np.
     """
     v = build_v(p)
     eta1, eta2 = ancilla_pair(p)
-    sigma = kron(eta1.matrix, eta2.matrix, as_qutrit_matrix(rho_s))
+    sigma = kron(eta1, eta2, as_qutrit_matrix(rho_s))
     first = -1j * p.tau * commutator(v, sigma)
     second = p.tau**2 * (v @ sigma @ v - 0.5 * anticommutator(sigma, v @ v))
     return partial_trace_matrix(first + second, (2, 2, 3), (2,))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collision import propagate
 from .model import DerivedRates, ModelParams, bath_rate
-from .operators import DensityOperator, is_hermitian, kron, transition
+from .operators import density_operator, is_hermitian, kron, transition
 # Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
 from .operators import batch_check_states  # noqa: F401
 from .trajectory import Trajectory
@@ -158,13 +158,14 @@ def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
     return g
 
 
-def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: float,
+def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
               *, snapshot_stride: int = 10) -> Trajectory:
     """Fixed-step RK4 integration from 0 to (at least) ``t_end``.
 
-    Requires ``dt <= t_end`` and the stability guard
-    ``dt * (rate scale) <= 0.1``; violating either raises ValueError
-    before any work.  The trace must stay within 1e-9 of 1 and the
+    Requires ``dt <= t_end``, the stability guard
+    ``dt * (rate scale) <= 0.1`` and a ``rho0`` that `density_operator`
+    accepts as a state of the generator's dimension; violating any of them
+    raises before any work.  The trace must stay within 1e-9 of 1 and the
     Hermiticity defect within 1e-12 over the whole run, monitored every
     step.  Populations of two-level generators are zero-padded to the
     common three-level trajectory shape.
@@ -175,19 +176,17 @@ def integrate(gen: LindbladGenerator, rho0: DensityOperator, t_end: float, dt: f
         raise ValueError(
             f"stability guard violated: dt * rate scale = {dt * gen.rate_scale:.3f} > {STABILITY_GUARD}"
         )
-    if rho0.dim != gen.dim:
-        raise ValueError(f"state dim {rho0.dim} != generator dim {gen.dim}")
+    mat = density_operator(rho0, (("S", gen.dim),))
 
     n = max(1, math.ceil(t_end / dt - 1e-9))
     step = rk4_step_matrix(generator_superoperator(gen), dt)
-    return propagate(step, rho0.matrix, n, dt, snapshot_stride=snapshot_stride,
+    return propagate(step, mat, n, dt, snapshot_stride=snapshot_stride,
                      step_trace_tol=math.inf,
                      cumulative_trace_tol=TRACE_DRIFT_TOL,
                      hermiticity_tol=HERMITICITY_DRIFT_TOL,
                      context="integrator step")
 
 
-def steady_residual(gen: LindbladGenerator, rho: DensityOperator | np.ndarray) -> float:
+def steady_residual(gen: LindbladGenerator, rho: np.ndarray) -> float:
     """Max-norm of the generator applied to ``rho`` (zero iff stationary)."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    return float(np.max(np.abs(rhs(gen, mat))))
+    return float(np.max(np.abs(rhs(gen, rho))))

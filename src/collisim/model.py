@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .operators import DensityOperator, kron, thermal_qubit, transition
+from .operators import kron, thermal_qubit, transition
 
-# Tensor order A1 (x) A2 (x) S with dims 2, 2, 3.
-TRIPARTITE_SPACE = (("A1", 2), ("A2", 2), ("S", 3))
+# The system qutrit's space, as `operators.density_operator` takes it.
 QUTRIT_SPACE = (("S", 3),)
 
 # Documented heuristic floor for the far-off-resonant regime.  The
@@ -84,6 +84,8 @@ class ModelParams:
             raise ValueError(f"coupling strength g must be nonnegative, got {self.g}")
         if not (self.tau >= 0):
             raise ValueError(f"collision duration tau must be nonnegative, got {self.tau}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         for name in ("delta", "x1", "x2", "tau", "g"):
@@ -229,15 +231,6 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     )
 
 
-def steady_state_qubit(x_s: float) -> DensityOperator:
-    """Thermal state of the effective qubit at exponent ``x_s``.
-
-    ``diag(p0, p1)`` with ``p0 = e^x_s/(1+e^x_s)`` and
-    ``p1 = 1/(1+e^x_s)``; for ``x_s < 0`` the populations are inverted.
-    """
-    return thermal_qubit(x_s, label="S")
-
-
-def ancilla_pair(p: ModelParams) -> tuple[DensityOperator, DensityOperator]:
-    """Fresh thermal ancillas for one collision step, one per bath."""
-    return thermal_qubit(p.x1, label="A1"), thermal_qubit(p.x2, label="A2")
+def ancilla_pair(p: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh read-only thermal ancilla states for one collision step, one per bath."""
+    return thermal_qubit(p.x1), thermal_qubit(p.x2)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,70 +76,42 @@ def require_hermitian(h: np.ndarray) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """A labeled density matrix on an ordered tensor-product space.
+def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...]) -> np.ndarray:
+    """A read-only complex copy of ``matrix``, checked as a state on ``space``.
 
     ``space`` is a tuple of ``(label, dim)`` pairs in tensor order, e.g.
-    ``(("A1", 2), ("A2", 2), ("S", 3))`` for the tripartite collision
-    space.  The matrix is stored read-only; operations never mutate or
-    silently renormalize a state -- invariant violations raise
-    diagnostics instead, so integrator bugs stay visible.
+    ``(("S", 3),)``; a shape other than the product of its dims raises
+    `ValueError`.  Hermiticity, unit trace and positivity are checked in
+    that order, and the first failure raises `InvariantViolation`: states
+    are never silently renormalized, so integrator bugs stay visible.
     """
-
-    space: tuple[tuple[str, int], ...]
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        dim = math.prod(d for _, d in self.space)
-        if mat.shape != (dim, dim):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match space {self.space} (total dim {dim})"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def populations(self) -> np.ndarray:
-        """Real diagonal of the matrix."""
-        return np.real(np.diag(self.matrix)).copy()
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
-
-    def validate(self, *, context: str = "") -> "DensityOperator":
-        """Check Hermiticity, unit trace, and positivity; raise on failure."""
-        where = f" ({context})" if context else ""
-        herm = float(hermiticity_defect(self.matrix))
-        if not herm <= HERMITICITY_TOL:
-            raise InvariantViolation(f"state not Hermitian{where}: max deviation {herm:.3e}")
-        tr = self.trace()  # the real diagonal, which `eigvalsh` reads
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise InvariantViolation(f"state trace {tr:.12f} != 1{where}")
-        failure = _first_not_positive(self.matrix[None])
-        if failure is not None:
-            raise InvariantViolation(f"state not positive{where}: min eigenvalue {failure[1]:.3e}")
-        return self
+    mat = np.array(matrix, dtype=complex)
+    dim = math.prod(d for _, d in space)
+    if mat.shape != (dim, dim):
+        raise ValueError(
+            f"matrix shape {mat.shape} does not match space {tuple(space)} (total dim {dim})")
+    herm = float(hermiticity_defect(mat))
+    if not herm <= HERMITICITY_TOL:
+        raise InvariantViolation(f"state not Hermitian: max deviation {herm:.3e}")
+    tr = float(np.real(np.trace(mat)))  # the real diagonal, which `eigvalsh` reads
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise InvariantViolation(f"state trace {tr:.12f} != 1")
+    failure = _first_not_positive(mat[None])
+    if failure is not None:
+        raise InvariantViolation(f"state not positive: min eigenvalue {failure[1]:.3e}")
+    mat.flags.writeable = False
+    return mat
 
 
-def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...]) -> DensityOperator:
-    """Wrap a matrix as a labeled state and validate its invariants."""
-    return DensityOperator(space=tuple(space), matrix=matrix).validate()
-
-
-def thermal_qubit(x: float, label: str = "A") -> DensityOperator:
-    """Gibbs state of a qubit with dimensionless thermal exponent ``x``.
+def thermal_qubit(x: float) -> np.ndarray:
+    """Read-only Gibbs state of a qubit with dimensionless thermal exponent ``x``.
 
     ``x`` is the level splitting times the inverse temperature.  Basis
     order is (|0>, |1>) = (ground, excited); the excited population is
     ``1/(e^x + 1)`` and the ground population ``e^x/(e^x + 1)``, so the
     population ratio p1/p0 equals ``e^-x``.  Negative ``x`` yields an
-    inverted (negative-temperature) ancilla.
+    inverted (negative-temperature) state.  This is each bath's ancilla and,
+    at ``x = x_s``, the effective qubit's analytic fixed point.
 
     Raises
     ------
@@ -157,7 +128,8 @@ def thermal_qubit(x: float, label: str = "A") -> DensityOperator:
         w = math.exp(x)
         p_excited = 1.0 / (1.0 + w)
     mat = np.diag([1.0 - p_excited, p_excited]).astype(complex)
-    return DensityOperator(space=((label, 2),), matrix=mat)
+    mat.flags.writeable = False
+    return mat
 
 
 def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from collisim import (
-    DensityOperator,
     InvariantViolation,
     ModelParams,
     NumericError,
@@ -31,6 +30,7 @@ from collisim import (
     second_order_map,
     trace_distance,
 )
+from collisim import collision
 from collisim.cli import main
 from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, GRID_BLOCK, STEP_BLOCK,
                                 STEP_TOLERANCES, propagate)
@@ -69,8 +69,10 @@ class TestPropagatorChoice:
             PropagatorChoice("euler")
 
     def test_rejects_bad_substeps(self):
-        with pytest.raises(ValueError, match="substeps"):
-            PropagatorChoice("runge_kutta", substeps=0)
+        for bad in (0, -3, 2.5, 4.0, True):
+            with pytest.raises(ValueError, match=f"^substeps must be an integer >= 1, got {bad!r}$"):
+                PropagatorChoice("runge_kutta", substeps=bad)
+        assert PropagatorChoice("runge_kutta", substeps=np.int64(3)).substeps == 3
 
     def test_default_substeps_resolves_fast_scale(self):
         p = ModelParams(delta=200.0, tau=60.0)
@@ -91,13 +93,13 @@ class TestCollisionStep:
         p = ModelParams(delta=0.0, g=0.0, tau=3.0)
         rho = qutrit_state(0.5, 0.3, 0.2, coherence01=0.1)
         out = one_collision(rho, p, "original")
-        assert_allclose(out, rho.matrix)
+        assert_allclose(out, rho)
 
     def test_zero_duration_is_identity(self):
         p = ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=1e-12)
         rho = qutrit_state(0.6, 0.4, 0.0, coherence01=0.2)
         out = one_collision(rho, p, "original")
-        assert np.max(np.abs(out - rho.matrix)) <= 1e-10
+        assert np.max(np.abs(out - rho)) <= 1e-10
 
     def test_preserves_trace(self):
         p = ModelParams(delta=200.0, x1=0.3, x2=0.8, tau=60.0)
@@ -121,7 +123,7 @@ class TestCollisionStep:
     def test_rejects_wrong_hamiltonian_shape(self):
         eta1, eta2 = ancilla_pair(ModelParams(delta=50.0))
         with pytest.raises(ValueError, match="12x12"):
-            collision_superoperator(np.eye(3), eta1.matrix, eta2.matrix, 1.0, PropagatorChoice())
+            collision_superoperator(np.eye(3), eta1, eta2, 1.0, PropagatorChoice())
 
 
 class TestRunCollisions:
@@ -167,8 +169,18 @@ class TestRunCollisions:
     def test_every_state_is_valid(self):
         p = ModelParams(delta=200.0, x1=0.5, x2=1.5, tau=60.0, n_steps=40)
         traj = run_collisions(GROUND, p, "original", snapshot_stride=1)
-        for step, state in zip(traj.snapshot_steps, traj.snapshot_states):
-            DensityOperator(QUTRIT_SPACE, state).validate(context=f"step {step}")
+        for state in traj.snapshot_states:
+            density_operator(state, QUTRIT_SPACE)
+
+    def test_checks_the_start_state_before_building_the_map(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("an unchecked start state reached the engine")
+
+        monkeypatch.setattr(collision, "collision_superoperator", no_work)
+        monkeypatch.setattr(collision, "propagate", no_work)
+        rho0 = np.array([[0.5, 0.6, 0.0], [0.6, 0.5, 0.0], [0.0, 0.0, 0.0]])  # eigenvalue -0.1
+        with pytest.raises(InvariantViolation, match=r"^state not positive: min eigenvalue -1.000e-01$"):
+            run_collisions(rho0, ModelParams(delta=50.0, tau=1.0), "original")
 
     def test_effective_converges_to_maximally_mixed_qubit(self):
         # x_s = 0: monotone trace-distance decrease to diag(1/2, 1/2, 0)
@@ -440,7 +452,7 @@ def matrix_power_map(h, eta12, tau, substeps, dtype=complex):
 def map_inputs(builder, delta, tau, x1=0.3, x2=-0.2, g=1.0):
     p = ModelParams(delta=delta, x1=x1, x2=x2, tau=tau, g=g)
     eta1, eta2 = ancilla_pair(p)
-    return builder(p), eta1.matrix, eta2.matrix
+    return builder(p), eta1, eta2
 
 
 def choi(m):
@@ -570,8 +582,8 @@ def test_spectral_map_matches_extended_precision(builder, p):
     # of about |e| tau * 1e-16, so the longest collisions sit near 1e-12.
     h = builder(p)
     eta1, eta2 = ancilla_pair(p)
-    m = collision_superoperator(h, eta1.matrix, eta2.matrix, p.tau, PropagatorChoice())
-    reference = mp_collision_map(h, np.kron(eta1.matrix, eta2.matrix), p.tau)
+    m = collision_superoperator(h, eta1, eta2, p.tau, PropagatorChoice())
+    reference = mp_collision_map(h, np.kron(eta1, eta2), p.tau)
     assert float(np.max(np.abs(m - reference))) <= 2e-12
 
 
@@ -673,12 +685,12 @@ def short_collision_maps():
     cfg = load_config(CONFIG_DIR / "collision_vs_me_short.cfg")
     p = model_params(cfg)
     eta1, eta2 = ancilla_pair(p)
-    collision_map = collision_superoperator(build_h_prime(p), eta1.matrix, eta2.matrix,
+    collision_map = collision_superoperator(build_h_prime(p), eta1, eta2,
                                             p.tau, PropagatorChoice())
     gen = generator_effective_qubit(derive_rates(p))
     dt = p.tau / me_substep_count(p.tau, gen)
     me_map = rk4_step_matrix(generator_superoperator(gen), dt)
-    rho0 = initial_system_state(cfg).matrix
+    rho0 = initial_system_state(cfg)
     me_tolerances = dict(step_trace_tol=np.inf, cumulative_trace_tol=TRACE_DRIFT_TOL,
                          hermiticity_tol=HERMITICITY_DRIFT_TOL)
     return [pytest.param(collision_map, rho0, p.tau, STEP_TOLERANCES, id="collision"),
@@ -1144,9 +1156,9 @@ class TestSecondOrderMap:
         def defect(alpha_tau):
             p = ModelParams(delta=100.0, x1=0.3, x2=0.8, tau=alpha_tau * 100.0)
             eta1, eta2 = ancilla_pair(p)
-            m = collision_superoperator(build_v(p), eta1.matrix, eta2.matrix,
+            m = collision_superoperator(build_v(p), eta1, eta2,
                                         p.tau, PropagatorChoice())
-            exact = (m @ rho.matrix.reshape(9)).reshape(3, 3) - rho.matrix
+            exact = (m @ rho.reshape(9)).reshape(3, 3) - rho
             return np.max(np.abs(exact - second_order_map(rho, p)))
 
         ratio = defect(0.1) / defect(0.05)

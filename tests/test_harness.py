@@ -33,6 +33,7 @@ from collisim.scenarios import subsample, write_trajectory_csv
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 # SHA-256 of every file the shipped configs write, keyed
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
@@ -766,6 +767,14 @@ def test_readme_config_table_lists_every_config_key():
     assert keys == {f.name for f in fields(ScenarioConfig)}
 
 
+def test_readme_library_quick_start_runs(capsys):
+    """README's "Library quick start" block runs against the current public API."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md: Library quick start", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # Only a pooled sweep imports the process pool, with multiprocessing and socket.
     src = Path(collisim.__file__).resolve().parents[1]
@@ -857,3 +866,22 @@ def test_benchmark_workload_configs_parse(seed):
     for make in workloads.WORKLOADS.values():
         for run in make(seed).runs:
             assert parse_config_text(run.config_text()).scenario == run.config["scenario"]
+
+
+def test_benchmark_scaling_rows_call_the_library(monkeypatch):
+    """The benchmark's direct library calls match the current signatures.
+
+    `bench/run.py::scaling_rows` calls `density_operator(matrix, space)`,
+    `run_collisions` and `integrate` outside the names `bench/spans.py`
+    wraps, so a change to them would otherwise only show as a failed
+    traced benchmark run.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the module sets them
+    monkeypatch.syspath_prepend(str(BENCH_RUN.parent))
+    run = load_bench_module(BENCH_RUN)
+    monkeypatch.setattr(run, "SCALING_STEPS", (1000,))
+    rows = run.scaling_rows(1)
+    assert set(rows) == {"collision.run_collisions.ns_per_collision.n1e3",
+                         "lindblad.integrate.ns_per_step.n1e3"}
+    assert all(np.isfinite(v) and v > 0 for v in rows.values())

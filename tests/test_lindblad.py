@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from collisim import (
     DerivedRates,
+    InvariantViolation,
     LindbladGenerator,
     ModelParams,
     QUTRIT_SPACE,
@@ -17,9 +18,10 @@ from collisim import (
     integrate,
     rhs,
     steady_residual,
-    steady_state_qubit,
+    thermal_qubit,
     transition,
 )
+from collisim import lindblad
 from collisim.lindblad import DT_MARGIN, generator_superoperator
 from collisim.scenarios import me_substep_count
 
@@ -156,7 +158,7 @@ class TestIntegrate:
     def test_fixed_point_stays_fixed(self):
         x_s = -1.0
         gen = generator_effective_qubit(rates_for(x_s=x_s))
-        rho0 = steady_state_qubit(x_s)
+        rho0 = thermal_qubit(x_s)
         traj = integrate(gen, rho0, 20.0, 0.05)
         dev = np.max(np.abs(traj.populations - traj.populations[0]))
         assert dev <= 1e-10
@@ -200,9 +202,7 @@ class TestIntegrate:
         )):
             dt = tau / me_substep_count(tau, gen)
             assert dt * gen.rate_scale <= DT_MARGIN
-            integrate(gen, density_operator(np.eye(gen.dim, dtype=complex) / gen.dim,
-                                            QUTRIT_SPACE if gen.dim == 3 else (("S", 2),)),
-                      tau, dt, snapshot_stride=0)
+            integrate(gen, np.eye(gen.dim) / gen.dim, tau, dt, snapshot_stride=0)
 
     def test_qubit_populations_zero_padded(self):
         gen = generator_effective_qubit(rates_for())
@@ -210,16 +210,32 @@ class TestIntegrate:
         assert traj.populations.shape[1] == 3
         assert np.all(traj.populations[:, 2] == 0.0)
 
+    @pytest.mark.parametrize("rho0, error, message", [
+        (np.diag([0.6, 0.6]), InvariantViolation, r"^state trace 1.200000000000 != 1$"),
+        (np.array([[0.5, 0.5], [0.0, 0.5]]), InvariantViolation,
+         r"^state not Hermitian: max deviation 5.000e-01$"),
+        (np.eye(3) / 3, ValueError,
+         r"^matrix shape \(3, 3\) does not match space \(\('S', 2\),\) \(total dim 2\)$"),
+    ], ids=["trace", "non_hermitian", "wrong_dim"])
+    def test_checks_the_start_state_before_any_step(self, monkeypatch, rho0, error, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("an unchecked start state reached the stepping engine")
+
+        monkeypatch.setattr(lindblad, "propagate", no_step)
+        gen = generator_effective_qubit(rates_for())
+        with pytest.raises(error, match=message):
+            integrate(gen, rho0, 1.0, 0.05)
+
 
 class TestSteadyResidual:
     def test_analytic_steady_state(self):
         for x_s in (-1.0, 0.0, 2.0):
             gen = generator_effective_qubit(rates_for(x_s=x_s, gamma=0.25))
-            assert steady_residual(gen, steady_state_qubit(x_s)) <= 1e-14
+            assert steady_residual(gen, thermal_qubit(x_s)) <= 1e-14
 
     def test_detailed_balance_of_steady_state(self):
         x_s = -1.0
-        pops = steady_state_qubit(x_s).populations
+        pops = thermal_qubit(x_s).diagonal().real
         assert_allclose(pops[1] / pops[0], math.exp(-x_s), rtol=1e-12)
 
     def test_mixed_state_not_stationary_generically(self):

@@ -14,7 +14,6 @@ from collisim import (
     closed_evolution,
     compute_alpha,
     derive_rates,
-    steady_state_qubit,
 )
 from collisim.model import bath_rate
 
@@ -34,6 +33,10 @@ class TestModelParams:
             ModelParams(delta=50.0, tau=-2.0)
         with pytest.raises(ValueError):
             ModelParams(delta=50.0, n_steps=0)
+        for n_steps in (2.5, True, 3.0):
+            with pytest.raises(ValueError, match=f"^n_steps must be an integer, got {n_steps!r}$"):
+                ModelParams(delta=50.0, n_steps=n_steps)
+        assert ModelParams(delta=50.0, n_steps=np.int64(3)).n_steps == 3
         with pytest.raises(ValueError):
             ModelParams(delta=float("nan"))
 
@@ -278,36 +281,18 @@ class TestDeriveRates:
             derive_rates(ModelParams(delta=0.0))
 
 
-class TestSteadyStateQubit:
-    def test_symmetric(self):
-        assert_allclose(steady_state_qubit(0.0).matrix, np.diag([0.5, 0.5]))
-
-    def test_inverted(self):
-        pops = steady_state_qubit(-1.0).populations
-        assert_allclose(pops[1], 0.7310585786300049, rtol=1e-12)
-        assert pops[1] > pops[0]
-
-    def test_zero_temperature_limit(self):
-        assert_allclose(steady_state_qubit(50.0).matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-
 class TestAncillaPair:
     def test_near_infinite_temperature(self):
         eta1, eta2 = ancilla_pair(ModelParams(delta=200.0, x1=1e-4, x2=1e-4))
         expected = math.exp(1e-4) / (1 + math.exp(1e-4))
         for eta in (eta1, eta2):
-            assert_allclose(eta.populations, [expected, 1 - expected], rtol=1e-14)
-            assert_allclose(eta.populations, [0.500025, 0.499975], atol=1e-6)
+            assert_allclose(eta.diagonal().real, [expected, 1 - expected], rtol=1e-14)
+            assert_allclose(eta.diagonal().real, [0.500025, 0.499975], atol=1e-6)
 
     def test_cold_bath(self):
         eta1, _ = ancilla_pair(ModelParams(delta=100.0, x1=50.0, x2=0.0))
-        assert_allclose(eta1.matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        assert_allclose(eta1, np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_inverted_bath(self):
         eta1, _ = ancilla_pair(ModelParams(delta=100.0, x1=-50.0, x2=0.0))
-        assert_allclose(eta1.matrix, np.diag([0.0, 1.0]), atol=1e-15)
-
-    def test_labels(self):
-        eta1, eta2 = ancilla_pair(ModelParams(delta=100.0))
-        assert eta1.space == (("A1", 2),)
-        assert eta2.space == (("A2", 2),)
+        assert_allclose(eta1, np.diag([0.0, 1.0]), atol=1e-15)

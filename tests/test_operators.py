@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from collisim import (
-    DensityOperator,
     InvariantViolation,
+    ModelParams,
+    ancilla_pair,
     anticommutator,
     commutator,
     density_operator,
@@ -170,23 +171,25 @@ class TestPartialTrace:
 
 class TestThermalQubit:
     def test_infinite_temperature(self):
-        assert_allclose(thermal_qubit(0.0).matrix, np.diag([0.5, 0.5]))
+        assert_allclose(thermal_qubit(0.0), np.diag([0.5, 0.5]))
 
     def test_ground_state_limit(self):
-        assert_allclose(thermal_qubit(50.0).matrix, np.diag([1.0, 0.0]), atol=1e-15)
+        assert_allclose(thermal_qubit(50.0), np.diag([1.0, 0.0]), atol=1e-15)
 
     def test_inverted_limit(self):
-        assert_allclose(thermal_qubit(-50.0).matrix, np.diag([0.0, 1.0]), atol=1e-15)
+        assert_allclose(thermal_qubit(-50.0), np.diag([0.0, 1.0]), atol=1e-15)
 
-    def test_unit_exponent(self):
-        # excited population 1/(e + 1)
-        pops = thermal_qubit(1.0).populations
-        assert_allclose(pops[1], 1.0 / (np.e + 1.0), rtol=1e-15)
-        assert_allclose(pops[1], 0.2689414213699951, rtol=1e-12)
+    @pytest.mark.parametrize("x, p1", [(1.0, 0.2689414213699951), (-1.0, 0.7310585786300049)])
+    def test_unit_exponent(self, x, p1):
+        # excited population 1/(e^x + 1), inverted for x < 0
+        pops = thermal_qubit(x).diagonal().real
+        assert_allclose(pops[1], 1.0 / (np.exp(x) + 1.0), rtol=1e-15)
+        assert_allclose(pops[1], p1, rtol=1e-12)
+        assert (pops[1] > pops[0]) == (x < 0)
 
     @pytest.mark.parametrize("x", [-3.0, -0.1, 1e-4, 0.7, 5.0, 700.0, -700.0])
     def test_population_ratio(self, x):
-        pops = thermal_qubit(x).populations
+        pops = thermal_qubit(x).diagonal().real
         if pops[0] > 0 and pops[1] > 0:
             assert_allclose(pops[1] / pops[0], np.exp(-x), rtol=1e-12)
         assert abs(pops.sum() - 1.0) < 1e-15
@@ -220,13 +223,17 @@ class TestCommutators:
 
 class TestDensityOperator:
     def test_validates_good_state(self):
-        rho = density_operator(np.diag([0.25, 0.75]).astype(complex), (("S", 2),))
-        assert rho.dim == 2
-        assert_allclose(rho.populations, [0.25, 0.75])
+        mat = np.diag([0.25, 0.75])
+        rho = density_operator(mat, (("S", 2),))
+        assert rho.dtype == complex and rho.shape == (2, 2)
+        assert_allclose(rho.diagonal().real, [0.25, 0.75])
+        mat[0, 0] = 0.5
+        assert rho[0, 0] == 0.25  # a copy, not a view
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            DensityOperator(space=(("S", 3),), matrix=np.eye(2))
+        with pytest.raises(ValueError, match=r"^matrix shape \(2, 2\) does not match space "
+                                             r"\(\('S', 3\),\) \(total dim 3\)$"):
+            density_operator(np.eye(2) / 2, (("S", 3),))
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
@@ -277,9 +284,10 @@ class TestDensityOperator:
         assert (min_eig >= -1e-9) == (offset > 0)
 
     def test_matrix_is_read_only(self):
-        rho = thermal_qubit(1.0)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 2.0
+        checked = density_operator(np.diag([0.25, 0.75]), (("S", 2),))
+        for rho in (thermal_qubit(1.0), *ancilla_pair(ModelParams(delta=50.0, x1=1.0)), checked):
+            with pytest.raises(ValueError, match="read-only"):
+                rho[0, 0] = 2.0
 
     def test_hermiticity_predicate(self):
         assert is_hermitian(SIGMA_Y, 1e-15)

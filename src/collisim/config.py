@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 from .operators import TRACE_TOL
 
@@ -38,6 +40,9 @@ SCENARIO_KEYS: dict[str, tuple[set[str], set[str]]] = {
 SCENARIO_NAMES = tuple(SCENARIO_KEYS)
 
 SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "g"}
+
+# The largest n_grid whose (n_grid, 3) float64 population table numpy can size
+MAX_GRID = np.iinfo(np.intp).max // 24
 
 
 @dataclass(frozen=True)
@@ -179,7 +184,7 @@ def _require(cfg: ScenarioConfig, keys: set[str]):
 
 
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Scenario-specific completeness and consistency checks."""
+    """Scenario-specific completeness and consistency checks; marks a passing config for `checked`."""
     if cfg.scenario not in SCENARIO_NAMES:
         raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
     required, _ = SCENARIO_KEYS[cfg.scenario]
@@ -220,8 +225,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"n_steps: must be >= 1, got {cfg.n_steps}")
     if cfg.snapshot_stride < 0:
         raise ConfigError(f"snapshot_stride: must be >= 0, got {cfg.snapshot_stride}")
-    if cfg.n_grid < 2:
-        raise ConfigError(f"n_grid: must be >= 2, got {cfg.n_grid}")
+    if not 2 <= cfg.n_grid <= MAX_GRID:
+        raise ConfigError(f"n_grid: must be between 2 and {MAX_GRID}, got {cfg.n_grid}")
     if cfg.alpha_t_max <= 0:
         raise ConfigError(f"alpha_t_max: must be positive, got {cfg.alpha_t_max}")
     if cfg.workers < 1:
@@ -262,22 +267,27 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
                 f"sweep_param {cfg.sweep_param!r} is not a parameter of {cfg.sweep_scenario!r}"
             )
         # every sweep point must itself validate
-        for value in cfg.sweep_values:
+        for value, point in zip(cfg.sweep_values, sweep_points(cfg)):
             if cfg.sweep_param == "n_steps" and not float(value).is_integer():
                 raise ConfigError(f"sweep_values: n_steps must be whole numbers, got {value!r}")
-            point_cfg = sweep_point_config(cfg, value)
-            validate_config(point_cfg)
+            validate_config(point)
+    object.__setattr__(cfg, "_checked", True)
     return cfg
 
 
-def sweep_point_config(cfg: ScenarioConfig, value: float) -> ScenarioConfig:
-    """The single-run config for one sweep point."""
-    overrides = {
-        "scenario": cfg.sweep_scenario,
-        "sweep_scenario": None,
-        "sweep_param": None,
-        "sweep_values": None,
-        "output_path": None,
-        cfg.sweep_param: int(value) if cfg.sweep_param == "n_steps" else value,
-    }
-    return replace(cfg, **overrides)
+def checked(cfg: ScenarioConfig) -> ScenarioConfig:
+    """``cfg`` once `validate_config` has passed it: checked now unless it already was."""
+    return cfg if getattr(cfg, "_checked", False) else validate_config(cfg)
+
+
+def sweep_points(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ...]:
+    """The single-run config of each sweep point, in ``sweep_values`` order;
+    checked if ``cfg`` is, since `validate_config` checks a sweep's points."""
+    points = tuple(replace(cfg, scenario=cfg.sweep_scenario, sweep_scenario=None,
+                           sweep_param=None, sweep_values=None, output_path=None,
+                           **{cfg.sweep_param: int(v) if cfg.sweep_param == "n_steps" else v})
+                   for v in cfg.sweep_values)
+    if getattr(cfg, "_checked", False):
+        for point in points:
+            object.__setattr__(point, "_checked", True)
+    return points

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
-from .config import ScenarioConfig, sweep_point_config, validate_config
+from .config import ScenarioConfig, checked, sweep_points
 from .errors import ConfigError
 from .lindblad import (
     DT_MARGIN,
@@ -268,12 +268,9 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
     frag = metrics(exact, me)
     max_p2 = float(np.max(exact.populations[:, 2]))
 
-    checks = (
-        _check("max_abs_dev", frag.max_dev, 0.05),
-    )
     report = ComparisonReport(
         scenario=cfg.scenario,
-        checks=checks,
+        checks=(_check("max_abs_dev", frag.max_dev, 0.05),),
         metrics=(
             ("alpha_tau", rates.alpha * p.tau),
             ("capital_gamma", rates.capital_gamma),
@@ -345,12 +342,9 @@ def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str,
     me = _me_at_collision_times(gen, rho0, p, cfg.snapshot_stride)
     frag = metrics(exact, me)
 
-    checks = (
-        _check("max_abs_dev", frag.max_dev, 0.05),
-    )
     report = ComparisonReport(
         scenario=cfg.scenario,
-        checks=checks,
+        checks=(_check("max_abs_dev", frag.max_dev, 0.05),),
         metrics=(
             ("g_tau", p.g * p.tau),
             ("delta_tau", p.delta * p.tau),
@@ -387,14 +381,14 @@ def _format_float(x: float) -> str:
 class CsvColumns:
     """The step and time columns of a trajectory CSV, formatted once.
 
-    ``chunks`` holds one row template per ``CSV_CHUNK`` rows: the step and
-    time text filled in, a ``FLOAT_FMT`` slot left for each population.
-    ``steps`` and ``times`` are the arrays it was formatted from.
+    ``chunks`` holds one bytes row template per ``CSV_CHUNK`` rows: the
+    step and time text filled in, a ``FLOAT_FMT`` slot left for each
+    population.  ``steps`` and ``times`` are the arrays it was formatted from.
     """
 
     steps: np.ndarray
     times: np.ndarray
-    chunks: tuple[str, ...]
+    chunks: tuple[bytes, ...]
 
     def matches(self, traj: Trajectory) -> bool:
         """Whether ``traj`` has these steps and times bit for bit (so -0.0 is not 0.0)."""
@@ -406,25 +400,30 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
                          columns: CsvColumns | None = None) -> CsvColumns:
     """CSV schema: step, t_in_inverse_g, p0, p1, p2, source.
 
-    The step and time columns are formatted once, into one %-template per
-    ``CSV_CHUNK`` rows with a ``FLOAT_FMT`` slot per population, and rows
-    are written a chunk at a time from those templates.  The templates are
-    returned; passed back as ``columns`` for a trajectory whose steps and
-    times match them bit for bit, they are reused, so only the populations
-    are formatted.  Any other ``columns`` are ignored.
+    The step and time columns are formatted once, into one bytes %-template
+    per ``CSV_CHUNK`` rows with a ``FLOAT_FMT`` slot per population, and rows
+    are written a chunk at a time from those templates (``bytes %`` writes
+    the bytes ``str %`` would, faster).  The templates are returned; passed
+    back as ``columns`` for a trajectory whose steps and times match them bit
+    for bit, they are reused, so only the populations are formatted.  Any
+    other ``columns`` are ignored.
     """
     if columns is None or not columns.matches(traj):
-        prefix = "%d," + FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * 3 + "\n"
-        grid = np.column_stack((traj.steps, traj.times))
-        chunks = (grid[start:start + CSV_CHUNK] for start in range(0, len(grid), CSV_CHUNK))
-        columns = CsvColumns(traj.steps, traj.times, tuple(
-            (prefix * len(chunk)) % tuple(chunk.ravel().tolist()) for chunk in chunks))
-    row_end = "," + source.replace("%", "%%") + "\n"
-    with open(path, "w") as f:
-        f.write(CSV_HEADER + "\n")
+        prefix = ("%d," + FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * 3 + "\n").encode()
+        chunks = []
+        for start in range(0, len(traj), CSV_CHUNK):
+            # integer steps next to float times, one chunk at a time
+            steps = traj.steps[start:start + CSV_CHUNK].tolist()
+            cells = [None] * (2 * len(steps))
+            cells[::2], cells[1::2] = steps, traj.times[start:start + CSV_CHUNK].tolist()
+            chunks.append((prefix * len(steps)) % tuple(cells))
+        columns = CsvColumns(traj.steps, traj.times, tuple(chunks))
+    row_end = ("," + source.replace("%", "%%") + "\n").encode()
+    with open(path, "wb") as f:
+        f.write(CSV_HEADER.encode() + b"\n")
         for start, template in zip(range(0, len(traj), CSV_CHUNK), columns.chunks):
             pops = traj.populations[start:start + CSV_CHUNK]
-            f.write(template.replace("\n", row_end) % tuple(pops.ravel().tolist()))
+            f.write(template.replace(b"\n", row_end) % tuple(pops.ravel().tolist()))
     return columns
 
 
@@ -475,10 +474,11 @@ def _prepare_output_dir(cfg: ScenarioConfig, output_dir: str | Path | None) -> P
 
 
 def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
-    """Validate and execute a non-sweep scenario, then write its trajectory and report files."""
+    """Validate and execute a non-sweep scenario, then write its trajectory and report
+    files.  A config `validate_config` has passed already is not checked again."""
     if cfg.scenario == "sweep":
         raise ConfigError("use run_sweep for sweep configs")
-    validate_config(cfg)
+    checked(cfg)
     out_dir = _prepare_output_dir(cfg, output_dir)
     report, trajectories = _RUNNERS[cfg.scenario](cfg)
     columns = None
@@ -489,11 +489,8 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
     return report
 
 
-def _run_sweep_point(args: tuple[ScenarioConfig, float, str]) -> tuple[float, ComparisonReport]:
-    cfg, value, out_dir = args
-    point_cfg = sweep_point_config(cfg, value)
-    report = run_scenario(point_cfg, out_dir)
-    return value, report
+def _run_sweep_point(job: tuple[ScenarioConfig, str]) -> ComparisonReport:
+    return run_scenario(*job)
 
 
 def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
@@ -505,26 +502,24 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     """
     if cfg.scenario != "sweep":
         raise ConfigError("run_sweep requires scenario = sweep")
-    validate_config(cfg)
+    checked(cfg)
     out_dir = _prepare_output_dir(cfg, output_dir)
 
-    jobs = []
-    for i, value in enumerate(cfg.sweep_values):
-        point_dir = out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"
-        jobs.append((cfg, value, str(point_dir)))
+    jobs = [(point, str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"))
+            for i, (value, point) in enumerate(zip(cfg.sweep_values, sweep_points(cfg)))]
 
     workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_point, jobs))
+            reports = list(pool.map(_run_sweep_point, jobs))
     else:
-        results = [_run_sweep_point(job) for job in jobs]
+        reports = [_run_sweep_point(job) for job in jobs]
 
     index_lines = [f"point,{cfg.sweep_param},passed,headline_check,headline_value"]
     checks = []
     metrics_rows: list[tuple[str, float]] = []
-    for i, (value, report) in enumerate(results):
+    for i, (value, report) in enumerate(zip(cfg.sweep_values, reports)):
         head = report.checks[0]
         index_lines.append(
             f"{i},{_format_float(value)},{str(report.passed).lower()},{head.name},{_format_float(head.value)}"
@@ -535,7 +530,7 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     report = ComparisonReport(
         scenario=f"sweep({cfg.sweep_scenario})",
         checks=tuple(checks),
-        metrics=(("sweep_points", float(len(results))), *metrics_rows),
+        metrics=(("sweep_points", float(len(reports))), *metrics_rows),
     )
     with _writing_to(out_dir):
         (out_dir / "index.csv").write_text("\n".join(index_lines) + "\n")

@@ -6,11 +6,16 @@ import subprocess
 import sys
 import time
 import re
+import string
+import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import collisim
@@ -26,7 +31,7 @@ from collisim import (
     run_sweep,
     validate_config,
 )
-from collisim import scenarios
+from collisim import config, scenarios
 from collisim.cli import main
 from collisim.scenarios import subsample, write_trajectory_csv
 
@@ -38,6 +43,7 @@ BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
 README = Path(__file__).resolve().parent.parent / "README.md"
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 FIG3B = """
 scenario = collision-vs-me
@@ -86,6 +92,9 @@ ALL_KEYS_CONFIG = ScenarioConfig(
     sweep_param="delta", sweep_values=(150.0, 250.0), workers=2)
 ALL_KEYS_ALPHA_TAU = ALL_KEYS_SWEEP.replace("tau = 40", "alpha_tau = 0.3")
 
+SWEEP_TWO_POINTS = ("scenario = sweep\nsweep_scenario = verify-elimination\n"
+                    "sweep_param = delta\nsweep_values = 40, 50\nn_grid = 50\n")
+
 N_STEPS_SWEEP = FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
                               "sweep_scenario = collision-vs-me\nsweep_param = n_steps")
 
@@ -129,6 +138,44 @@ def grid_pair(n):
 
 ADVERSARIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.5e-13, 1.0 / 3.0, 0.5,
                       123456789.123456789, float("inf"), float("nan"))
+
+# Any float64, with the cells `%.12g` treats specially drawn often
+CSV_CELLS = st.one_of(st.floats(width=64), st.sampled_from(
+    (0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 1e-300, -1e-300,
+     float("inf"), -float("inf"), float("nan"), -float("nan"))))
+CSV_SOURCES = st.tuples(st.text(string.printable, max_size=4),
+                        st.text(string.printable, max_size=4)).map("%".join)
+
+
+@st.composite
+def csv_trajectory_pairs(draw):
+    """Two trajectories on one step and time grid of any int64 steps and
+    float64 cells, with a source containing `%` for each."""
+    n = draw(st.integers(1, 5))
+    int64 = np.iinfo(np.int64)
+    steps = draw(st.lists(st.one_of(st.integers(int64.min, int64.max), st.sampled_from(
+        (0, 2**53 + 1, int64.max, int64.min))), min_size=n, max_size=n))
+    times = draw(st.lists(CSV_CELLS, min_size=n, max_size=n))
+    pops = [np.reshape(draw(st.lists(CSV_CELLS, min_size=3 * n, max_size=3 * n)), (n, 3))
+            for _ in range(2)]
+    return [(Trajectory(steps=np.array(steps, dtype=np.int64), times=np.array(times),
+                        populations=p), draw(CSV_SOURCES)) for p in pops]
+
+
+def count_validations(monkeypatch):
+    """Record the scenario of each `validate_config` call, including those it
+    makes itself, under every module name that holds the function."""
+    calls = []
+    real = config.validate_config
+
+    def counting(cfg):
+        calls.append(cfg.scenario)
+        return real(cfg)
+
+    for module in (config, scenarios):
+        if hasattr(module, "validate_config"):
+            monkeypatch.setattr(module, "validate_config", counting)
+    return calls
 
 
 class TestConfigParsing:
@@ -223,6 +270,13 @@ sweep_values = 25, 0, 100
                     dict(omega_a1=2.0, omega_a2=2.0)):
             with pytest.raises(ConfigError):
                 validate_config(replace(cfg, **bad))
+
+    def test_grid_bound_is_the_largest_population_table_numpy_sizes(self):
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((config.MAX_GRID + 1, 3))  # raised before any allocation
+        validate_config(ScenarioConfig("verify-elimination", delta=50.0, n_grid=config.MAX_GRID))
+        with pytest.raises(ConfigError, match="n_grid: must be between 2 and"):
+            validate_config(ScenarioConfig("verify-elimination", delta=50.0, n_grid=1))
 
     def test_zero_detuning_stays_valid_beyond_far_off(self):
         cfg = parse_config_text("scenario = beyond-far-off\ndelta = 0\nx1 = 1\nx2 = 1\n"
@@ -339,6 +393,43 @@ class TestScenarioOutputs:
         single_template_write_trajectory_csv(tmp_path / "ref.csv", second, source)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().splitlines()[1].endswith("," + source)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(csv_trajectory_pairs())
+    def test_bytes_writer_matches_per_row_writer(self, pair):
+        (first, first_source), (second, second_source) = pair
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            columns = write_trajectory_csv(out / "first.csv", first, first_source)
+            assert write_trajectory_csv(out / "reused.csv", second, second_source, columns) is columns
+            write_trajectory_csv(out / "alone.csv", second, second_source)
+            reference_write_trajectory_csv(out / "ref_first.csv", first, first_source)
+            reference_write_trajectory_csv(out / "ref.csv", second, second_source)
+            assert (out / "first.csv").read_bytes() == (out / "ref_first.csv").read_bytes()
+            expected = (out / "ref.csv").read_bytes()
+            assert (out / "reused.csv").read_bytes() == expected
+            assert (out / "alone.csv").read_bytes() == expected
+
+    def test_writer_memory_peak(self, tmp_path):
+        # The step and time columns are listed one CSV_CHUNK at a time.  The
+        # bound is the peak of the str writer this one replaced (3.16 MB; this
+        # one measures 2.49 MB); listing the whole trajectory at once peaks at
+        # 6.43 MB and shows as a higher peak RSS on long runs.
+        n = 50_001
+        steps = np.arange(n)
+        traj = Trajectory(steps=steps, times=steps * 0.01,
+                          populations=np.random.default_rng(0).dirichlet((1, 1, 1), n))
+        started = not tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            write_trajectory_csv(tmp_path / "orig.csv", traj, "orig")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 3.16e6
 
     def test_run_scenario_writes_each_csv_once_path_first(self, tmp_path, monkeypatch):
         # The benchmark times this module attribute and sizes the file named by
@@ -519,6 +610,33 @@ class TestScenarioOutputs:
             run_sweep(cfg, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_library_runs_validate_once(self, tmp_path, monkeypatch):
+        calls = count_validations(monkeypatch)
+        single = ScenarioConfig("verify-elimination", delta=50.0, n_grid=50)
+        sweep = ScenarioConfig("sweep", n_grid=50, sweep_scenario="verify-elimination",
+                               sweep_param="delta", sweep_values=(40.0, 50.0))
+        run_scenario(single, tmp_path / "single")
+        assert calls == ["verify-elimination"]
+        run_sweep(sweep, tmp_path / "sweep")
+        assert calls == ["verify-elimination", "sweep", "verify-elimination", "verify-elimination"]
+        # a config that passed is not checked again; one replaced from it is
+        run_scenario(single, tmp_path / "again")
+        run_sweep(sweep, tmp_path / "again-sweep")
+        assert len(calls) == 4
+        with pytest.raises(ConfigError, match="zero detuning"):
+            run_scenario(replace(single, delta=0.0), tmp_path / "zero")
+        with pytest.raises(ConfigError, match="zero detuning"):
+            run_sweep(replace(sweep, sweep_values=(40.0, 0.0)), tmp_path / "zero")
+        assert not (tmp_path / "zero").exists()
+
+    def test_points_of_an_unchecked_sweep_are_checked_when_run(self, tmp_path):
+        sweep = ScenarioConfig("sweep", sweep_scenario="verify-elimination", sweep_param="delta",
+                               sweep_values=(0.0,))
+        (point,) = config.sweep_points(sweep)
+        with pytest.raises(ConfigError, match="zero detuning"):
+            run_scenario(point, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
 
 class TestShippedConfigs:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
@@ -680,6 +798,37 @@ n_steps = 40000
         for name in written:
             assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "past" / name).read_bytes()
 
+    @pytest.mark.parametrize("n_grid", [2**63 - 1, 2**63, 2**64, config.MAX_GRID + 1])
+    @pytest.mark.parametrize("command, text", [
+        ("run", "scenario = verify-elimination\ndelta = 50\n"),
+        ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\n"
+                  "sweep_param = delta\nsweep_values = 40, 50\n"),
+    ], ids=["run", "sweep"])
+    def test_grid_numpy_cannot_size_is_config_error(self, tmp_path, capsys, n_grid, command,
+                                                     text):
+        # numpy cannot size an (n_grid, 3) float64 table past MAX_GRID rows
+        path = self.write(tmp_path, text + f"n_grid = {n_grid}\n")
+        assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: n_grid: must be between 2 and {config.MAX_GRID}, got {n_grid}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("validate", VERIFY, 1),
+        ("run", VERIFY, 1),
+        ("validate", SWEEP_TWO_POINTS, 3),
+        ("sweep", SWEEP_TWO_POINTS, 3),
+        ("sweep", SWEEP_TWO_POINTS.replace("40, 50", "25, 50, 75, 100"), 5),
+    ], ids=["validate", "run", "validate-sweep", "sweep-2", "sweep-4"])
+    def test_one_validation_per_entry_point(self, tmp_path, monkeypatch, command, text, expected):
+        # load_config checks the config and each sweep point once; the runs
+        # it hands them to do not check them again
+        calls = count_validations(monkeypatch)
+        path = self.write(tmp_path, text)
+        args = [] if command == "validate" else ["--output-dir", str(tmp_path / "out")]
+        assert main([command, path, *args]) == 0
+        assert len(calls) == expected
+
     def test_usage_error(self):
         assert main(["frobnicate"]) == 2
 
@@ -782,6 +931,18 @@ def test_import_leaves_the_process_pool_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(tmp_path, demo):
+    """Each demo script runs against the current API, from any directory."""
+    assert len(DEMOS) == 4
+    src = Path(collisim.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                            cwd=tmp_path, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(src), "MPLBACKEND": "Agg"})
+    assert result.returncode == 0, result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def load_bench_module(path):

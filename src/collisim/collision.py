@@ -49,6 +49,7 @@ from .operators import (
     batch_check_states,
     commutator,
     density_operator,
+    fold,
     kron,
     partial_trace_matrix,
     require_hermitian,
@@ -58,6 +59,7 @@ from .trajectory import Trajectory
 STEP_TRACE_TOL = 1e-10
 CUMULATIVE_TRACE_TOL = 1e-8
 STEP_HERMITICITY_TOL = 1e-10
+PURITY_DRIFT_TOL = 1e-10
 # The collision tolerances, as keyword arguments of `batch_check_states`.
 STEP_TOLERANCES = dict(step_trace_tol=STEP_TRACE_TOL, cumulative_trace_tol=CUMULATIVE_TRACE_TOL,
                        hermiticity_tol=STEP_HERMITICITY_TOL)
@@ -313,7 +315,7 @@ def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -
     with a nonzero overlap ``q+ psi0`` only.  The system populations are
     ``sum_a |psi_{a,s}|^2`` over the ancilla index ``a``, and snapshots
     are the reduced states ``sum_a psi_{a,s} psi*_{a,s'}``.  The global
-    purity ``||psi(t)||^4`` must stay within 1e-10 of ``||psi0||^4``.
+    purity ``||psi(t)||^4`` must stay within `PURITY_DRIFT_TOL` of ``||psi0||^4``.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -349,9 +351,9 @@ def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -
     for start, stop in zip(edges, edges[1:]):
         tb = t[start:stop]
         psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q.T).reshape(len(tb), 4, 3)
-        block_pops = np.sum(psi.real**2 + psi.imag**2, axis=1)
-        purity = np.sum(block_pops, axis=1) ** 2
-        bad = np.flatnonzero(~(np.abs(purity - purity0) <= 1e-10))
+        block_pops = fold(np.add, (psi.real**2 + psi.imag**2).swapaxes(1, 2))
+        purity = fold(np.add, block_pops) ** 2
+        bad = np.flatnonzero(~(np.abs(purity - purity0) <= PURITY_DRIFT_TOL))
         if bad.size:
             i = int(bad[0])
             raise InvariantViolation(

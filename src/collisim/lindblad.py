@@ -26,6 +26,7 @@ from .trajectory import Trajectory
 
 TRACE_DRIFT_TOL = 1e-9
 HERMITICITY_DRIFT_TOL = 1e-12
+HAMILTONIAN_HERMITICITY_TOL = 1e-12
 STABILITY_GUARD = 0.1
 
 # Step sizes keep dt * (rate scale) <= DT_MARGIN, a 5x margin under the
@@ -48,7 +49,7 @@ class LindbladGenerator:
         h = np.asarray(self.hamiltonian_part, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian part must be square, got {h.shape}")
-        if not is_hermitian(h, 1e-12):
+        if not is_hermitian(h, HAMILTONIAN_HERMITICITY_TOL):
             raise ValueError("Hamiltonian part must be Hermitian")
         h.flags.writeable = False
         object.__setattr__(self, "hamiltonian_part", h)

@@ -151,6 +151,20 @@ def partial_trace_matrix(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int
     return out.reshape(mat.shape[:-2] + (kept_dim, kept_dim))
 
 
+def fold(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` with the same bits, up to the sign of a NaN.
+
+    numpy takes about 60 ns a row to reduce a short last axis, so rows shorter
+    than 8, which numpy sums in index order from the identity, are folded one
+    column at a time.  1-D input and longer rows are one ``ufunc.reduce``."""
+    if a.ndim < 2 or not 0 < a.shape[-1] < 8:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0].copy() if ufunc.identity is None else ufunc(ufunc.identity, a[..., 0])
+    for k in range(1, a.shape[-1]):
+        ufunc(out, a[..., k], out=out)
+    return out
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of ``a - b``.
 
@@ -161,7 +175,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """
     diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
     evals = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2).conj()))
-    dist = 0.5 * np.sum(np.abs(evals), axis=-1)
+    dist = 0.5 * fold(np.add, np.abs(evals))
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -192,7 +206,12 @@ def hermiticity_defect(a: np.ndarray) -> np.ndarray:
     read, mirror, _ = _disc_layout(d)
     flat = a.reshape(a.shape[:-2] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.max(np.abs(flat[..., read] - flat[..., mirror].conj()), axis=-1)
+        if a.ndim == 2:
+            return np.max(np.abs(flat[read] - flat[mirror].conj()))
+        out = np.zeros(a.shape[:-2])  # every |.| is +0 or more, or NaN
+        for r, m in zip(read.tolist(), mirror.tolist()):
+            np.maximum(out, np.abs(flat[..., r] - flat[..., m].conj()), out=out)
+        return out
 
 
 def _first_not_positive(states: np.ndarray) -> tuple[int, float] | None:
@@ -212,7 +231,7 @@ def _first_not_positive(states: np.ndarray) -> tuple[int, float] | None:
     n, d = states.shape[0], states.shape[-1]
     read, _, incidence = _disc_layout(d)
     flat = states.reshape(n, d * d)
-    bound = np.min(flat[:, read[:d]].real - np.abs(flat[:, read[d:]]) @ incidence, axis=1)
+    bound = fold(np.minimum, flat[:, read[:d]].real - np.abs(flat[:, read[d:]]) @ incidence)
     pending = np.flatnonzero(~(bound >= MIN_EIGENVALUE + CERT_SLACK))
     if not pending.size:
         return None

@@ -104,7 +104,7 @@ def metrics(a: Trajectory, b: Trajectory) -> MetricsFragment:
         raise ValueError("trajectories are on different grids; resampling not permitted")
     dev = np.abs(a.populations - b.populations)
     return MetricsFragment(
-        max_abs_dev=tuple(float(v) for v in dev.max(axis=0)),
+        max_abs_dev=tuple(float(np.max(col)) for col in dev.T),
         final_window_a=tuple(float(v) for v in a.final_window_mean()),
         final_window_b=tuple(float(v) for v in b.final_window_mean()),
     )
@@ -373,10 +373,6 @@ _RUNNERS = {
 # file output
 
 
-def _format_float(x: float) -> str:
-    return FLOAT_FMT % x
-
-
 @dataclass(frozen=True, eq=False)
 class CsvColumns:
     """The step and time columns of a trajectory CSV, formatted once.
@@ -431,17 +427,17 @@ def write_report_files(out_dir: Path, report: ComparisonReport):
     kv_lines = [f"scenario = {report.scenario}", f"passed = {str(report.passed).lower()}"]
     txt_lines = [f"scenario: {report.scenario}", ""]
     for name, value in report.metrics:
-        kv_lines.append(f"{name} = {_format_float(value)}")
-        txt_lines.append(f"  {name:<32s} {_format_float(value)}")
+        kv_lines.append(f"{name} = {FLOAT_FMT % value}")
+        txt_lines.append(f"  {name:<32s} {FLOAT_FMT % value}")
     txt_lines.append("")
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         kv_lines.append(f"check.{c.name} = {status.lower()}")
         txt_lines.append(
-            f"  [{status}] {c.name}: {_format_float(c.value)} {c.comparison} {_format_float(c.threshold)}"
+            f"  [{status}] {c.name}: {FLOAT_FMT % c.value} {c.comparison} {FLOAT_FMT % c.threshold}"
         )
     if report.trace_distances:
-        kv_lines.append(f"trace_distance_max = {_format_float(max(d for _, d in report.trace_distances))}")
+        kv_lines.append(f"trace_distance_max = {FLOAT_FMT % max(d for _, d in report.trace_distances)}")
         txt_lines.append("")
         txt_lines.append("  trace distance (t, value):")
         # one row per (t, value) pair, the time right-aligned in 16 columns
@@ -463,14 +459,24 @@ def _writing_to(target: Path):
         raise ConfigError(f"output path not writable: {target} ({exc})") from exc
 
 
-def _prepare_output_dir(cfg: ScenarioConfig, output_dir: str | Path | None) -> Path:
+@contextlib.contextmanager
+def _output_dir(cfg: ScenarioConfig, output_dir: str | Path | None):
+    """The run's output directory, made and probed for writing; if the block fails,
+    the directories made here are removed again, deepest first, while empty."""
     target = Path(output_dir) if output_dir else Path(cfg.output_path or f"out/{cfg.scenario}")
-    with _writing_to(target):
-        target.mkdir(parents=True, exist_ok=True)
-        probe = target / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    return target
+    made = [d for d in (target, *target.parents) if not d.exists()]
+    try:
+        with _writing_to(target):
+            target.mkdir(parents=True, exist_ok=True)
+            probe = target / ".write-probe"
+            probe.write_text("")
+            probe.unlink()
+        yield target
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for d in made:
+                d.rmdir()
+        raise
 
 
 def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
@@ -479,13 +485,13 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
     if cfg.scenario == "sweep":
         raise ConfigError("use run_sweep for sweep configs")
     checked(cfg)
-    out_dir = _prepare_output_dir(cfg, output_dir)
-    report, trajectories = _RUNNERS[cfg.scenario](cfg)
-    columns = None
-    with _writing_to(out_dir):
-        for source, traj in trajectories.items():
-            columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
-        write_report_files(out_dir, report)
+    with _output_dir(cfg, output_dir) as out_dir:
+        report, trajectories = _RUNNERS[cfg.scenario](cfg)
+        columns = None
+        with _writing_to(out_dir):
+            for source, traj in trajectories.items():
+                columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
+            write_report_files(out_dir, report)
     return report
 
 
@@ -503,18 +509,16 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     if cfg.scenario != "sweep":
         raise ConfigError("run_sweep requires scenario = sweep")
     checked(cfg)
-    out_dir = _prepare_output_dir(cfg, output_dir)
-
-    jobs = [(point, str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"))
-            for i, (value, point) in enumerate(zip(cfg.sweep_values, sweep_points(cfg)))]
-
-    workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(_run_sweep_point, jobs))
-    else:
-        reports = [_run_sweep_point(job) for job in jobs]
+    with _output_dir(cfg, output_dir) as out_dir:
+        jobs = [(point, str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"))
+                for i, (value, point) in enumerate(zip(cfg.sweep_values, sweep_points(cfg)))]
+        workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(_run_sweep_point, jobs))
+        else:
+            reports = [_run_sweep_point(job) for job in jobs]
 
     index_lines = [f"point,{cfg.sweep_param},passed,headline_check,headline_value"]
     checks = []
@@ -522,7 +526,7 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     for i, (value, report) in enumerate(zip(cfg.sweep_values, reports)):
         head = report.checks[0]
         index_lines.append(
-            f"{i},{_format_float(value)},{str(report.passed).lower()},{head.name},{_format_float(head.value)}"
+            f"{i},{FLOAT_FMT % value},{str(report.passed).lower()},{head.name},{FLOAT_FMT % head.value}"
         )
         checks.append(_check(f"point_{i:03d}_passed", float(report.passed), 1.0, ">="))
         metrics_rows.append((f"point_{i:03d}_{cfg.sweep_param}", float(value)))

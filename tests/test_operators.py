@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from collisim import (
@@ -15,8 +18,11 @@ from collisim import (
     trace_distance,
     transition,
 )
-from collisim.collision import as_qutrit_matrix
-from collisim.operators import hermiticity_defect, partial_trace_matrix
+from collisim import operators
+from collisim.collision import STEP_TOLERANCES, as_qutrit_matrix
+from collisim.lindblad import HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL
+from collisim.operators import (CERT_SLACK, MIN_EIGENVALUE, _disc_layout, batch_check_states, fold,
+                                hermiticity_defect, partial_trace_matrix)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -363,3 +369,180 @@ def test_trace_distance_single_pair_is_float():
     rng = np.random.default_rng(7)
     a, b = random_states(rng, 2, 3)
     assert type(trace_distance(a, b)) is float
+
+
+# ---------------------------------------------------------------------------
+# `fold` and the reductions it replaced
+
+FOLD_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                     2.2e-308, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def nan_blind_bits(x):
+    """The bits of ``x`` with every NaN made the same NaN: the sign of a zero
+    and where NaNs sit count, a NaN's sign bit does not."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+@st.composite
+def fold_operands(draw):
+    """A stack whose last axis is one of the lengths `fold` serves, or 1-D."""
+    n = draw(st.integers(1, 20))
+    shape = draw(st.sampled_from([(n, k) for k in range(1, 7)] + [(n, 4, 3), (n,)]))
+    a = draw(hnp.arrays(np.float64, shape, elements=FOLD_ENTRIES))
+    return np.moveaxis(a, 1, -1) if a.ndim == 3 else a  # the ancilla sum of closed evolution
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(ufunc=st.sampled_from([np.maximum, np.minimum, np.add]), a=fold_operands())
+def test_fold_has_the_bits_of_reduce(ufunc, a):
+    with np.errstate(all="ignore"):
+        folded, reduced = fold(ufunc, a), ufunc.reduce(a, axis=-1)
+    assert folded.shape == reduced.shape
+    if a.ndim == 1:  # one reduce call: every bit, a NaN's sign included
+        assert np.float64(folded).view(np.uint64) == np.float64(reduced).view(np.uint64)
+    else:
+        assert np.array_equal(nan_blind_bits(folded), nan_blind_bits(reduced))
+
+
+def test_fold_keeps_the_zero_sign_of_a_sum():
+    # numpy sums from the identity +0, so -0 + -0 is +0; min and max keep -0
+    zeros = np.full((3, 4), -0.0)
+    assert not np.signbit(fold(np.add, zeros)).any()
+    assert np.signbit(fold(np.maximum, zeros)).all() and np.signbit(fold(np.minimum, zeros)).all()
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_fold_sums_long_rows_as_numpy_does(k):
+    # numpy sums 8 or more entries pairwise, not in index order
+    a = np.random.default_rng(k).normal(size=(500, k)) * 10.0 ** np.arange(-k, k, 2)
+    assert same_bits(fold(np.add, a), np.sum(a, axis=-1))
+
+
+def head_hermiticity_defect(a):
+    """`hermiticity_defect` as one gathered ``np.max(axis=-1)``: its oracle."""
+    d = a.shape[-1]
+    read, mirror, _ = _disc_layout(d)
+    flat = a.reshape(a.shape[:-2] + (d * d,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.max(np.abs(flat[..., read] - flat[..., mirror].conj()), axis=-1)
+
+
+def head_trace_distance(a, b):
+    """`trace_distance` with an ``np.sum(axis=-1)`` over the eigenvalues: its oracle."""
+    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
+    evals = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2).conj()))
+    dist = 0.5 * np.sum(np.abs(evals), axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hermiticity_defect_has_the_bits_of_one_gathered_max(d):
+    rng = np.random.default_rng(10 + d)
+    for trial in range(40):
+        a = rng.normal(size=(64, d, d)) + 1j * rng.normal(size=(64, d, d))
+        a = 0.5 * (a + np.swapaxes(a, -1, -2).conj()) + (trial % 3) * 1e-10 * a
+        for part in (a.real, a.imag):
+            hit = rng.random(a.shape) < 0.05 * (trial % 2)
+            part[hit] = rng.choice(SPECIAL_ENTRIES, hit.sum())
+        assert same_bits(hermiticity_defect(a), head_hermiticity_defect(a))
+        assert same_bits(np.float64(hermiticity_defect(a[0])), np.float64(head_hermiticity_defect(a[0])))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_trace_distance_has_the_bits_of_one_sum(d):
+    rng = np.random.default_rng(20 + d)
+    a, b = random_states(rng, 200, d), random_states(rng, 200, d)
+    assert same_bits(trace_distance(a, b), head_trace_distance(a, b))
+    assert same_bits(trace_distance(a, b[0]), head_trace_distance(a, b[0]))
+    for x, y in zip(a[:20], b[:20]):
+        assert trace_distance(x, y) == head_trace_distance(x, y)
+
+
+def head_reduce(ufunc, a):
+    """The expressions `fold` replaced in the checks: ``np.min(axis=1)`` for the
+    Gershgorin bound, ``np.max(axis=-1)`` and ``np.sum(axis=-1)`` elsewhere."""
+    if ufunc is np.minimum:
+        return np.min(a, axis=1)
+    return (np.max if ufunc is np.maximum else np.sum)(a, axis=-1)
+
+
+def check_result(states, tolerances):
+    """The trace `batch_check_states` returns from step 1, or its error message."""
+    try:
+        return batch_check_states(states, 1, 1.0, **tolerances)
+    except InvariantViolation as err:
+        return str(err)
+
+
+def head_check_result(states, tolerances):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(operators, "fold", head_reduce)
+        m.setattr(operators, "hermiticity_defect", head_hermiticity_defect)
+        return check_result(states, tolerances)
+
+
+def ulps_around(x, k=2):
+    """``x`` and its ``k`` nearest floats on each side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def states_at_the_bounds(d):
+    """d x d states at, and one and two ulps either side of, each bound the
+    checks test; states with non-finite entries; and pure states, whose
+    Gershgorin discs fail, so that they reach `eigvalsh`."""
+    def state(*diag):
+        return np.diag(list(diag) + [0.0] * (d - len(diag))).astype(complex)
+
+    out = []
+    for tol in (STEP_TOLERANCES["step_trace_tol"], TRACE_DRIFT_TOL,
+                STEP_TOLERANCES["cumulative_trace_tol"]):
+        out += [state(tr) for tr in ulps_around(1.0 + tol) + ulps_around(1.0 - tol)]  # exact traces
+    for tol in (STEP_TOLERANCES["hermiticity_tol"], HERMITICITY_DRIFT_TOL):
+        for t in ulps_around(tol):
+            off, diag = state(0.6, 0.4), state(0.6, 0.4)
+            off[0, 1] = t  # defect |t - conj(0)|
+            diag[1, 1] += 0.5j * t  # defect |2i Im|
+            out += [off, diag]
+    c = 2.0**-10  # row 0 of [[p, c], [c, 1 - p]] has the bound p - c, exact near c
+    for p in ulps_around(c + (MIN_EIGENVALUE + CERT_SLACK)):
+        rho = state(p, 1.0 - p)
+        rho[0, 1] = rho[1, 0] = c
+        out.append(rho)
+    out += [state(1.0 - e, e) for e in ulps_around(MIN_EIGENVALUE)]
+    for bad in (np.nan, np.inf, -np.inf):
+        coherence, population = state(0.6, 0.4), state(0.6, 0.4)
+        coherence[0, 1] = coherence[1, 0] = bad
+        population[d - 1, d - 1] = bad
+        out += [coherence, population, np.full((d, d), bad, dtype=complex)]
+    rng = np.random.default_rng(d)
+    for _ in range(8):
+        psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+        out.append(np.outer(psi, psi.conj()) / np.vdot(psi, psi).real)
+    return out
+
+
+@pytest.mark.parametrize("tolerances", [
+    STEP_TOLERANCES,
+    {**STEP_TOLERANCES, "step_trace_tol": np.inf},  # reaches the cumulative bound
+    dict(step_trace_tol=np.inf, cumulative_trace_tol=TRACE_DRIFT_TOL,
+         hermiticity_tol=HERMITICITY_DRIFT_TOL),
+], ids=["collision", "collision-cumulative", "integrator"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_checks_give_the_results_of_one_reduction_per_axis(d, tolerances):
+    good = np.diag([0.6, 0.4] + [0.0] * (d - 2)).astype(complex)
+    results = set()
+    for rho in states_at_the_bounds(d):
+        for states in (rho[None], np.stack([good, good, rho, good])):
+            result = check_result(states, tolerances)
+            assert result == head_check_result(states, tolerances)
+            results.add(type(result))
+    assert results == {str, float}  # both verdicts occur

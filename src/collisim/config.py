@@ -233,13 +233,11 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
 
     if cfg.scenario in ("collision-vs-me", "negative-temperature", "beyond-far-off"):
-        if cfg.tau is None and cfg.alpha_tau is None:
-            raise ConfigError(f"scenario {cfg.scenario!r} requires tau or alpha_tau")
         if cfg.tau is not None and cfg.alpha_tau is not None:
             raise ConfigError("give either tau or alpha_tau, not both")
         if cfg.alpha_tau is not None and cfg.delta == 0:
             raise ConfigError("alpha_tau requires a nonzero delta")
-        if not 0 < cfg.effective_tau() < math.inf:  # alpha_tau * delta may overflow
+        if not 0 < cfg.effective_tau() < math.inf:  # raises without either; the product may overflow
             raise ConfigError(f"collision duration must be positive and finite, got {cfg.effective_tau()}")
     if (cfg.scenario == "collision-vs-me" and cfg.initial_populations is not None
             and cfg.initial_populations[2] != 0):

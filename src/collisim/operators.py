@@ -206,7 +206,7 @@ def hermiticity_defect(a: np.ndarray) -> np.ndarray:
     read, mirror, _ = _disc_layout(d)
     flat = a.reshape(a.shape[:-2] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.ndim == 2:
+        if a.ndim == 2:  # one gathered max; the pair loop below is ~30x slower here
             return np.max(np.abs(flat[read] - flat[mirror].conj()))
         out = np.zeros(a.shape[:-2])  # every |.| is +0 or more, or NaN
         for r, m in zip(read.tolist(), mirror.tolist()):

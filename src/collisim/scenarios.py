@@ -171,8 +171,6 @@ def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray,
     and two-level ``b`` matrices are zero-padded.  All distances come from
     one batched `trace_distance` call.
     """
-    if not len(steps):
-        return ()
     times = traj.times[np.searchsorted(traj.steps, steps)]
     dists = trace_distance(a, as_qutrit_matrix(b))
     return tuple(zip(times.tolist(), dists.tolist()))
@@ -464,17 +462,18 @@ def _output_dir(cfg: ScenarioConfig, output_dir: str | Path | None):
     """The run's output directory, made and probed for writing; if the block fails,
     the directories made here are removed again, deepest first, while empty."""
     target = Path(output_dir) if output_dir else Path(cfg.output_path or f"out/{cfg.scenario}")
-    made = [d for d in (target, *target.parents) if not d.exists()]
+    made = []
     try:
-        with _writing_to(target):
+        with _writing_to(target):  # `exists` raises on an overlong name or an unsearchable directory
+            made = [d for d in (target, *target.parents) if not d.exists()]
             target.mkdir(parents=True, exist_ok=True)
             probe = target / ".write-probe"
             probe.write_text("")
             probe.unlink()
         yield target
     except BaseException:
-        with contextlib.suppress(OSError):
-            for d in made:
+        for d in made:  # one not made, or not empty, stays
+            with contextlib.suppress(OSError):
                 d.rmdir()
         raise
 
@@ -495,10 +494,6 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
     return report
 
 
-def _run_sweep_point(job: tuple[ScenarioConfig, str]) -> ComparisonReport:
-    return run_scenario(*job)
-
-
 def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
     """Run one scenario per sweep value, one output subdirectory each.
 
@@ -510,15 +505,15 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
         raise ConfigError("run_sweep requires scenario = sweep")
     checked(cfg)
     with _output_dir(cfg, output_dir) as out_dir:
-        jobs = [(point, str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}"))
-                for i, (value, point) in enumerate(zip(cfg.sweep_values, sweep_points(cfg)))]
-        workers = min(cfg.workers, len(jobs), os.cpu_count() or 1)
+        dirs = [str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}")
+                for i, value in enumerate(cfg.sweep_values)]
+        workers = min(cfg.workers, len(dirs), os.cpu_count() or 1)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(_run_sweep_point, jobs))
+                reports = list(pool.map(run_scenario, sweep_points(cfg), dirs))
         else:
-            reports = [_run_sweep_point(job) for job in jobs]
+            reports = list(map(run_scenario, sweep_points(cfg), dirs))
 
     index_lines = [f"point,{cfg.sweep_param},passed,headline_check,headline_value"]
     checks = []

@@ -541,8 +541,8 @@ class TestScenarioOutputs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
@@ -830,6 +830,23 @@ n_steps = 40000
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
+
+    @pytest.mark.parametrize("command, text", [
+        ("run", VERIFY),
+        ("sweep", SWEEP_TWO_POINTS),
+    ], ids=["run", "sweep"])
+    def test_overlong_output_dir_is_a_usage_error(self, tmp_path, capsys, command, text):
+        # a 300-byte name in an existing directory fails every file-system
+        # call with ENAMETOOLONG, the first of them the check for which
+        # directories the run will make; under a missing one, `mkdir` fails
+        # after making its parents
+        path = self.write(tmp_path, text)
+        for out in (tmp_path / ("x" * 300), tmp_path / "out" / ("x" * 300)):
+            assert main([command, path, "--output-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: output path not writable:") and err.count("\n") == 1
+            assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
     def test_failed_sweep_point_keeps_the_points_written(self, tmp_path, capsys, monkeypatch):
         runner = scenarios._RUNNERS["verify-elimination"]

@@ -15,7 +15,6 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, NumericError
-from .scenarios import run_scenario, run_sweep
 
 EXIT_PASS = 0
 EXIT_TOLERANCE_FAIL = 1
@@ -41,6 +40,18 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--output-dir", default=None,
                              help="override the config's output_path")
     return parser
+
+
+# `scenarios` (and with it numpy) is imported by the first run or sweep, so
+# validation, --help and usage errors never load it.
+def run_scenario(cfg, output_dir=None):
+    from .scenarios import run_scenario
+    return run_scenario(cfg, output_dir)
+
+
+def run_sweep(cfg, output_dir=None):
+    from .scenarios import run_sweep
+    return run_sweep(cfg, output_dir)
 
 
 def _print_summary(report) -> None:

@@ -10,15 +10,13 @@ likely way to produce a plausible-looking wrong answer.
 from __future__ import annotations
 
 import math
+import sys
 import typing
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 from pathlib import Path
 
-import numpy as np
-
-from .errors import ConfigError
-from .operators import TRACE_TOL
+from .errors import TRACE_TOL, ConfigError
 
 _BASE_KEYS = {"scenario", "g", "output_path"}
 _COLLISION_KEYS = {
@@ -41,8 +39,9 @@ SCENARIO_NAMES = tuple(SCENARIO_KEYS)
 
 SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "g"}
 
-# The largest n_grid whose (n_grid, 3) float64 population table numpy can size
-MAX_GRID = np.iinfo(np.intp).max // 24
+# The largest n_grid whose (n_grid, 3) float64 population table numpy can size:
+# its 24-byte rows must fit in numpy's index type, np.intp (sys.maxsize)
+MAX_GRID = sys.maxsize // 24
 
 
 @dataclass(frozen=True)

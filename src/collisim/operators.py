@@ -16,11 +16,10 @@ import math
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import TRACE_TOL, InvariantViolation
 
 # Invariant tolerances for density operators.
 HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-9
 # Gershgorin discs certify positivity only when they clear MIN_EIGENVALUE
 # by this much, far above the rounding of `eigvalsh` and of the bound for a

@@ -102,9 +102,9 @@ def metrics(a: Trajectory, b: Trajectory) -> MetricsFragment:
     """Per-level population deviations between two trajectories on a common time grid."""
     if not (len(a) == len(b) and np.allclose(a.times, b.times, rtol=0, atol=1e-9)):
         raise ValueError("trajectories are on different grids; resampling not permitted")
-    dev = np.abs(a.populations - b.populations)
+    dev = (np.abs(x - y) for x, y in zip(a.populations.T, b.populations.T))  # a column at a time
     return MetricsFragment(
-        max_abs_dev=tuple(float(np.max(col)) for col in dev.T),
+        max_abs_dev=tuple(float(np.max(col)) for col in dev),
         final_window_a=tuple(float(v) for v in a.final_window_mean()),
         final_window_b=tuple(float(v) for v in b.final_window_mean()),
     )

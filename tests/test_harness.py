@@ -278,6 +278,11 @@ sweep_values = 25, 0, 100
         with pytest.raises(ConfigError, match="n_grid: must be between 2 and"):
             validate_config(ScenarioConfig("verify-elimination", delta=50.0, n_grid=1))
 
+    def test_grid_bound_matches_numpy_index_type_and_readme(self):
+        # config spells the bound without numpy; README's key table quotes it
+        assert config.MAX_GRID == np.iinfo(np.intp).max // 24 == 384307168202282325
+        assert f"at most the {config.MAX_GRID} rows" in README.read_text()
+
     def test_zero_detuning_stays_valid_beyond_far_off(self):
         cfg = parse_config_text("scenario = beyond-far-off\ndelta = 0\nx1 = 1\nx2 = 1\n"
                                 "tau = 0.05\n")
@@ -323,6 +328,21 @@ class TestMetrics:
         b = constant_trajectory([1.0, 0.0, 0.0], n=20, dt=0.5)
         with pytest.raises(ValueError, match="resampling"):
             metrics(a, b)
+
+    def test_column_maxima_match_the_full_array_formula(self):
+        # the old formula: both (n, 3) temporaries, then each column's maximum
+        pops = np.random.default_rng(7).random((2, 1001, 3))
+        pops[0, :, 2], pops[1, :, 2] = -0.0, 0.0
+        pops[:, 30] = -0.0
+        nans = pops.copy()
+        nans[0, 10, 0], nans[1, 20, 1] = np.nan, -np.nan
+        for a_pops, b_pops in ((pops[0], pops[1]), (np.asfortranarray(pops[1]), pops[0]),
+                               (pops[0, ::2], pops[1, ::2]), (nans[0], nans[1])):
+            a, b = (Trajectory(steps=np.arange(len(p)), times=np.arange(len(p)), populations=p)
+                    for p in (a_pops, b_pops))
+            old = [float(np.max(col)) for col in np.abs(a.populations - b.populations).T]
+            new = metrics(a, b).max_abs_dev
+            assert np.array(new).view(np.uint64).tolist() == np.array(old).view(np.uint64).tolist()
 
     def test_subsample_renumbers_steps(self):
         b = constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0)
@@ -981,6 +1001,68 @@ def test_import_leaves_the_process_pool_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.stdout.strip() == "False"
+
+
+def test_config_path_leaves_numpy_unloaded(tmp_path):
+    # Loading, validating, --help and config errors import no numpy; a run does.
+    src = Path(collisim.__file__).resolve().parents[1]
+    (tmp_path / "bad.cfg").write_text("scenario = verify-elimination\n")
+    (tmp_path / "ok.cfg").write_text(VERIFY)
+    code = """if True:
+        import contextlib, io, sys
+        import collisim
+        from collisim import cli
+        from pathlib import Path
+        configs = Path(sys.argv[1])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for path in sorted(configs.glob("*.cfg")):
+                collisim.load_config(path)
+                assert cli.main(["validate", str(path)]) == 0
+            assert cli.main(["--help"]) == 0
+            assert cli.main(["run", "bad.cfg"]) == 2
+            assert cli.main(["run", str(configs / "sweep_detuning.cfg")]) == 2
+            print("numpy" in sys.modules, file=sys.__stdout__)
+            assert cli.main(["run", "ok.cfg", "--output-dir", "out"]) == 0
+        print("numpy" in sys.modules)
+    """
+    result = subprocess.run([sys.executable, "-c", code, str(CONFIG_DIR)], capture_output=True,
+                            text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
+class TestLazyNamespace:
+    def test_names_resolve_to_their_home_module_objects(self):
+        for name in collisim.__all__:
+            home = importlib.import_module(f"collisim.{collisim._EXPORTS[name]}")
+            value = getattr(collisim, name)
+            assert value is getattr(home, name), name
+            if callable(value):
+                assert value.__module__ == home.__name__, name
+
+    def test_dir_and_star_import_cover_all(self):
+        # in a fresh interpreter, before any name is loaded: dir() loads none
+        src = Path(collisim.__file__).resolve().parents[1]
+        code = ("import sys, collisim; print(sorted(set(collisim.__all__) - set(dir(collisim))), "
+                "'numpy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.stdout.split() == ["[]", "False"]
+        namespace = {}
+        exec("from collisim import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(collisim.__all__)
+
+    def test_submodules_import_by_name(self):
+        namespace = {}
+        exec("from collisim import cli, operators", namespace)
+        assert namespace["cli"] is sys.modules["collisim.cli"]
+        assert namespace["operators"] is sys.modules["collisim.operators"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'run_scenarios'"):
+            collisim.run_scenarios
+        with pytest.raises(ImportError):
+            exec("from collisim import run_scenarios", {})
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)

@@ -8,7 +8,8 @@ equations, and quantifies where the effective descriptions hold.
 
 Public names load lazily: each module is imported when one of its names
 is first used, so ``import collisim`` and loading or validating a config
-never import numpy; the simulation modules bring it in.
+never import numpy; the simulation modules bring it in.  Submodules load
+the same way, so ``collisim.operators`` works after ``import collisim``.
 """
 
 from importlib import import_module
@@ -35,6 +36,8 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS.values():  # a submodule
+        return import_module(f".{name}", __name__)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
@@ -42,4 +45,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_EXPORTS.values()})

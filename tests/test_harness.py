@@ -1058,6 +1058,22 @@ class TestLazyNamespace:
         assert namespace["cli"] is sys.modules["collisim.cli"]
         assert namespace["operators"] is sys.modules["collisim.operators"]
 
+    def test_submodules_resolve_as_attributes_after_a_bare_import(self):
+        # in a fresh interpreter: `collisim.config` loads no numpy, every other module does
+        src = Path(collisim.__file__).resolve().parents[1]
+        code = """if True:
+            import sys, collisim
+            modules = sorted(set(collisim._EXPORTS.values()))
+            assert set(modules) <= set(dir(collisim))
+            print(collisim.config.MAX_GRID, "numpy" in sys.modules)
+            assert collisim.operators.TRACE_TOL == collisim.config.TRACE_TOL
+            assert all(getattr(collisim, m) is sys.modules[f"collisim.{m}"] for m in modules)
+        """
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [str(config.MAX_GRID), "False"]
+
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'run_scenarios'"):
             collisim.run_scenarios

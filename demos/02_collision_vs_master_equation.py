@@ -17,8 +17,6 @@ master equation is off by ~0.3 at saturation, where the exact dynamics
 spread the state over all three levels.
 """
 
-import math
-
 import numpy as np
 
 from collisim import (
@@ -30,6 +28,7 @@ from collisim import (
     integrate,
     run_collisions,
 )
+from collisim.scenarios import default_collision_count, me_substep_count
 
 DELTA = 200.0
 GROUND = density_operator(np.diag([1.0, 0.0, 0.0]).astype(complex), QUTRIT_SPACE)
@@ -38,12 +37,13 @@ GROUND_QUBIT = density_operator(np.diag([1.0, 0.0]).astype(complex), (("S", 2),)
 
 def compare(alpha_tau):
     tau = alpha_tau * DELTA
-    rates = derive_rates(ModelParams(delta=DELTA, x1=1e-4, x2=1e-4, tau=tau))
-    n = max(300, math.ceil(5.0 / (rates.capital_gamma * tau)))
+    p = ModelParams(delta=DELTA, x1=1e-4, x2=1e-4, tau=tau)
+    rates = derive_rates(p)
+    n = default_collision_count(p, rates.capital_gamma)
     p = ModelParams(delta=DELTA, x1=1e-4, x2=1e-4, tau=tau, n_steps=n)
     exact = run_collisions(GROUND, p, "original", snapshot_stride=0)
     gen = generator_effective_qubit(rates)
-    k = max(1, math.ceil(tau * gen.rate_scale / 0.02))
+    k = me_substep_count(tau, gen)
     me = integrate(gen, GROUND_QUBIT, n * tau, tau / k, snapshot_stride=0)
     me_pops = me.populations[::k]
     dev = np.max(np.abs(exact.populations - me_pops))

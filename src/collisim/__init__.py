@@ -26,7 +26,7 @@ _EXPORTS = {name: module for module, names in {
                 "rhs steady_residual",
     "model": "DerivedRates FAR_OFF_THRESHOLD ModelParams QUTRIT_SPACE ancilla_pair basis_index "
              "build_h_eff build_h_prime build_v compute_alpha derive_rates",
-    "operators": "anticommutator commutator density_operator is_hermitian kron thermal_qubit "
+    "operators": "anticommutator commutator density_operator kron thermal_qubit "
                  "trace_distance transition",
     "scenarios": "ComparisonReport metrics run_scenario run_sweep",
     "trajectory": "Trajectory",

@@ -41,10 +41,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvariantViolation, NumericError
+from .errors import (COLLISION_BOUNDS, PURITY_DRIFT_TOL, TRACE_TOL, Bounds, InvariantViolation,
+                     NumericError)
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
 from .operators import (
-    TRACE_TOL,
     anticommutator,
     batch_check_states,
     commutator,
@@ -55,14 +55,6 @@ from .operators import (
     require_hermitian,
 )
 from .trajectory import Trajectory
-
-STEP_TRACE_TOL = 1e-10
-CUMULATIVE_TRACE_TOL = 1e-8
-STEP_HERMITICITY_TOL = 1e-10
-PURITY_DRIFT_TOL = 1e-10
-# The collision tolerances, as keyword arguments of `batch_check_states`.
-STEP_TOLERANCES = dict(step_trace_tol=STEP_TRACE_TOL, cumulative_trace_tol=CUMULATIVE_TRACE_TOL,
-                       hermiticity_tol=STEP_HERMITICITY_TOL)
 
 # RK4 on x' = -i theta x / dt keeps |T4(-i theta)| <= 1 only for |theta| <= 2 sqrt(2).
 RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
@@ -197,16 +189,15 @@ def _snapshot_steps(count: int, stride: int) -> np.ndarray:
     return np.arange(0, count, min(stride, count)) if stride else np.zeros(0, int)
 
 
-def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
-              snapshot_stride: int, step_trace_tol: float, cumulative_trace_tol: float,
-              hermiticity_tol: float, context: str) -> Trajectory:
+def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, bounds: Bounds, *,
+              snapshot_stride: int) -> Trajectory:
     """Apply ``step_map`` ``n`` times to the row-major vectorized ``mat0``.
 
     Entry ``i`` is the state after ``i`` steps, at time ``i * dt`` for a
-    positive finite ``dt``; each is checked by `batch_check_states`, whose
-    errors name ``context`` and the step.  Two-level populations are
-    zero-padded to three levels, and every ``snapshot_stride``-th state
-    (0: none) is kept.
+    positive finite ``dt``; each is checked against ``bounds`` by
+    `batch_check_states`, whose errors name the step.  Two-level
+    populations are zero-padded to three levels, and every
+    ``snapshot_stride``-th state (0: none) is kept.
 
     States are computed ``STEP_BLOCK`` at a time from the state ``s``
     before the block: state ``s + j`` is ``step_map^j`` from a
@@ -256,13 +247,7 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, *,
                     np.matmul(hop, vec, out=buf[start + m - 1])
                 vec = buf[start + m - 1].copy()
         states = buf[:block].reshape(block, d, d)
-        trace = batch_check_states(
-            states, done + 1, trace,
-            step_trace_tol=step_trace_tol,
-            cumulative_trace_tol=cumulative_trace_tol,
-            hermiticity_tol=hermiticity_tol,
-            context=context,
-        )
+        trace = batch_check_states(states, done + 1, trace, bounds)
         pops[done + 1: done + 1 + block, :d] = np.real(np.einsum("nii->ni", states))
         lo, hi = np.searchsorted(snapshot_steps, (done + 1, done + block + 1))
         snapshot_states[lo:hi] = states[snapshot_steps[lo:hi] - (done + 1)]
@@ -300,8 +285,7 @@ def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
 
     eta1, eta2 = ancilla_pair(p)
     m = collision_superoperator(h, eta1, eta2, p.tau, prop)
-    return propagate(m, mat, p.n_steps, p.tau, snapshot_stride=snapshot_stride,
-                     context="step", **STEP_TOLERANCES)
+    return propagate(m, mat, p.n_steps, p.tau, COLLISION_BOUNDS, snapshot_stride=snapshot_stride)
 
 
 def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -> Trajectory:
@@ -350,9 +334,10 @@ def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -
     edges = [*range(0, max(t.size - 1, 1), GRID_BLOCK), t.size]
     for start, stop in zip(edges, edges[1:]):
         tb = t[start:stop]
-        psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q.T).reshape(len(tb), 4, 3)
-        block_pops = fold(np.add, (psi.real**2 + psi.imag**2).swapaxes(1, 2))
-        purity = fold(np.add, block_pops) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing phases fail the purity check
+            psi = ((np.exp(-1j * evals * tb[:, None]) * c0) @ q.T).reshape(len(tb), 4, 3)
+            block_pops = fold(np.add, (psi.real**2 + psi.imag**2).swapaxes(1, 2))
+            purity = fold(np.add, block_pops) ** 2
         bad = np.flatnonzero(~(np.abs(purity - purity0) <= PURITY_DRIFT_TOL))
         if bad.size:
             i = int(bad[0])

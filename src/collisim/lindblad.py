@@ -18,15 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collision import propagate
+from .errors import HAMILTONIAN_HERMITICITY_TOL, INTEGRATOR_BOUNDS
 from .model import DerivedRates, ModelParams, bath_rate
-from .operators import density_operator, is_hermitian, kron, transition
+from .operators import density_operator, kron, require_hermitian, transition
 # Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
 from .operators import batch_check_states  # noqa: F401
 from .trajectory import Trajectory
 
-TRACE_DRIFT_TOL = 1e-9
-HERMITICITY_DRIFT_TOL = 1e-12
-HAMILTONIAN_HERMITICITY_TOL = 1e-12
 STABILITY_GUARD = 0.1
 
 # Step sizes keep dt * (rate scale) <= DT_MARGIN, a 5x margin under the
@@ -49,8 +47,7 @@ class LindbladGenerator:
         h = np.asarray(self.hamiltonian_part, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian part must be square, got {h.shape}")
-        if not is_hermitian(h, HAMILTONIAN_HERMITICITY_TOL):
-            raise ValueError("Hamiltonian part must be Hermitian")
+        require_hermitian(h, HAMILTONIAN_HERMITICITY_TOL)
         h.flags.writeable = False
         object.__setattr__(self, "hamiltonian_part", h)
         ops = []
@@ -166,10 +163,10 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
     Requires ``dt <= t_end``, the stability guard
     ``dt * (rate scale) <= 0.1`` and a ``rho0`` that `density_operator`
     accepts as a state of the generator's dimension; violating any of them
-    raises before any work.  The trace must stay within 1e-9 of 1 and the
-    Hermiticity defect within 1e-12 over the whole run, monitored every
-    step.  Populations of two-level generators are zero-padded to the
-    common three-level trajectory shape.
+    raises before any work.  Every step is checked against
+    `INTEGRATOR_BOUNDS`: the trace within 1e-9 of 1 and the Hermiticity
+    defect within 1e-12.  Populations of two-level generators are
+    zero-padded to the common three-level trajectory shape.
     """
     if dt <= 0 or dt > t_end:
         raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
@@ -181,11 +178,7 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
 
     n = max(1, math.ceil(t_end / dt - 1e-9))
     step = rk4_step_matrix(generator_superoperator(gen), dt)
-    return propagate(step, mat, n, dt, snapshot_stride=snapshot_stride,
-                     step_trace_tol=math.inf,
-                     cumulative_trace_tol=TRACE_DRIFT_TOL,
-                     hermiticity_tol=HERMITICITY_DRIFT_TOL,
-                     context="integrator step")
+    return propagate(step, mat, n, dt, INTEGRATOR_BOUNDS, snapshot_stride=snapshot_stride)
 
 
 def steady_residual(gen: LindbladGenerator, rho: np.ndarray) -> float:

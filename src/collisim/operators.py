@@ -16,15 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import TRACE_TOL, InvariantViolation
-
-# Invariant tolerances for density operators.
-HERMITICITY_TOL = 1e-10
-MIN_EIGENVALUE = -1e-9
-# Gershgorin discs certify positivity only when they clear MIN_EIGENVALUE
-# by this much, far above the rounding of `eigvalsh` and of the bound for a
-# unit-trace state, so near-boundary states still go to `eigvalsh`.
-CERT_SLACK = 1e-12
+from .errors import CERT_SLACK, HERMITICITY_TOL, MIN_EIGENVALUE, TRACE_TOL, Bounds, InvariantViolation
 
 
 def transition(dim: int, k: int, kp: int) -> np.ndarray:
@@ -57,21 +49,16 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def is_hermitian(a: np.ndarray, tol: float) -> bool:
-    return bool(hermiticity_defect(a) <= tol)
-
-
-def require_hermitian(h: np.ndarray) -> np.ndarray:
-    """``h`` as a complex array; ValueError unless Hermitian within `HERMITICITY_TOL`.
+def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """``h`` as a complex array; ValueError unless Hermitian within ``tol``.
 
     ``eigh`` reads one triangle only, so every eigendecomposition of a
     generator goes through this check first.
     """
     h = np.asarray(h, dtype=complex)
     dev = float(hermiticity_defect(h))
-    if not dev <= HERMITICITY_TOL:
-        raise ValueError(
-            f"generator is not Hermitian (max deviation {dev:.3e} > {HERMITICITY_TOL:.0e})")
+    if not dev <= tol:
+        raise ValueError(f"generator is not Hermitian (max deviation {dev:.3e} > {tol:.0e})")
     return h
 
 
@@ -242,20 +229,21 @@ def _first_not_positive(states: np.ndarray) -> tuple[int, float] | None:
     return int(pending[i]), float(min_eigs[i])
 
 
-def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float, *,
-                       step_trace_tol: float, cumulative_trace_tol: float,
-                       hermiticity_tol: float, context: str = "step") -> float:
+def batch_check_states(states: np.ndarray, first_step: int, prev_trace: float,
+                       bounds: Bounds) -> float:
     """Density-operator invariant checks over a block of consecutive states.
 
     ``states`` has shape (n, d, d); entry i is the state after step
     ``first_step + i``.  Raises `InvariantViolation` naming the first
-    offending step; a state with a non-finite entry, and any NaN, fails.
+    offending step as ``bounds.context``; a state with a non-finite entry,
+    and any NaN, fails.
     Returns the trace of the last state so the caller can chain blocks.
     Every state is checked for its step and cumulative trace and its
     Hermiticity; positivity is certified by Gershgorin discs, and only the
     states the discs cannot certify go to one batched `eigvalsh`, with the
     same verdict and message as an eigensolve of every state.
     """
+    step_trace_tol, cumulative_trace_tol, hermiticity_tol, context = bounds
     # Overflowing or NaN results fail the `~(value <= tol)` tests below; a
     # non-finite entry always makes the Hermiticity defect NaN or inf.
     with np.errstate(over="ignore", invalid="ignore"):

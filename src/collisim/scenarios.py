@@ -24,7 +24,7 @@ import numpy as np
 
 from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
 from .config import ScenarioConfig, checked, sweep_points
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .lindblad import (
     DT_MARGIN,
     LindbladGenerator,
@@ -192,7 +192,10 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     p = model_params(cfg)
     rates = derive_rates(p)
     alpha = rates.alpha
-    t_grid = np.linspace(0.0, cfg.alpha_t_max / alpha, cfg.n_grid)
+    t_max = cfg.alpha_t_max / alpha if alpha else math.inf  # alpha = g^2/delta may underflow
+    if not math.isfinite(t_max):
+        raise NumericError(f"time span alpha_t_max / alpha = {t_max} is not finite")
+    t_grid = np.linspace(0.0, t_max, cfg.n_grid)
 
     psi0 = np.eye(12, dtype=complex)[basis_index(1, 0, 0)]
 

@@ -32,11 +32,10 @@ from collisim import (
 )
 from collisim import collision
 from collisim.cli import main
-from collisim.collision import (CHECK_BLOCK, CUMULATIVE_TRACE_TOL, GRID_BLOCK, STEP_BLOCK,
-                                STEP_TOLERANCES, propagate)
-from collisim.lindblad import (HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL, generator_superoperator,
-                               rk4_step_matrix)
-from collisim.operators import MIN_EIGENVALUE, batch_check_states, partial_trace_matrix
+from collisim.collision import CHECK_BLOCK, GRID_BLOCK, STEP_BLOCK, propagate
+from collisim.errors import COLLISION_BOUNDS, INTEGRATOR_BOUNDS, MIN_EIGENVALUE
+from collisim.lindblad import generator_superoperator, rk4_step_matrix
+from collisim.operators import batch_check_states, partial_trace_matrix
 from collisim.scenarios import initial_system_state, me_substep_count, model_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -194,9 +193,9 @@ class TestRunCollisions:
         assert dists[-1] < 0.05
 
 
-def check_one(state, step, prev_trace=1.0, **kwargs):
-    """Run the batch checker on one state at the collision tolerances."""
-    return batch_check_states(state[None], step, prev_trace, **STEP_TOLERANCES, **kwargs)
+def check_one(state, step, prev_trace=1.0, bounds=COLLISION_BOUNDS):
+    """Run the batch checker on one state, at the collision bounds unless given others."""
+    return batch_check_states(state[None], step, prev_trace, bounds)
 
 
 class TestStepChecker:
@@ -219,7 +218,7 @@ class TestStepChecker:
     def test_names_context_for_qubit_state(self):
         bad = np.diag([1.2, -0.2]).astype(complex)
         with pytest.raises(InvariantViolation, match="at integrator step 9$"):
-            check_one(bad, step=9, context="integrator step")
+            check_one(bad, step=9, bounds=INTEGRATOR_BOUNDS)
 
     def test_returns_last_trace(self):
         assert check_one(np.diag([0.7, 0.3, 0.0]).astype(complex), step=1) == pytest.approx(1.0)
@@ -236,18 +235,18 @@ class TestStepChecker:
         block[2, 2, 2] = np.inf
         block[3] = np.nan
         with pytest.raises(InvariantViolation, match="non-finite entry at step 12$"):
-            batch_check_states(block, 10, 1.0, **STEP_TOLERANCES)
+            batch_check_states(block, 10, 1.0, COLLISION_BOUNDS)
 
     def test_failure_before_a_non_finite_state_wins(self):
         good = np.diag([0.7, 0.3, 0.0]).astype(complex)
         block = np.stack([good, np.diag([1.2, -0.2, 0.0]).astype(complex), good * np.nan])
         with pytest.raises(InvariantViolation, match="min eigenvalue .* at step 2$"):
-            batch_check_states(block, 1, 1.0, **STEP_TOLERANCES)
+            batch_check_states(block, 1, 1.0, COLLISION_BOUNDS)
 
 
-def eigvalsh_check_states(states, first_step, prev_trace, *, step_trace_tol,
-                          cumulative_trace_tol, hermiticity_tol, context="step"):
+def eigvalsh_check_states(states, first_step, prev_trace, bounds):
     """The checker that ran `eigvalsh` on every state, kept as the certificate's oracle."""
+    step_trace_tol, cumulative_trace_tol, hermiticity_tol, context = bounds
     with np.errstate(over="ignore", invalid="ignore"):
         traces = np.real(np.einsum("nii->n", states))
         prev = np.concatenate(([prev_trace], traces[:-1]))
@@ -277,10 +276,10 @@ def eigvalsh_check_states(states, first_step, prev_trace, *, step_trace_tol,
     return float(traces[-1])
 
 
-def check_outcome(check, states, **kwargs):
+def check_outcome(check, states, bounds=COLLISION_BOUNDS):
     """The trace ``check`` returns for ``states`` from step 1, or its error message."""
     try:
-        return check(states, 1, 1.0, **{**STEP_TOLERANCES, **kwargs})
+        return check(states, 1, 1.0, bounds)
     except InvariantViolation as err:
         return str(err)
 
@@ -314,9 +313,9 @@ def count_eigvalsh_stacks(monkeypatch):
 class TestPositivityCertificate:
     """`batch_check_states` gives the outcome of the eigvalsh-only checker on every input."""
 
-    def assert_same_outcome(self, states, **kwargs):
-        expected = check_outcome(eigvalsh_check_states, states, **kwargs)
-        assert check_outcome(batch_check_states, states, **kwargs) == expected
+    def assert_same_outcome(self, states, bounds=COLLISION_BOUNDS):
+        expected = check_outcome(eigvalsh_check_states, states, bounds)
+        assert check_outcome(batch_check_states, states, bounds) == expected
         return expected
 
     def test_uncertified_pure_state_passes(self, monkeypatch):
@@ -366,7 +365,7 @@ class TestPositivityCertificate:
         rng = np.random.default_rng(3)
         block = np.stack([rotated_state(rng, [0.8, 0.2]) for _ in range(6)])
         block[4] = rotated_state(rng, [1 - MIN_EIGENVALUE + 1e-12, MIN_EIGENVALUE - 1e-12])
-        outcome = self.assert_same_outcome(block, context="integrator step")
+        outcome = self.assert_same_outcome(block, INTEGRATOR_BOUNDS)
         assert outcome.endswith("at integrator step 5")
 
     def test_nan_coherence(self):
@@ -394,10 +393,9 @@ class TestPositivityCertificate:
         assert check_outcome(eigvalsh_check_states, traj.snapshot_states[1:]) == pytest.approx(1.0)
 
     def test_master_equation_states_never_reach_eigvalsh(self, monkeypatch):
-        step_map, rho0, dt, tolerances = short_collision_maps()[1].values
+        step_map, rho0, dt, bounds = short_collision_maps()[1].values
         stacks = count_eigvalsh_stacks(monkeypatch)
-        propagate(step_map, rho0, 3000, dt, snapshot_stride=0, context="integrator step",
-                  **tolerances)
+        propagate(step_map, rho0, 3000, dt, bounds, snapshot_stride=0)
         assert stacks == []
 
 
@@ -691,27 +689,26 @@ def short_collision_maps():
     dt = p.tau / me_substep_count(p.tau, gen)
     me_map = rk4_step_matrix(generator_superoperator(gen), dt)
     rho0 = initial_system_state(cfg)
-    me_tolerances = dict(step_trace_tol=np.inf, cumulative_trace_tol=TRACE_DRIFT_TOL,
-                         hermiticity_tol=HERMITICITY_DRIFT_TOL)
-    return [pytest.param(collision_map, rho0, p.tau, STEP_TOLERANCES, id="collision"),
-            pytest.param(me_map, np.array(rho0[:2, :2]), dt, me_tolerances, id="master_equation")]
+    return [pytest.param(collision_map, rho0, p.tau, COLLISION_BOUNDS, id="collision"),
+            pytest.param(me_map, np.array(rho0[:2, :2]), dt, INTEGRATOR_BOUNDS,
+                         id="master_equation")]
 
 
 class TestPropagateAccuracy:
-    @pytest.mark.parametrize("step_map, rho0, dt, tolerances", short_collision_maps())
-    def test_matches_extended_precision_iteration(self, step_map, rho0, dt, tolerances):
+    @pytest.mark.parametrize("step_map, rho0, dt, bounds", short_collision_maps())
+    def test_matches_extended_precision_iteration(self, step_map, rho0, dt, bounds):
         # Repeated products of one map accumulate rounding coherently; every
         # state of a 50 000-step run stays within 1e-13 of the same double
         # map iterated in extended precision.
         n = 50_000
-        traj = propagate(step_map, rho0, n, dt, snapshot_stride=1, context="step", **tolerances)
+        traj = propagate(step_map, rho0, n, dt, bounds, snapshot_stride=1)
         states = traj.snapshot_states
         reference = extended_iterates(step_map, rho0.reshape(-1), n)
         err = float(np.max(np.abs(states.reshape(n + 1, -1) - reference)))
         assert err <= 1e-13
 
 
-def loop_propagate(step_map, mat0, n, **tolerances):
+def loop_propagate(step_map, mat0, n, bounds):
     """The per-step loop that block stepping replaced, kept as its oracle.
 
     Returns every state as an ``(n + 1, d, d)`` stack and checks them
@@ -727,17 +724,17 @@ def loop_propagate(step_map, mat0, n, **tolerances):
             vec = step_map @ vec
             states[i] = vec
         trace = batch_check_states(states[done + 1:done + 1 + block].reshape(block, d, d),
-                                   done + 1, trace, **tolerances)
+                                   done + 1, trace, bounds)
     return states.reshape(n + 1, d, d)
 
 
 class TestPropagateBlocks:
     @pytest.mark.parametrize("n", [1, STEP_BLOCK - 1, STEP_BLOCK, STEP_BLOCK + 1,
                                    CHECK_BLOCK + 1, 5 * STEP_BLOCK + 77])
-    @pytest.mark.parametrize("step_map, rho0, dt, tolerances", short_collision_maps())
-    def test_matches_per_step_loop(self, n, step_map, rho0, dt, tolerances):
-        traj = propagate(step_map, rho0, n, dt, snapshot_stride=1, context="step", **tolerances)
-        expected = loop_propagate(step_map, rho0, n, **tolerances)
+    @pytest.mark.parametrize("step_map, rho0, dt, bounds", short_collision_maps())
+    def test_matches_per_step_loop(self, n, step_map, rho0, dt, bounds):
+        traj = propagate(step_map, rho0, n, dt, bounds, snapshot_stride=1)
+        expected = loop_propagate(step_map, rho0, n, bounds)
         assert traj.snapshot_steps.tolist() == list(range(n + 1))
         assert np.max(np.abs(traj.snapshot_states - expected)) <= 1e-14
         assert np.array_equal(traj.snapshot_states[1].reshape(-1), step_map @ rho0.reshape(-1))
@@ -747,13 +744,12 @@ class TestPropagateBlocks:
 
     @pytest.mark.parametrize("stride", [1, 7, STEP_BLOCK - 1, STEP_BLOCK + 1, 1000])
     def test_snapshot_steps_across_block_edges(self, stride):
-        step_map, rho0, dt, tolerances = short_collision_maps()[0].values
+        step_map, rho0, dt, bounds = short_collision_maps()[0].values
         n = CHECK_BLOCK + 300
-        traj = propagate(step_map, rho0, n, dt, snapshot_stride=stride, context="step",
-                         **tolerances)
+        traj = propagate(step_map, rho0, n, dt, bounds, snapshot_stride=stride)
         expected_steps = np.arange(0, n + 1, stride)
         assert np.array_equal(traj.snapshot_steps, expected_steps)
-        expected = loop_propagate(step_map, rho0, n, **tolerances)[expected_steps]
+        expected = loop_propagate(step_map, rho0, n, bounds)[expected_steps]
         assert np.max(np.abs(traj.snapshot_states - expected)) <= 1e-14
 
     @pytest.mark.parametrize("fail_step", [STEP_BLOCK, STEP_BLOCK + 1])
@@ -761,13 +757,12 @@ class TestPropagateBlocks:
         # (1 + eps) I grows the trace by about eps per step, past the
         # cumulative bound 1e-8 first at `fail_step`: the hop state, or the
         # first state computed from it.
-        step_map = (1 + CUMULATIVE_TRACE_TOL / (fail_step - 0.5)) * np.eye(9)
+        step_map = (1 + COLLISION_BOUNDS.cumulative_trace / (fail_step - 0.5)) * np.eye(9)
         rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(InvariantViolation) as from_loop:
-            loop_propagate(step_map, rho0, 2 * STEP_BLOCK, **STEP_TOLERANCES)
+            loop_propagate(step_map, rho0, 2 * STEP_BLOCK, COLLISION_BOUNDS)
         with pytest.raises(InvariantViolation) as from_blocks:
-            propagate(step_map, rho0, 2 * STEP_BLOCK, 1.0, snapshot_stride=0, context="step",
-                      **STEP_TOLERANCES)
+            propagate(step_map, rho0, 2 * STEP_BLOCK, 1.0, COLLISION_BOUNDS, snapshot_stride=0)
         assert str(from_loop.value).endswith(f"!= 1 at step {fail_step}")
         assert str(from_blocks.value) == str(from_loop.value)
 

@@ -1,6 +1,8 @@
 import concurrent.futures
+import contextlib
 import hashlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import tempfile
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +42,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 BENCH_RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 # SHA-256 of every file the shipped configs write, keyed
 # "<config stem>/<path relative to the output directory>".
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
@@ -659,20 +663,24 @@ class TestScenarioOutputs:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
-    def test_validates_and_completes_in_budget(self, path, tmp_path):
+    @pytest.fixture(scope="class", params=sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
+    def shipped_run(self, request, tmp_path_factory):
+        """One run of a shipped config, shared by the tests of this class:
+        its path, config, output directory and run time."""
+        path, out = request.param, tmp_path_factory.mktemp(request.param.stem)
         cfg = load_config(path)
         start = time.time()
-        if cfg.scenario == "sweep":
-            run_sweep(cfg, tmp_path)
-        else:
-            run_scenario(cfg, tmp_path)
-        assert time.time() - start < 60.0
+        (run_sweep if cfg.scenario == "sweep" else run_scenario)(cfg, out)
+        return path, cfg, out, time.time() - start
+
+    def test_validates_and_completes_in_budget(self, shipped_run):
+        path, _, out, seconds = shipped_run
+        assert seconds < 60.0
 
         written = {
-            f"{path.stem}/{f.relative_to(tmp_path).as_posix()}":
+            f"{path.stem}/{f.relative_to(out).as_posix()}":
                 hashlib.sha256(f.read_bytes()).hexdigest()
-            for f in tmp_path.rglob("*") if f.is_file()
+            for f in out.rglob("*") if f.is_file()
         }
         golden = {}
         for line in GOLDEN_TABLE.read_text().splitlines():
@@ -681,6 +689,20 @@ class TestShippedConfigs:
                 golden[key] = digest
         assert golden, f"no golden digests for {path.stem}"
         assert written == golden
+
+    def test_outputs_match_the_independent_oracle(self, shipped_run, tmp_path):
+        """`bench/oracle.py` recomputes sampled CSV rows without collisim's stepping code."""
+        _, cfg, out, _ = shipped_run
+        # the oracle assumes g = 1, a ground-state start and alpha_t_max = 5
+        assert (cfg.g, cfg.initial_state, cfg.alpha_t_max) == (1.0, "ground_S", 5.0)
+        config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                  if getattr(cfg, f.name) is not None}  # with its defaults filled in
+        if cfg.scenario == "verify-elimination":  # which the oracle reads as a one-point sweep
+            config.update(scenario="sweep", sweep_values=(cfg.delta,))
+            (tmp_path / f"point_000_delta_{cfg.delta:g}").symlink_to(out)
+            out = tmp_path
+        oracle = load_bench_module(BENCH_ORACLE)
+        assert oracle.check_run(SimpleNamespace(config=config), out) == []
 
 
 class TestCli:
@@ -833,6 +855,25 @@ n_steps = 40000
         assert err == f"error: n_grid: must be between 2 and {config.MAX_GRID}, got {n_grid}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text, err", [
+        ("run", "scenario = verify-elimination\ndelta = 1e300\ng = 1e-300\nn_grid = 2\n",
+         "numeric error: time span alpha_t_max / alpha = inf is not finite\n"),
+        ("run", "scenario = verify-elimination\ndelta = 1e300\nalpha_t_max = 1e300\nn_grid = 2\n",
+         "numeric error: time span alpha_t_max / alpha = inf is not finite\n"),
+        ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = g\n"
+                  "sweep_values = 2\ndelta = 1e300\nn_grid = 2\n",
+         "numeric error: purity drifted by nan at grid point 1\n"),
+    ], ids=["alpha-underflow", "time-span-overflow", "phase-overflow"])
+    def test_closed_evolution_past_the_float_range_is_numeric_error(self, tmp_path, capsys,
+                                                                     command, text, err):
+        # inputs the config fuzz found: alpha = g^2/delta underflows to 0, the
+        # time span alpha_t_max / alpha overflows, or the phases e t do, whose
+        # numpy warnings are errors under this suite's warning filters
+        path = self.write(tmp_path, text)
+        assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, text", [
         ("run", "scenario = verify-elimination\ndelta = 50\n"),
         ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\n"
@@ -976,6 +1017,91 @@ n_steps = 40000
             assert (f"\nbeta_s = {beta_s}\n" in kv) == bool(extra)
             assert (f"\n  {'beta_s':<32s} {beta_s}\n" in txt) == bool(extra)
             assert ("beta_s" in kv + txt) == bool(extra)
+
+
+# Values that pass validation and keep a run short: a few collisions or grid
+# points, and a few thousand master-equation steps at most.
+FUZZ_VALID = {
+    "g": ["1", "0.5"], "delta": ["2", "-3"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
+    "tau": ["0.05"], "alpha_tau": ["0.3"], "omega_a1": ["3"], "omega_a2": ["5"],
+    "propagator": ["spectral", "runge_kutta"], "substeps": ["4", "1000"],
+    "initial_state": ["ground_S", "custom"],
+    "initial_populations": ["0.5, 0.5, 0", "0.2, 0.3, 0.5"],
+    "n_steps": ["1", "2"], "n_grid": ["2", "5"], "alpha_t_max": ["5"],
+    "snapshot_stride": ["0", "1", "10"], "workers": ["1"],
+    "sweep_scenario": [s for s in config.SCENARIO_NAMES if s != "sweep"],
+    "sweep_param": sorted(config.SWEEPABLE_KEYS), "sweep_values": ["1", "2", "1, 2"],
+}
+# The fuzz alphabet: signed zeros, infinities, NaN, the float range's ends,
+# a fraction, hex and underscore spellings, empty text and the integers
+# around 2^63.  Its moderate values are 2.5 at most and its large ones 2^63
+# or more, so that a run it reaches is short or fails at once.
+FUZZ_NUMBERS = ["0", "-0", "inf", "-inf", "nan", "1e300", "1e-300", "2.5", "0x10", "0.2_5", "",
+                str(2**63 - 1), str(2**63), str(2**64)]
+FUZZ_SIZES = ["0", "-0", "", "2.5", "0x3", "1_0", "nan", "inf", "1e300",
+              str(2**63 - 1), str(2**63), str(2**64)]
+FUZZ_WILD = {
+    "workers": ["0", "-1", "", "2.5", "0x1", "nan"],  # one process at most: no pool
+    "propagator": ["", "rk4"],
+    "initial_state": ["", "mixed"],
+    "initial_populations": ["1, 0", "0.9, 0.3, 0", "nan, 0, 1", "-0, 1, 0", "1, 0, 0", ""],
+    "sweep_scenario": ["sweep", "", "bogus"],
+    "sweep_param": ["n_grid", "workers", ""],
+    **dict.fromkeys(["n_steps", "n_grid", "substeps", "snapshot_stride"], FUZZ_SIZES),
+}
+FUZZ_ALWAYS = {"n_steps", "n_grid"}  # so that no default size rule picks a long run
+FUZZ_JUNK = ["bogus = 1", "no equals sign", "delta = 1", "= 2"]
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A command and config text for one of the five scenarios, with tiny sizes;
+    about one value in six comes from the fuzz alphabet."""
+    scenario = draw(st.sampled_from(config.SCENARIO_NAMES))
+    required, optional = config.SCENARIO_KEYS[scenario]
+    # likely: what the scenario, or a sweep's points, require; other keys not
+    likely = required | {"delta", "x1", "x2", draw(st.sampled_from(["tau", "alpha_tau"]))}
+    lines = [f"scenario = {scenario}"]
+
+    def add(key):
+        if draw(st.integers(0, 5)) > 0:
+            value = draw(st.sampled_from(FUZZ_VALID[key]))
+        elif key == "sweep_values":
+            value = ", ".join(draw(st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=1,
+                                            max_size=2)))
+        else:
+            value = draw(st.sampled_from(FUZZ_WILD.get(key, FUZZ_NUMBERS)))
+        lines.append(f"{key} = {value}")
+
+    for key in sorted(required | optional - {"scenario", "output_path", "initial_populations"}):
+        if key in FUZZ_ALWAYS or (draw(st.integers(0, 15)) > 0 if key in likely
+                                  else draw(st.integers(0, 3)) == 0):
+            add(key)
+    # populations go with initial_state = custom, seven times in eight
+    if "initial_populations" in optional and (
+            draw(st.integers(0, 7)) > 0) == ("initial_state = custom" in lines):
+        add("initial_populations")
+    if draw(st.integers(0, 9)) == 0:
+        lines.append(draw(st.sampled_from(FUZZ_JUNK)))
+    return "sweep" if scenario == "sweep" else "run", "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(fuzzed_configs())
+def test_fuzzed_configs_end_in_an_exit_code(case):
+    """Every config text ends in exit 0-3 with no traceback, and exit 2 leaves no
+    directory; a `RuntimeWarning` is an error here, so none may escape either."""
+    command, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--output-dir", str(out)])
+        assert code in (0, 1, 2, 3), text
+        assert "Traceback" not in err.getvalue(), text
+        assert code != 2 or not out.exists(), text
 
 
 def test_readme_config_table_lists_every_config_key():

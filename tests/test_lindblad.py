@@ -50,8 +50,13 @@ class TestGeneratorConstruction:
             LindbladGenerator(np.zeros((2, 2)), ((transition(2, 0, 1), -0.1),))
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
+        with pytest.raises(ValueError, match=r"^generator is not Hermitian \(max deviation "
+                                             r"1\.000e\+00 > 1e-12\)$"):
             LindbladGenerator(np.array([[0, 1], [0, 0]], dtype=complex), ())
+        # HAMILTONIAN_HERMITICITY_TOL, not require_hermitian's default 1e-10
+        with pytest.raises(ValueError, match=r"max deviation 1\.000e-11 > 1e-12"):
+            LindbladGenerator(np.array([[0, 1e-11], [0, 0]], dtype=complex), ())
+        LindbladGenerator(np.array([[0, 1e-12], [0, 0]], dtype=complex), ())
 
     def test_rejects_mismatched_jump_operator(self):
         with pytest.raises(ValueError, match="shape"):

@@ -1,3 +1,8 @@
+import importlib
+import math
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,17 +17,17 @@ from collisim import (
     anticommutator,
     commutator,
     density_operator,
-    is_hermitian,
     kron,
     thermal_qubit,
     trace_distance,
     transition,
 )
-from collisim import operators
-from collisim.collision import STEP_TOLERANCES, as_qutrit_matrix
-from collisim.lindblad import HERMITICITY_DRIFT_TOL, TRACE_DRIFT_TOL
-from collisim.operators import (CERT_SLACK, MIN_EIGENVALUE, _disc_layout, batch_check_states, fold,
-                                hermiticity_defect, partial_trace_matrix)
+import collisim
+from collisim import errors, operators
+from collisim.collision import as_qutrit_matrix
+from collisim.errors import CERT_SLACK, COLLISION_BOUNDS, INTEGRATOR_BOUNDS, MIN_EIGENVALUE
+from collisim.operators import (_disc_layout, batch_check_states, fold, hermiticity_defect,
+                                partial_trace_matrix, require_hermitian)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -296,8 +301,40 @@ class TestDensityOperator:
                 rho[0, 0] = 2.0
 
     def test_hermiticity_predicate(self):
-        assert is_hermitian(SIGMA_Y, 1e-15)
-        assert not is_hermitian(1j * SIGMA_X + np.eye(2), 1e-10)
+        assert require_hermitian(SIGMA_Y, 1e-15) is SIGMA_Y
+        with pytest.raises(ValueError, match=r"^generator is not Hermitian \(max deviation "
+                                             r"2\.000e\+00 > 1e-10\)$"):
+            require_hermitian(1j * SIGMA_X + np.eye(2), 1e-10)
+
+
+class TestBounds:
+    def test_records_keep_the_values_of_the_constants_they_replace(self):
+        # collision: STEP_TRACE_TOL, CUMULATIVE_TRACE_TOL, STEP_HERMITICITY_TOL;
+        # integrator: an unbounded step, TRACE_DRIFT_TOL, HERMITICITY_DRIFT_TOL
+        c, m = errors.COLLISION_BOUNDS, errors.INTEGRATOR_BOUNDS
+        assert (c.step_trace, c.cumulative_trace, c.hermiticity, c.context) == (
+            1e-10, 1e-8, 1e-10, "step")
+        assert (m.step_trace, m.cumulative_trace, m.hermiticity, m.context) == (
+            math.inf, 1e-9, 1e-12, "integrator step")
+        assert errors.Bounds._fields == ("step_trace", "cumulative_trace", "hermiticity", "context")
+        assert (errors.TRACE_TOL, errors.HERMITICITY_TOL, errors.MIN_EIGENVALUE, errors.CERT_SLACK,
+                errors.PURITY_DRIFT_TOL, errors.HAMILTONIAN_HERMITICITY_TOL) == (
+            1e-10, 1e-10, -1e-9, 1e-12, 1e-10, 1e-12)
+
+    def test_every_bound_is_the_one_defined_in_errors(self):
+        # trajectory.POPULATION_SUM_TOL goes with Trajectory.validate, which no run calls
+        elsewhere = {("trajectory", "POPULATION_SUM_TOL")}
+        bound = re.compile(r"_TOL(ERANCES)?$|^MIN_EIGENVALUE$|^CERT_SLACK$")
+        seen = set()
+        for info in pkgutil.iter_modules(collisim.__path__):
+            module = importlib.import_module(f"collisim.{info.name}")
+            for name, value in vars(module).items():
+                if (bound.search(name) or isinstance(value, errors.Bounds)) and (
+                        info.name, name) not in elsewhere:
+                    assert value is getattr(errors, name, None), f"{info.name}.{name}"
+                    seen.add((info.name, name))
+        assert {("collision", "COLLISION_BOUNDS"), ("lindblad", "INTEGRATOR_BOUNDS"),
+                ("operators", "MIN_EIGENVALUE"), ("config", "TRACE_TOL")} <= seen
 
 
 def full_matrix_defect(a):
@@ -471,19 +508,19 @@ def head_reduce(ufunc, a):
     return (np.max if ufunc is np.maximum else np.sum)(a, axis=-1)
 
 
-def check_result(states, tolerances):
+def check_result(states, bounds):
     """The trace `batch_check_states` returns from step 1, or its error message."""
     try:
-        return batch_check_states(states, 1, 1.0, **tolerances)
+        return batch_check_states(states, 1, 1.0, bounds)
     except InvariantViolation as err:
         return str(err)
 
 
-def head_check_result(states, tolerances):
+def head_check_result(states, bounds):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(operators, "fold", head_reduce)
         m.setattr(operators, "hermiticity_defect", head_hermiticity_defect)
-        return check_result(states, tolerances)
+        return check_result(states, bounds)
 
 
 def ulps_around(x, k=2):
@@ -503,10 +540,10 @@ def states_at_the_bounds(d):
         return np.diag(list(diag) + [0.0] * (d - len(diag))).astype(complex)
 
     out = []
-    for tol in (STEP_TOLERANCES["step_trace_tol"], TRACE_DRIFT_TOL,
-                STEP_TOLERANCES["cumulative_trace_tol"]):
+    for tol in (COLLISION_BOUNDS.step_trace, INTEGRATOR_BOUNDS.cumulative_trace,
+                COLLISION_BOUNDS.cumulative_trace):
         out += [state(tr) for tr in ulps_around(1.0 + tol) + ulps_around(1.0 - tol)]  # exact traces
-    for tol in (STEP_TOLERANCES["hermiticity_tol"], HERMITICITY_DRIFT_TOL):
+    for tol in (COLLISION_BOUNDS.hermiticity, INTEGRATOR_BOUNDS.hermiticity):
         for t in ulps_around(tol):
             off, diag = state(0.6, 0.4), state(0.6, 0.4)
             off[0, 1] = t  # defect |t - conj(0)|
@@ -530,19 +567,18 @@ def states_at_the_bounds(d):
     return out
 
 
-@pytest.mark.parametrize("tolerances", [
-    STEP_TOLERANCES,
-    {**STEP_TOLERANCES, "step_trace_tol": np.inf},  # reaches the cumulative bound
-    dict(step_trace_tol=np.inf, cumulative_trace_tol=TRACE_DRIFT_TOL,
-         hermiticity_tol=HERMITICITY_DRIFT_TOL),
+@pytest.mark.parametrize("bounds", [
+    COLLISION_BOUNDS,
+    COLLISION_BOUNDS._replace(step_trace=np.inf),  # reaches the cumulative bound
+    INTEGRATOR_BOUNDS,
 ], ids=["collision", "collision-cumulative", "integrator"])
 @pytest.mark.parametrize("d", [2, 3])
-def test_checks_give_the_results_of_one_reduction_per_axis(d, tolerances):
+def test_checks_give_the_results_of_one_reduction_per_axis(d, bounds):
     good = np.diag([0.6, 0.4] + [0.0] * (d - 2)).astype(complex)
     results = set()
     for rho in states_at_the_bounds(d):
         for states in (rho[None], np.stack([good, good, rho, good])):
-            result = check_result(states, tolerances)
-            assert result == head_check_result(states, tolerances)
+            result = check_result(states, bounds)
+            assert result == head_check_result(states, bounds)
             results.add(type(result))
     assert results == {str, float}  # both verdicts occur

@@ -20,12 +20,12 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "collision": "PropagatorChoice closed_evolution collision_superoperator default_substeps "
                  "run_collisions second_order_map",
-    "config": "ScenarioConfig load_config parse_config_text validate_config",
+    "config": "ScenarioConfig compute_alpha load_config parse_config_text validate_config",
     "errors": "ConfigError InvariantViolation NumericError",
     "lindblad": "LindbladGenerator generator_effective_qubit generator_qutrit_two_bath integrate "
-                "rhs steady_residual",
+                "steady_residual",
     "model": "DerivedRates FAR_OFF_THRESHOLD ModelParams QUTRIT_SPACE ancilla_pair basis_index "
-             "build_h_eff build_h_prime build_v compute_alpha derive_rates",
+             "build_h_eff build_h_prime build_v derive_rates",
     "operators": "anticommutator commutator density_operator kron thermal_qubit "
                  "trace_distance transition",
     "scenarios": "ComparisonReport metrics run_scenario run_sweep",

@@ -41,6 +41,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .config import MAX_GRID
 from .errors import (COLLISION_BOUNDS, PURITY_DRIFT_TOL, TRACE_TOL, Bounds, InvariantViolation,
                      NumericError)
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
@@ -212,6 +213,8 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, bounds:
     """
     if n and not 0 < dt < math.inf:
         raise InvariantViolation(f"times are not strictly increasing and finite: dt = {dt}")
+    if n >= MAX_GRID:
+        raise NumericError(f"over {MAX_GRID - 1} steps, more than numpy can size a trajectory for")
     d = mat0.shape[0]
     dd = d * d
     pops = np.zeros((n + 1, 3))

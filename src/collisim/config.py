@@ -44,6 +44,17 @@ SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "g"}
 MAX_GRID = sys.maxsize // 24
 
 
+def compute_alpha(g_m: float, g_n: float, delta_m: float, delta_n: float) -> float:
+    """Effective two-channel coupling ``(g_m g_n / 2)(1/delta_m + 1/delta_n)``.
+
+    Symmetric in the two channels.  Raises ValueError at zero detuning,
+    where the elimination of the virtual level is invalid.
+    """
+    if delta_m == 0 or delta_n == 0:
+        raise ValueError("zero detuning: adiabatic elimination is singular")
+    return 0.5 * g_m * g_n * (1.0 / delta_m + 1.0 / delta_n)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated inputs for one named experiment."""
@@ -78,7 +89,11 @@ class ScenarioConfig:
         if self.alpha_tau is None:
             raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
         _require(self, {"delta"})
-        return self.alpha_tau * self.delta / self.g**2
+        try:
+            g2 = self.g**2
+        except OverflowError:  # float ** raises past the float range
+            g2 = math.inf
+        return self.alpha_tau * self.delta / g2 if g2 else math.inf  # g^2 may underflow to 0
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -220,8 +235,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError("initial_state = custom requires initial_populations")
     if cfg.initial_state == "ground_S" and cfg.initial_populations is not None:
         raise ConfigError("initial_populations only applies when initial_state = custom")
-    if cfg.n_steps is not None and cfg.n_steps < 1:
-        raise ConfigError(f"n_steps: must be >= 1, got {cfg.n_steps}")
+    if cfg.n_steps is not None and not 1 <= cfg.n_steps < MAX_GRID:  # n_steps + 1 states
+        raise ConfigError(f"n_steps: must be between 1 and {MAX_GRID - 1}, got {cfg.n_steps}")
     if cfg.snapshot_stride < 0:
         raise ConfigError(f"snapshot_stride: must be >= 0, got {cfg.snapshot_stride}")
     if not 2 <= cfg.n_grid <= MAX_GRID:
@@ -245,6 +260,16 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     if cfg.delta == 0 and cfg.scenario in ("verify-elimination", "collision-vs-me",
                                            "negative-temperature"):
         raise ConfigError("delta: zero detuning: adiabatic elimination is singular")
+    if cfg.scenario == "verify-elimination":
+        if cfg.delta < 0:
+            raise ConfigError(f"delta: verify-elimination needs a positive detuning, got {cfg.delta}")
+        # the run's np.linspace(0, alpha_t_max / alpha, n_grid) increases strictly at a normal
+        # step, for any grid memory holds (under 2^51 points)
+        alpha = compute_alpha(cfg.g, cfg.g, cfg.delta, cfg.delta)
+        step = (cfg.alpha_t_max / alpha if alpha else math.inf) / (cfg.n_grid - 1)
+        if step < sys.float_info.min:
+            raise ConfigError(f"alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = "
+                              f"{step!r} with alpha = g^2/delta is below the normal float range")
     if cfg.omega_a1 is not None and cfg.omega_a1 == cfg.omega_a2:
         raise ConfigError("omega_a1 = omega_a2: effective inverse temperature undefined")
 

@@ -44,7 +44,7 @@ class LindbladGenerator:
     dissipators: tuple[tuple[np.ndarray, float], ...]
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian_part, dtype=complex)
+        h = np.array(self.hamiltonian_part, dtype=complex)  # copies: the caller's arrays stay writable
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ValueError(f"Hamiltonian part must be square, got {h.shape}")
         require_hermitian(h, HAMILTONIAN_HERMITICITY_TOL)
@@ -52,7 +52,7 @@ class LindbladGenerator:
         object.__setattr__(self, "hamiltonian_part", h)
         ops = []
         for op, rate in self.dissipators:
-            op = np.asarray(op, dtype=complex)
+            op = np.array(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValueError(f"jump operator shape {op.shape} != generator dim {h.shape}")
             if rate < 0:
@@ -117,20 +117,6 @@ def generator_qutrit_two_bath(p: ModelParams) -> LindbladGenerator:
     )
 
 
-def rhs(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    """Right-hand side of the master equation at state ``rho``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (gen.dim, gen.dim):
-        raise ValueError(f"state shape {rho.shape} != generator dim {gen.dim}")
-    h = gen.hamiltonian_part
-    out = -1j * (h @ rho - rho @ h)
-    for op, rate in gen.dissipators:
-        opd = op.conj().T
-        opdop = opd @ op
-        out = out + rate * (op @ rho @ opd - 0.5 * (opdop @ rho + rho @ opdop))
-    return out
-
-
 def rk4_step_matrix(a: np.ndarray, dt: float) -> np.ndarray:
     """One classical RK4 step of ``x' = a x``: the degree-4 Taylor polynomial of ``exp(a dt)``."""
     dim = a.shape[0]
@@ -183,4 +169,7 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
 
 def steady_residual(gen: LindbladGenerator, rho: np.ndarray) -> float:
     """Max-norm of the generator applied to ``rho`` (zero iff stationary)."""
-    return float(np.max(np.abs(rhs(gen, rho))))
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (gen.dim, gen.dim):
+        raise ValueError(f"state shape {rho.shape} != generator dim {gen.dim}")
+    return float(np.max(np.abs(generator_superoperator(gen) @ rho.reshape(gen.dim**2))))

@@ -21,6 +21,7 @@ from numbers import Integral
 
 import numpy as np
 
+from .config import compute_alpha  # numpy-free, so that validation computes alpha the same way
 from .operators import kron, thermal_qubit, transition
 
 # The system qutrit's space, as `operators.density_operator` takes it.
@@ -114,17 +115,6 @@ class DerivedRates:
     beta_s: float | None = None
 
 
-def compute_alpha(g_m: float, g_n: float, delta_m: float, delta_n: float) -> float:
-    """Effective two-channel coupling ``(g_m g_n / 2)(1/delta_m + 1/delta_n)``.
-
-    Symmetric in the two channels.  Raises ValueError at zero detuning,
-    where the elimination of the virtual level is invalid.
-    """
-    if delta_m == 0 or delta_n == 0:
-        raise ValueError("zero detuning: adiabatic elimination is singular")
-    return 0.5 * g_m * g_n * (1.0 / delta_m + 1.0 / delta_n)
-
-
 def build_h_prime(p: ModelParams) -> np.ndarray:
     """Collision Hamiltonian in the frame where it is time independent.
 
@@ -140,10 +130,10 @@ def build_h_prime(p: ModelParams) -> np.ndarray:
 
 
 def _warn_if_not_far_off(p: ModelParams) -> None:
-    if not p.far_off_resonant:
+    if not p.far_off_resonant:  # at g = 0, only a negative delta is not far off resonance
         warnings.warn(
-            f"delta = {p.delta}g is below the far-off-resonant threshold "
-            f"({FAR_OFF_THRESHOLD}g); the eliminated-level dynamics may be inaccurate",
+            f"delta = {p.delta / p.g if p.g else -math.inf}g is below the far-off-resonant "
+            f"threshold ({FAR_OFF_THRESHOLD}g); the eliminated-level dynamics may be inaccurate",
             stacklevel=3,
         )
 

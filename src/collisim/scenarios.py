@@ -87,27 +87,12 @@ def _check(name: str, value: float, threshold: float, comparison: str = "<=") ->
     return CheckResult(name, float(value), float(threshold), comparison, bool(ok))
 
 
-@dataclass(frozen=True)
-class MetricsFragment:
-    max_abs_dev: tuple[float, float, float]
-    final_window_a: tuple[float, float, float]
-    final_window_b: tuple[float, float, float]
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.max_abs_dev)
-
-
-def metrics(a: Trajectory, b: Trajectory) -> MetricsFragment:
-    """Per-level population deviations between two trajectories on a common time grid."""
+def metrics(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
+    """Each level's largest population deviation between two trajectories on one time grid."""
     if not (len(a) == len(b) and np.allclose(a.times, b.times, rtol=0, atol=1e-9)):
         raise ValueError("trajectories are on different grids; resampling not permitted")
-    dev = (np.abs(x - y) for x, y in zip(a.populations.T, b.populations.T))  # a column at a time
-    return MetricsFragment(
-        max_abs_dev=tuple(float(np.max(col)) for col in dev),
-        final_window_a=tuple(float(v) for v in a.final_window_mean()),
-        final_window_b=tuple(float(v) for v in b.final_window_mean()),
-    )
+    return tuple(float(np.max(np.abs(x - y)))  # a column at a time
+                 for x, y in zip(a.populations.T, b.populations.T))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +126,12 @@ def default_collision_count(p: ModelParams, relaxation_rate: float) -> int:
     """Steps so the run covers ``RELAXATION_TARGET`` relaxation units."""
     if relaxation_rate <= 0:
         return MIN_DEFAULT_STEPS
-    return max(MIN_DEFAULT_STEPS, math.ceil(RELAXATION_TARGET / (relaxation_rate * p.tau)))
+    per_step = relaxation_rate * p.tau  # may underflow to 0
+    steps = RELAXATION_TARGET / per_step if per_step else math.inf
+    if steps == math.inf:
+        raise NumericError(f"default n_steps {RELAXATION_TARGET} / (relaxation rate * tau) "
+                           f"is not finite; give n_steps")
+    return max(MIN_DEFAULT_STEPS, math.ceil(steps))
 
 
 def me_substep_count(tau: float, gen: LindbladGenerator) -> int:
@@ -203,7 +193,7 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     orig = closed_evolution(psi0, build_h_prime(p), t_grid, snapshot_stride=stride)
     eff = closed_evolution(psi0, build_h_eff(p), t_grid, snapshot_stride=stride)
 
-    frag = metrics(orig, eff)
+    dev = metrics(orig, eff)
     max_p2 = float(np.max(orig.populations[:, 2]))
     cos_defect = float(np.max(np.abs(eff.populations[:, 0] - np.cos(alpha * t_grid) ** 2)))
 
@@ -211,8 +201,8 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     dev_tol = 0.02 * ratio**2
     p2_tol = 6.0 * (p.g / p.delta) ** 2
     checks = (
-        _check("max_dev_p0", frag.max_abs_dev[0], dev_tol),
-        _check("max_dev_p1", frag.max_abs_dev[1], dev_tol),
+        _check("max_dev_p0", dev[0], dev_tol),
+        _check("max_dev_p1", dev[1], dev_tol),
         _check("max_p2_orig", max_p2, p2_tol),
         _check("effective_p0_cosine_defect", cos_defect, 1e-9),
     )
@@ -222,8 +212,8 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
         metrics=(
             ("alpha", alpha),
             ("t_max_in_inverse_g", float(t_grid[-1])),
-            ("max_dev_p0", frag.max_abs_dev[0]),
-            ("max_dev_p1", frag.max_abs_dev[1]),
+            ("max_dev_p0", dev[0]),
+            ("max_dev_p1", dev[1]),
             ("max_p2_orig", max_p2),
             ("effective_p0_cosine_defect", cos_defect),
         ),
@@ -266,24 +256,25 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
     gen = generator_effective_qubit(rates)
 
     me = _me_at_collision_times(gen, rho0[:2, :2], p, cfg.snapshot_stride)
-    frag = metrics(exact, me)
+    dev = metrics(exact, me)
     max_p2 = float(np.max(exact.populations[:, 2]))
+    final_exact, final_me = exact.final_window_mean(), me.final_window_mean()
 
     report = ComparisonReport(
         scenario=cfg.scenario,
-        checks=(_check("max_abs_dev", frag.max_dev, 0.05),),
+        checks=(_check("max_abs_dev", max(dev), 0.05),),
         metrics=(
             ("alpha_tau", rates.alpha * p.tau),
             ("capital_gamma", rates.capital_gamma),
             ("n_steps", float(p.n_steps)),
-            ("max_dev_p0", frag.max_abs_dev[0]),
-            ("max_dev_p1", frag.max_abs_dev[1]),
-            ("max_dev_p2", frag.max_abs_dev[2]),
+            ("max_dev_p0", dev[0]),
+            ("max_dev_p1", dev[1]),
+            ("max_dev_p2", dev[2]),
             ("max_p2_exact", max_p2),
-            ("final_p0_exact", frag.final_window_a[0]),
-            ("final_p1_exact", frag.final_window_a[1]),
-            ("final_p0_me", frag.final_window_b[0]),
-            ("final_p1_me", frag.final_window_b[1]),
+            ("final_p0_exact", float(final_exact[0])),
+            ("final_p1_exact", float(final_exact[1])),
+            ("final_p0_me", float(final_me[0])),
+            ("final_p1_me", float(final_me[1])),
             *([("beta_s", rates.beta_s)] if rates.beta_s is not None else []),
         ),
         trace_distances=_snapshot_trace_distances(exact, me),
@@ -341,21 +332,22 @@ def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str,
     p, exact, rho0 = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
     gen = generator_qutrit_two_bath(p)
     me = _me_at_collision_times(gen, rho0, p, cfg.snapshot_stride)
-    frag = metrics(exact, me)
+    dev = metrics(exact, me)
+    final = exact.final_window_mean()
 
     report = ComparisonReport(
         scenario=cfg.scenario,
-        checks=(_check("max_abs_dev", frag.max_dev, 0.05),),
+        checks=(_check("max_abs_dev", max(dev), 0.05),),
         metrics=(
             ("g_tau", p.g * p.tau),
             ("delta_tau", p.delta * p.tau),
             ("n_steps", float(p.n_steps)),
-            ("max_dev_p0", frag.max_abs_dev[0]),
-            ("max_dev_p1", frag.max_abs_dev[1]),
-            ("max_dev_p2", frag.max_abs_dev[2]),
-            ("final_p0_exact", frag.final_window_a[0]),
-            ("final_p1_exact", frag.final_window_a[1]),
-            ("final_p2_exact", frag.final_window_a[2]),
+            ("max_dev_p0", dev[0]),
+            ("max_dev_p1", dev[1]),
+            ("max_dev_p2", dev[2]),
+            ("final_p0_exact", float(final[0])),
+            ("final_p1_exact", float(final[1])),
+            ("final_p2_exact", float(final[2])),
         ),
         trace_distances=_snapshot_trace_distances(exact, me),
     )

@@ -48,6 +48,8 @@ BENCH_ORACLE = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
 GOLDEN_TABLE = Path(__file__).resolve().parent / "golden_outputs.sha256"
 README = Path(__file__).resolve().parent.parent / "README.md"
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+# SHA-256 of each demo's stdout, keyed by the demo's file stem.
+DEMO_TABLE = Path(__file__).resolve().parent / "demo_outputs.sha256"
 
 FIG3B = """
 scenario = collision-vs-me
@@ -318,14 +320,14 @@ sweep_values = 25, 0, 100
 class TestMetrics:
     def test_identical_trajectories(self):
         a = constant_trajectory([0.5, 0.5, 0.0])
-        frag = metrics(a, a)
-        assert frag.max_dev == 0.0
+        assert metrics(a, a) == (0.0, 0.0, 0.0)
 
     def test_constant_offset(self):
         a = constant_trajectory([0.5, 0.5, 0.0])
         b = constant_trajectory([0.6, 0.4, 0.0])
-        frag = metrics(a, b)
-        assert_allclose(frag.max_abs_dev, (0.1, 0.1, 0.0), atol=1e-15)
+        dev = metrics(a, b)
+        assert type(dev) is tuple and all(type(d) is float for d in dev)
+        assert_allclose(dev, (0.1, 0.1, 0.0), atol=1e-15)
 
     def test_rejects_different_grids(self):
         a = constant_trajectory([1.0, 0.0, 0.0], n=10)
@@ -345,7 +347,7 @@ class TestMetrics:
             a, b = (Trajectory(steps=np.arange(len(p)), times=np.arange(len(p)), populations=p)
                     for p in (a_pops, b_pops))
             old = [float(np.max(col)) for col in np.abs(a.populations - b.populations).T]
-            new = metrics(a, b).max_abs_dev
+            new = metrics(a, b)
             assert np.array(new).view(np.uint64).tolist() == np.array(old).view(np.uint64).tolist()
 
     def test_subsample_renumbers_steps(self):
@@ -874,6 +876,78 @@ n_steps = 40000
         assert capsys.readouterr().err == err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, text, err", [
+        # alpha = g^2/delta < 0: the grid ran backwards, "t_grid must be strictly increasing"
+        ("run", "scenario = verify-elimination\ndelta = -50\n",
+         "error: delta: verify-elimination needs a positive detuning, got -50.0\n"),
+        ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
+                  "sweep_values = 40, -50\nn_grid = 50\n",
+         "error: delta: verify-elimination needs a positive detuning, got -50.0\n"),
+        # the grid's steps underflowed to 0: the same t_grid message
+        ("run", "scenario = verify-elimination\ndelta = 50\ng = 9223372036854775808\n"
+                "alpha_t_max = 1e-300\n",
+         "error: alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = 0.0 with "
+         "alpha = g^2/delta is below the normal float range\n"),
+        # alpha = 1/32 exactly, so the step is 2^-1023, the largest float below the normal range
+        ("run", "scenario = verify-elimination\ndelta = 32\nn_grid = 2\n"
+                f"alpha_t_max = {2.0**-1028!r}\n",
+         "error: alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = "
+         f"{2.0**-1023!r} with alpha = g^2/delta is below the normal float range\n"),
+        # g^2 underflowed to 0 (a ZeroDivisionError traceback) or overflowed (validate exited 3)
+        ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\n"
+                "alpha_tau = 0.3\ng = 1e-300\n",
+         "error: collision duration must be positive and finite, got inf\n"),
+        ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\n"
+                "alpha_tau = 0.3\ng = 1e300\n",
+         "error: collision duration must be positive and finite, got 0.0\n"),
+        # numpy cannot size the n_steps + 1 states of the trajectory
+        ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\ntau = 60\n"
+                f"n_steps = {config.MAX_GRID}\n",
+         f"error: n_steps: must be between 1 and {config.MAX_GRID - 1}, got {config.MAX_GRID}\n"),
+    ], ids=["negative-delta", "negative-delta-sweep-point", "grid-step-underflow",
+            "grid-step-subnormal", "g-squared-underflow", "g-squared-overflow", "n-steps-unsizable"])
+    def test_validate_rejects_what_run_rejects_as_config_error(self, tmp_path, capsys, command,
+                                                               text, err):
+        path = self.write(tmp_path, text)
+        assert main(["validate", path]) == 2
+        assert capsys.readouterr().err == err
+        assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    def test_grid_step_at_the_normal_float_range_runs(self, tmp_path, capsys):
+        # the smallest step validation accepts: alpha = 1/32, t_max = 2^-1022 over one step
+        path = self.write(tmp_path, "scenario = verify-elimination\ndelta = 32\nn_grid = 2\n"
+                                    f"alpha_t_max = {2.0**-1027!r}\n")
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) in (0, 1)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("text, err", [
+        # relaxation rate * tau underflowed to 0: a ZeroDivisionError traceback
+        ("scenario = negative-temperature\ndelta = 2\nx1 = 1\nx2 = 0.5\ntau = 1e-300\n",
+         "numeric error: default n_steps 5.0 / (relaxation rate * tau) is not finite; "
+         "give n_steps\n"),
+        # a default collision count, or a master-equation step count, numpy cannot size:
+        # "Maximum allowed dimension exceeded", exit 2
+        ("scenario = negative-temperature\ndelta = 2\nx1 = 1\nx2 = 0.5\ntau = 1e-150\n",
+         f"numeric error: over {config.MAX_GRID - 1} steps, more than numpy can size a "
+         "trajectory for\n"),
+        ("scenario = collision-vs-me\ndelta = 2\nx1 = 1\nx2 = 0.5\nn_steps = 1\n"
+         "tau = 18446744073709551616\n",
+         f"numeric error: over {config.MAX_GRID - 1} steps, more than numpy can size a "
+         "trajectory for\n"),
+    ], ids=["default-count-underflow", "default-count-unsizable", "me-steps-unsizable"])
+    def test_step_counts_past_what_numpy_can_size_are_numeric_error(self, tmp_path, capsys,
+                                                                    text, err):
+        # validation accepts these: the counts come from derived rates
+        path = self.write(tmp_path, text)
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, text", [
         ("run", "scenario = verify-elimination\ndelta = 50\n"),
         ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\n"
@@ -1091,17 +1165,21 @@ def fuzzed_configs(draw):
 @given(fuzzed_configs())
 def test_fuzzed_configs_end_in_an_exit_code(case):
     """Every config text ends in exit 0-3 with no traceback, and exit 2 leaves no
-    directory; a `RuntimeWarning` is an error here, so none may escape either."""
+    directory; a `RuntimeWarning` is an error here, so none may escape either.
+    `validate` and the run agree: the run exits 2, a config error, exactly when
+    `validate` rejects the text (the output directory here is always writable)."""
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
         path.write_text(text)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            validated = main(["validate", str(path)])
             code = main([command, str(path), "--output-dir", str(out)])
         assert code in (0, 1, 2, 3), text
         assert "Traceback" not in err.getvalue(), text
         assert code != 2 or not out.exists(), text
+        assert validated in (0, 2) and (validated == 0) == (code != 2), (text, err.getvalue())
 
 
 def test_readme_config_table_lists_every_config_key():
@@ -1209,7 +1287,8 @@ class TestLazyNamespace:
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(tmp_path, demo):
-    """Each demo script runs against the current API, from any directory."""
+    """Each demo script runs against the current API, from any directory, and
+    prints what its pinned digest says."""
     assert len(DEMOS) == 4
     src = Path(collisim.__file__).resolve().parents[1]
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
@@ -1217,6 +1296,10 @@ def test_demo_runs(tmp_path, demo):
                             env={**os.environ, "PYTHONPATH": str(src), "MPLBACKEND": "Agg"})
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+    # the line a demo prints after saving its figure depends on whether matplotlib is installed
+    stdout = re.sub(r"\n\nwrote [^\n]*", "", result.stdout)
+    pinned = dict(line.split()[::-1] for line in DEMO_TABLE.read_text().splitlines())
+    assert hashlib.sha256(stdout.encode()).hexdigest() == pinned[demo.stem], result.stdout
 
 
 def load_bench_module(path):
@@ -1257,7 +1340,9 @@ SCENARIO_SPANS = {
         "model.derive_rates", "lindblad.generator_effective_qubit"}),
     "negative-temperature": ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 0.5\n"
                              "x2 = -1.5\nalpha_tau = 0.3\nn_steps = 40\n", _COLLISION_SPANS | {
-                                 "model.derive_rates", "lindblad.generator_effective_qubit"}),
+                                 "model.derive_rates", "lindblad.generator_effective_qubit",
+                                 # `steady_residual` applies the generator's superoperator
+                                 "lindblad.generator_superoperator"}),
     "beyond-far-off": ("run", "scenario = beyond-far-off\ndelta = 5\nx1 = 0.5\nx2 = 1.5\n"
                        "tau = 0.05\nn_steps = 30\n", _COLLISION_SPANS | _ME_SPANS | {
                            "lindblad.generator_qutrit_two_bath"}),

@@ -16,7 +16,6 @@ from collisim import (
     generator_effective_qubit,
     generator_qutrit_two_bath,
     integrate,
-    rhs,
     steady_residual,
     thermal_qubit,
     transition,
@@ -41,6 +40,22 @@ def random_hermitian(rng, dim):
     return a + a.conj().T
 
 
+def reference_rhs(gen, rho):
+    """The GKSL right-hand side ``-i[H, rho] + sum_k r_k (L rho L+ - {L+L, rho} / 2)``,
+    written out: an oracle independent of `generator_superoperator`."""
+    h = gen.hamiltonian_part
+    out = -1j * (h @ rho - rho @ h)
+    for op, rate in gen.dissipators:
+        opd = op.conj().T
+        out = out + rate * (op @ rho @ opd - 0.5 * (opd @ op @ rho + rho @ opd @ op))
+    return out
+
+
+def apply_generator(gen, rho):
+    """``generator_superoperator(gen)`` applied to ``rho``, as a matrix."""
+    return (generator_superoperator(gen) @ rho.reshape(gen.dim**2)).reshape(gen.dim, gen.dim)
+
+
 QUBIT_GROUND = density_operator(np.diag([1.0, 0.0]).astype(complex), (("S", 2),))
 
 
@@ -57,6 +72,15 @@ class TestGeneratorConstruction:
         with pytest.raises(ValueError, match=r"max deviation 1\.000e-11 > 1e-12"):
             LindbladGenerator(np.array([[0, 1e-11], [0, 0]], dtype=complex), ())
         LindbladGenerator(np.array([[0, 1e-12], [0, 0]], dtype=complex), ())
+
+    def test_leaves_the_callers_arrays_writable(self):
+        h = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
+        op = transition(2, 0, 1)
+        gen = LindbladGenerator(h, ((op, 0.3),))
+        h[0, 0], op[0, 1] = 7.0, 2.0  # raised ValueError while the arrays were shared
+        assert gen.hamiltonian_part[0, 0] == 1.0 and gen.dissipators[0][0][0, 1] == 1.0
+        assert not gen.hamiltonian_part.flags.writeable
+        assert not gen.dissipators[0][0].flags.writeable
 
     def test_rejects_mismatched_jump_operator(self):
         with pytest.raises(ValueError, match="shape"):
@@ -128,7 +152,7 @@ class TestRhsProperties:
         for gen in gens:
             for _ in range(100):
                 rho = random_state(rng, gen.dim)
-                assert abs(np.trace(rhs(gen, rho))) <= 1e-13
+                assert abs(np.trace(apply_generator(gen, rho))) <= 1e-13
 
     def test_hermiticity_preserving(self):
         rng = np.random.default_rng(37)
@@ -138,7 +162,7 @@ class TestRhsProperties:
         ]
         for gen in gens:
             for _ in range(100):
-                out = rhs(gen, random_hermitian(rng, gen.dim))
+                out = apply_generator(gen, random_hermitian(rng, gen.dim))
                 assert np.max(np.abs(out - out.conj().T)) <= 1e-13
 
     def test_superoperator_matches_rhs(self):
@@ -146,12 +170,12 @@ class TestRhsProperties:
         gen = generator_qutrit_two_bath(ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05))
         g = generator_superoperator(gen)
         rho = random_state(rng, 3)
-        assert_allclose((g @ rho.reshape(9)).reshape(3, 3), rhs(gen, rho), atol=1e-14)
+        assert_allclose((g @ rho.reshape(9)).reshape(3, 3), reference_rhs(gen, rho), atol=1e-14)
 
     def test_dim_mismatch(self):
         gen = generator_effective_qubit(rates_for())
-        with pytest.raises(ValueError, match="dim"):
-            rhs(gen, np.eye(3))
+        with pytest.raises(ValueError, match=r"^state shape \(3, 3\) != generator dim 2$"):
+            steady_residual(gen, np.eye(3))
 
 
 class TestIntegrate:
@@ -237,6 +261,16 @@ class TestSteadyResidual:
         for x_s in (-1.0, 0.0, 2.0):
             gen = generator_effective_qubit(rates_for(x_s=x_s, gamma=0.25))
             assert steady_residual(gen, thermal_qubit(x_s)) <= 1e-14
+
+    def test_matches_the_gksl_formula(self):
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            x1, x2, delta = rng.uniform(-3, 3, size=3)
+            for gen in (generator_effective_qubit(rates_for(x_s=x1 - x2, gamma=rng.uniform(0, 2))),
+                        generator_qutrit_two_bath(ModelParams(delta=delta, x1=x1, x2=x2, tau=0.05))):
+                rho = random_state(rng, gen.dim)
+                expected = float(np.max(np.abs(reference_rhs(gen, rho))))
+                assert steady_residual(gen, rho) == pytest.approx(expected, rel=0, abs=1e-14)
 
     def test_detailed_balance_of_steady_state(self):
         x_s = -1.0

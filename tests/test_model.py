@@ -160,6 +160,14 @@ class TestHEff:
             builder(ModelParams(delta=5.0))
         assert [w.filename for w in record] == [__file__]
 
+    def test_warning_quotes_the_detuning_in_units_of_g(self):
+        # delta / g = 10 is what the threshold test compares, not delta = 20
+        with pytest.warns(UserWarning, match=r"^delta = 10\.0g is below the far-off-resonant "
+                                             r"threshold \(20\.0g\)"):
+            build_h_eff(ModelParams(delta=20.0, g=2.0))
+        with pytest.warns(UserWarning, match=r"^delta = -infg is below"):
+            build_h_eff(ModelParams(delta=-5.0, g=0.0))
+
     def test_shift_weight_regression(self):
         # Permanent selection check for the level-shift weight: the shipped
         # single-weight variant reproduces the low-lying spectrum of the

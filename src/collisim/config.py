@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -57,7 +57,8 @@ def compute_alpha(g_m: float, g_n: float, delta_m: float, delta_n: float) -> flo
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated inputs for one named experiment."""
+    """Inputs for one named experiment, valid once built: `validate_config`
+    runs on every construction, so an invalid config raises `ConfigError` there."""
 
     scenario: str
     g: float = 1.0
@@ -82,6 +83,9 @@ class ScenarioConfig:
     sweep_values: tuple[float, ...] | None = None
     workers: int = 1
 
+    def __post_init__(self):
+        validate_config(self)
+
     def effective_tau(self) -> float:
         """Collision duration, from ``tau`` directly or from ``alpha_tau``."""
         if self.tau is not None:
@@ -90,7 +94,7 @@ class ScenarioConfig:
             raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
         _require(self, {"delta"})
         try:
-            g2 = self.g**2
+            g2 = float(self.g) ** 2
         except OverflowError:  # float ** raises past the float range
             g2 = math.inf
         return self.alpha_tau * self.delta / g2 if g2 else math.inf  # g^2 may underflow to 0
@@ -141,6 +145,10 @@ def _fits(cls, value) -> bool:
 # key -> (`_KINDS` entry, whether None is allowed), one per `ScenarioConfig` field
 _FIELDS = {key: _kind_of(declared) for key, declared in typing.get_type_hints(ScenarioConfig).items()}
 _PARSERS = {key: kind[0] for key, (kind, _) in _FIELDS.items()}
+# scenario -> {each field it does not use: that field's default}
+_UNUSED = {name: {f.name: f.default for f in fields(ScenarioConfig)
+                  if f.name not in required | optional | {"scenario"}}
+           for name, (required, optional) in SCENARIO_KEYS.items()}
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -166,20 +174,11 @@ def parse_config_text(text: str) -> ScenarioConfig:
             f"scenario: unknown scenario {scenario!r}; choose from {', '.join(SCENARIO_NAMES)}"
         )
 
-    required, optional = SCENARIO_KEYS[scenario]
-    allowed = required | optional | {"scenario"}
     unknown = set(raw) - set(_PARSERS)
     if unknown:
         raise ConfigError(f"unknown key(s): {', '.join(sorted(unknown))}")
-    disallowed = set(raw) - allowed
-    if disallowed:
-        raise ConfigError(
-            f"key(s) not applicable to scenario {scenario!r}: {', '.join(sorted(disallowed))}"
-        )
-
-    cfg = ScenarioConfig(**{key: _PARSERS[key](key, value) for key, value in raw.items()})
-    validate_config(cfg)
-    return cfg
+    _reject_not_applicable(scenario, raw.keys() & _UNUSED[scenario].keys())
+    return ScenarioConfig(**{key: _PARSERS[key](key, value) for key, value in raw.items()})
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -197,18 +196,25 @@ def _require(cfg: ScenarioConfig, keys: set[str]):
         )
 
 
+def _reject_not_applicable(scenario: str, keys: set[str]):
+    if keys:
+        raise ConfigError(
+            f"key(s) not applicable to scenario {scenario!r}: {', '.join(sorted(keys))}")
+
+
 def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Scenario-specific completeness and consistency checks; marks a passing config for `checked`."""
+    """Scenario-specific completeness and consistency checks, run by each `ScenarioConfig` built."""
     if cfg.scenario not in SCENARIO_NAMES:
         raise ConfigError(f"scenario: unknown scenario {cfg.scenario!r}")
-    required, _ = SCENARIO_KEYS[cfg.scenario]
-    _require(cfg, required)
-    for key, ((_, cls, expected), optional) in _FIELDS.items():
+    _require(cfg, SCENARIO_KEYS[cfg.scenario][0])
+    for key, ((_, cls, expected), nullable) in _FIELDS.items():
         value = getattr(cfg, key)
-        if not (value is None and optional or _fits(cls, value)):
+        if not (value is None and nullable or _fits(cls, value)):
             raise ConfigError(f"{key}: expected {expected}, got {value!r}")
         values = value if isinstance(value, tuple) else (value,)
-        if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+        # a number a float field holds, an int too, must be a finite float
+        if cls in (Real, tuple) and not all(abs(v) <= sys.float_info.max
+                                            for v in values if v is not None):
             raise ConfigError(f"{key}: must be finite, got {value}")
     pops = cfg.initial_populations
     if pops is not None:
@@ -222,6 +228,9 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
                 f"initial_populations: populations must sum to 1, got sum {sum(pops)!r}")
     if cfg.sweep_values == ():
         raise ConfigError("sweep_values: expected a comma-separated value list")
+    # a field the scenario does not use holds its default, as the parser requires
+    _reject_not_applicable(cfg.scenario, {key for key, default in _UNUSED[cfg.scenario].items()
+                                          if getattr(cfg, key) != default})
 
     if cfg.g <= 0:
         raise ConfigError(f"g: must be positive, got {cfg.g}")
@@ -288,28 +297,17 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(
                 f"sweep_param {cfg.sweep_param!r} is not a parameter of {cfg.sweep_scenario!r}"
             )
-        # every sweep point must itself validate
-        for value, point in zip(cfg.sweep_values, sweep_points(cfg)):
-            if cfg.sweep_param == "n_steps" and not float(value).is_integer():
-                raise ConfigError(f"sweep_values: n_steps must be whole numbers, got {value!r}")
-            validate_config(point)
-    object.__setattr__(cfg, "_checked", True)
+        fractional = [v for v in cfg.sweep_values if v % 1]
+        if cfg.sweep_param == "n_steps" and fractional:
+            raise ConfigError(f"sweep_values: n_steps must be whole numbers, got {fractional[0]!r}")
+        sweep_points(cfg)  # every sweep point validates as it is built
     return cfg
 
 
-def checked(cfg: ScenarioConfig) -> ScenarioConfig:
-    """``cfg`` once `validate_config` has passed it: checked now unless it already was."""
-    return cfg if getattr(cfg, "_checked", False) else validate_config(cfg)
-
-
 def sweep_points(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ...]:
-    """The single-run config of each sweep point, in ``sweep_values`` order;
-    checked if ``cfg`` is, since `validate_config` checks a sweep's points."""
-    points = tuple(replace(cfg, scenario=cfg.sweep_scenario, sweep_scenario=None,
-                           sweep_param=None, sweep_values=None, output_path=None,
-                           **{cfg.sweep_param: int(v) if cfg.sweep_param == "n_steps" else v})
-                   for v in cfg.sweep_values)
-    if getattr(cfg, "_checked", False):
-        for point in points:
-            object.__setattr__(point, "_checked", True)
-    return points
+    """The single-run config of each sweep point, in ``sweep_values`` order: the
+    fields the point's scenario does not use are reset to their defaults."""
+    return tuple(replace(cfg, **_UNUSED[cfg.sweep_scenario], scenario=cfg.sweep_scenario,
+                         output_path=None,
+                         **{cfg.sweep_param: int(v) if cfg.sweep_param == "n_steps" else v})
+                 for v in cfg.sweep_values)

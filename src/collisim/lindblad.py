@@ -144,7 +144,8 @@ def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:
 
 def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
               *, snapshot_stride: int = 10) -> Trajectory:
-    """Fixed-step RK4 integration from 0 to (at least) ``t_end``.
+    """Fixed-step RK4 integration from 0 to ``t_end``, rounded up to whole
+    steps unless ``t_end / dt`` is within a relative 1e-9 of a whole number.
 
     Requires ``dt <= t_end``, the stability guard
     ``dt * (rate scale) <= 0.1`` and a ``rho0`` that `density_operator`
@@ -162,7 +163,8 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
         )
     mat = density_operator(rho0, (("S", gen.dim),))
 
-    n = max(1, math.ceil(t_end / dt - 1e-9))
+    ratio = t_end / dt  # >= 1; rounding can leave a whole step count a relative 1e-9 off
+    n = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else math.ceil(ratio)
     step = rk4_step_matrix(generator_superoperator(gen), dt)
     return propagate(step, mat, n, dt, INTEGRATOR_BOUNDS, snapshot_stride=snapshot_stride)
 

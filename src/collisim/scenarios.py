@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
-from .config import ScenarioConfig, checked, sweep_points
+from .config import ScenarioConfig, sweep_points
 from .errors import ConfigError, NumericError
 from .lindblad import (
     DT_MARGIN,
@@ -474,11 +474,9 @@ def _output_dir(cfg: ScenarioConfig, output_dir: str | Path | None):
 
 
 def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
-    """Validate and execute a non-sweep scenario, then write its trajectory and report
-    files.  A config `validate_config` has passed already is not checked again."""
+    """Execute a non-sweep scenario, then write its trajectory and report files."""
     if cfg.scenario == "sweep":
         raise ConfigError("use run_sweep for sweep configs")
-    checked(cfg)
     with _output_dir(cfg, output_dir) as out_dir:
         report, trajectories = _RUNNERS[cfg.scenario](cfg)
         columns = None
@@ -498,7 +496,6 @@ def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> Comp
     """
     if cfg.scenario != "sweep":
         raise ConfigError("run_sweep requires scenario = sweep")
-    checked(cfg)
     with _output_dir(cfg, output_dir) as out_dir:
         dirs = [str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}")
                 for i, value in enumerate(cfg.sweep_values)]

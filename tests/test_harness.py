@@ -24,6 +24,7 @@ from numpy.testing import assert_allclose
 import collisim
 from collisim import (
     ConfigError,
+    NumericError,
     ScenarioConfig,
     Trajectory,
     generator_qutrit_two_bath,
@@ -169,8 +170,8 @@ def csv_trajectory_pairs(draw):
 
 
 def count_validations(monkeypatch):
-    """Record the scenario of each `validate_config` call, including those it
-    makes itself, under every module name that holds the function."""
+    """Record the scenario of each `validate_config` call that building a
+    `ScenarioConfig` makes, a sweep's points included."""
     calls = []
     real = config.validate_config
 
@@ -178,9 +179,7 @@ def count_validations(monkeypatch):
         calls.append(cfg.scenario)
         return real(cfg)
 
-    for module in (config, scenarios):
-        if hasattr(module, "validate_config"):
-            monkeypatch.setattr(module, "validate_config", counting)
+    monkeypatch.setattr(config, "validate_config", counting)
     return calls
 
 
@@ -230,17 +229,17 @@ class TestConfigParsing:
         cfg = parse_config_text(FIG3B)
         assert_allclose(cfg.effective_tau(), 60.0)
 
-    @pytest.mark.parametrize("cfg, message", [
-        (ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5),
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(delta=200.0, x1=0.5, x2=1.5),
          "scenario 'negative-temperature' requires tau or alpha_tau"),
-        (ScenarioConfig("negative-temperature", x1=0.5, x2=1.5, alpha_tau=0.3),
+        (dict(x1=0.5, x2=1.5, alpha_tau=0.3),
          "scenario 'negative-temperature' requires key(s): delta"),
     ], ids=["no-duration", "alpha_tau-without-delta"])
-    def test_effective_tau_of_an_incomplete_config_is_a_config_error(self, cfg, message):
-        for call in (cfg.effective_tau, lambda: scenarios.model_params(cfg)):
-            with pytest.raises(ConfigError) as info:
-                call()
-            assert str(info.value) == message
+    def test_incomplete_duration_is_a_config_error_when_built(self, kwargs, message):
+        # no config without a duration exists, so `effective_tau` never meets one
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig("negative-temperature", **kwargs)
+        assert str(info.value) == message
 
     def test_custom_initial_state(self):
         cfg = parse_config_text(
@@ -275,14 +274,14 @@ sweep_values = 25, 0, 100
         for bad in (dict(delta=float("nan")), dict(tau=float("inf"), alpha_tau=None),
                     dict(omega_a1=2.0, omega_a2=2.0)):
             with pytest.raises(ConfigError):
-                validate_config(replace(cfg, **bad))
+                replace(cfg, **bad)
 
     def test_grid_bound_is_the_largest_population_table_numpy_sizes(self):
         with pytest.raises(ValueError, match="too big"):
             np.empty((config.MAX_GRID + 1, 3))  # raised before any allocation
         validate_config(ScenarioConfig("verify-elimination", delta=50.0, n_grid=config.MAX_GRID))
         with pytest.raises(ConfigError, match="n_grid: must be between 2 and"):
-            validate_config(ScenarioConfig("verify-elimination", delta=50.0, n_grid=1))
+            ScenarioConfig("verify-elimination", delta=50.0, n_grid=1)
 
     def test_grid_bound_matches_numpy_index_type_and_readme(self):
         # config spells the bound without numpy; README's key table quotes it
@@ -588,17 +587,18 @@ class TestScenarioOutputs:
         with pytest.raises(ConfigError):
             run_scenario(cfg, tmp_path)
 
-    @pytest.mark.parametrize("cfg, message", [
-        (ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
-                        n_steps=60, initial_state="custom",
-                        initial_populations=(0.5, 0.3, 0.2)), "zero initial top-level"),
-        (ScenarioConfig("negative-temperature", delta=200.0, x1=0.5, x2=1.5),
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(scenario="collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
+              n_steps=60, initial_state="custom", initial_populations=(0.5, 0.3, 0.2)),
+         "zero initial top-level"),
+        (dict(scenario="negative-temperature", delta=200.0, x1=0.5, x2=1.5),
          "requires tau or alpha_tau"),
-    ], ids=["top-level-population", "no-duration"])
-    def test_run_scenario_validates_before_any_work(self, tmp_path, cfg, message):
+        (dict(scenario="sweep", x1=0.5, x2=1.5, sweep_scenario="negative-temperature",
+              sweep_param="delta", sweep_values=(200.0,)), "requires tau or alpha_tau"),
+    ], ids=["top-level-population", "no-duration", "sweep-point-without-duration"])
+    def test_scenario_rules_are_checked_when_built(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
-            run_scenario(cfg, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+            ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("bad, message", [
         (dict(initial_state="custom", initial_populations=(0.9, 0.3, 0)),
@@ -614,54 +614,71 @@ class TestScenarioOutputs:
         (dict(initial_state="custom", initial_populations=[0.2, 0.3, float("nan")]),
          r"initial_populations: expected a tuple of numbers, got \[0.2, 0.3, nan\]"),
         (dict(delta="50"), "delta: expected a number, got '50'"),
+        (dict(delta=10**400), "delta: must be finite, got 10{400}$"),
+        # alpha_tau * delta / g^2 with g^2 past the float range, not an int division error
+        (dict(g=10**200), "collision duration must be positive and finite, got 0.0"),
     ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values",
             "float-n-grid", "float-snapshot-stride", "bool-n-steps", "list-populations",
-            "text-delta"])
-    def test_code_built_values_are_checked_before_any_work(self, tmp_path, bad, message):
+            "text-delta", "int-delta-past-the-float-range", "int-g-squared-past-the-float-range"])
+    def test_code_built_values_are_checked_before_any_work(self, bad, message):
         single = ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
                                 n_steps=60)
         sweep = replace(single, scenario="sweep", sweep_scenario="collision-vs-me",
                         sweep_param="n_steps", sweep_values=(10.0,))
-        for cfg, run in ((replace(single, **bad), run_scenario), (replace(sweep, **bad), run_sweep)):
+        for cfg in (single, sweep):
             with pytest.raises(ConfigError, match=message):
-                validate_config(cfg)
-            with pytest.raises(ConfigError, match=message):
-                run(cfg, tmp_path / "out")
-            assert not (tmp_path / "out").exists()
+                replace(cfg, **bad)
 
-    def test_run_sweep_validates_before_any_work(self, tmp_path):
-        cfg = ScenarioConfig("sweep", x1=0.5, x2=1.5, sweep_scenario="negative-temperature",
-                             sweep_param="delta", sweep_values=(200.0,))
-        with pytest.raises(ConfigError, match="requires tau or alpha_tau"):
-            run_sweep(cfg, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("kwargs, keys", [
+        (dict(scenario="verify-elimination", delta=50.0, tau=3.0, x1=7.0), "tau, x1"),
+        (dict(scenario="collision-vs-me", delta=200.0, x1=0.0, x2=0.0, tau=0.05, n_grid=50,
+              workers=2), "n_grid, workers"),
+        (dict(scenario="negative-temperature", delta=200.0, x1=0.5, x2=1.5, tau=0.05,
+              sweep_values=(1.0,)), "sweep_values"),
+    ], ids=["verify-elimination", "collision-vs-me", "negative-temperature"])
+    def test_fields_a_scenario_does_not_use_must_hold_their_defaults(self, kwargs, keys):
+        scenario = kwargs["scenario"]
+        message = f"key(s) not applicable to scenario {scenario!r}: {keys}"
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(**kwargs)
+        assert str(info.value) == message
+        # the parser says the same about the same keys in a config text
+        text = "".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                       for k, v in kwargs.items())
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(text)
+        assert str(info.value) == message
+        # at their defaults the same fields pass
+        defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.name in kwargs}
+        assert ScenarioConfig(**{**kwargs, **{k: defaults[k] for k in keys.split(", ")}})
 
-    def test_library_runs_validate_once(self, tmp_path, monkeypatch):
+    def test_sweep_points_reset_the_fields_their_scenario_does_not_use(self):
+        sweep = load_config(CONFIG_DIR / "sweep_detuning.cfg")
+        assert sweep.workers == 2
+        for point, delta in zip(config.sweep_points(sweep), sweep.sweep_values):
+            assert point == ScenarioConfig("verify-elimination", delta=delta)
+        (point,) = config.sweep_points(replace(ALL_KEYS_CONFIG, sweep_values=(150.0,)))
+        assert point == replace(ALL_KEYS_CONFIG, scenario="negative-temperature", delta=150.0,
+                                output_path=None, n_grid=2000, alpha_t_max=5.0,
+                                sweep_scenario=None, sweep_param=None, sweep_values=None,
+                                workers=1)
+
+    def test_library_runs_validate_when_built(self, tmp_path, monkeypatch):
         calls = count_validations(monkeypatch)
         single = ScenarioConfig("verify-elimination", delta=50.0, n_grid=50)
-        sweep = ScenarioConfig("sweep", n_grid=50, sweep_scenario="verify-elimination",
-                               sweep_param="delta", sweep_values=(40.0, 50.0))
+        assert calls == ["verify-elimination"]
         run_scenario(single, tmp_path / "single")
         assert calls == ["verify-elimination"]
+        sweep = ScenarioConfig("sweep", n_grid=50, sweep_scenario="verify-elimination",
+                               sweep_param="delta", sweep_values=(40.0, 50.0))
+        assert calls[1:] == ["sweep", "verify-elimination", "verify-elimination"]
+        # the run builds each point again, and each point validates as it is built
         run_sweep(sweep, tmp_path / "sweep")
-        assert calls == ["verify-elimination", "sweep", "verify-elimination", "verify-elimination"]
-        # a config that passed is not checked again; one replaced from it is
-        run_scenario(single, tmp_path / "again")
-        run_sweep(sweep, tmp_path / "again-sweep")
-        assert len(calls) == 4
+        assert calls[4:] == ["verify-elimination", "verify-elimination"]
         with pytest.raises(ConfigError, match="zero detuning"):
-            run_scenario(replace(single, delta=0.0), tmp_path / "zero")
+            replace(single, delta=0.0)
         with pytest.raises(ConfigError, match="zero detuning"):
-            run_sweep(replace(sweep, sweep_values=(40.0, 0.0)), tmp_path / "zero")
-        assert not (tmp_path / "zero").exists()
-
-    def test_points_of_an_unchecked_sweep_are_checked_when_run(self, tmp_path):
-        sweep = ScenarioConfig("sweep", sweep_scenario="verify-elimination", sweep_param="delta",
-                               sweep_values=(0.0,))
-        (point,) = config.sweep_points(sweep)
-        with pytest.raises(ConfigError, match="zero detuning"):
-            run_scenario(point, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+            replace(sweep, sweep_values=(40.0, 0.0))
 
 
 class TestShippedConfigs:
@@ -1002,12 +1019,13 @@ n_steps = 40000
         ("validate", VERIFY, 1),
         ("run", VERIFY, 1),
         ("validate", SWEEP_TWO_POINTS, 3),
-        ("sweep", SWEEP_TWO_POINTS, 3),
-        ("sweep", SWEEP_TWO_POINTS.replace("40, 50", "25, 50, 75, 100"), 5),
+        ("sweep", SWEEP_TWO_POINTS, 5),
+        ("sweep", SWEEP_TWO_POINTS.replace("40, 50", "25, 50, 75, 100"), 9),
     ], ids=["validate", "run", "validate-sweep", "sweep-2", "sweep-4"])
     def test_one_validation_per_entry_point(self, tmp_path, monkeypatch, command, text, expected):
-        # load_config checks the config and each sweep point once; the runs
-        # it hands them to do not check them again
+        # every config validates once, as it is built: the loaded config and,
+        # for a P-point sweep, its points (1 + P); `run_sweep` builds the points
+        # again (1 + 2P), and nothing else validates
         calls = count_validations(monkeypatch)
         path = self.write(tmp_path, text)
         args = [] if command == "validate" else ["--output-dir", str(tmp_path / "out")]
@@ -1106,12 +1124,15 @@ FUZZ_VALID = {
     "sweep_scenario": [s for s in config.SCENARIO_NAMES if s != "sweep"],
     "sweep_param": sorted(config.SWEEPABLE_KEYS), "sweep_values": ["1", "2", "1, 2"],
 }
-# The fuzz alphabet: signed zeros, infinities, NaN, the float range's ends,
-# a fraction, hex and underscore spellings, empty text and the integers
-# around 2^63.  Its moderate values are 2.5 at most and its large ones 2^63
-# or more, so that a run it reaches is short or fails at once.
+# The fuzz alphabet: signed zeros, infinities, NaN, the float range's ends
+# (the smallest subnormal among them), a negative tiny value, the square
+# roots of the range's ends, signed fractions, hex and underscore spellings,
+# empty text and the integers around 2^63.  Its moderate values are 2.5 at
+# most in size and its large ones 1e150 or more, so that a run it reaches is
+# short or fails at once.
 FUZZ_NUMBERS = ["0", "-0", "inf", "-inf", "nan", "1e300", "1e-300", "2.5", "0x10", "0.2_5", "",
-                str(2**63 - 1), str(2**63), str(2**64)]
+                str(2**63 - 1), str(2**63), str(2**64),
+                "-2.5", "-1e-300", "1e-150", "5e-324", "1e150"]
 FUZZ_SIZES = ["0", "-0", "", "2.5", "0x3", "1_0", "nan", "inf", "1e300",
               str(2**63 - 1), str(2**63), str(2**64)]
 FUZZ_WILD = {
@@ -1180,6 +1201,57 @@ def test_fuzzed_configs_end_in_an_exit_code(case):
         assert "Traceback" not in err.getvalue(), text
         assert code != 2 or not out.exists(), text
         assert validated in (0, 2) and (validated == 0) == (code != 2), (text, err.getvalue())
+
+
+# Values code may pass that the parser never makes: a bool, text for a number,
+# a list, NaN in any field, and integers in float fields, one of them past the
+# float range
+FUZZ_CODE_ONLY = [True, "2", [0.5, 0.5, 0.0], float("nan"), 2, 10**400]
+
+
+def code_value(key, raw):
+    """What code might pass for config text ``raw``: the parser's value for
+    ``key``, else a float, else the text itself."""
+    for parse in (lambda raw: config._PARSERS[key](key, raw), float):
+        with contextlib.suppress(ValueError):  # a ConfigError is a ValueError
+            return parse(raw)
+    return raw
+
+
+@st.composite
+def code_built_configs(draw):
+    """`ScenarioConfig` keyword arguments from a fuzzed config text's lines,
+    typed by `code_value`; one time in four a field gets a `FUZZ_CODE_ONLY` value."""
+    _, text = draw(fuzzed_configs())
+    kwargs = {}
+    for line in text.splitlines():
+        key, _, raw = line.partition(" = ")
+        if key in config._PARSERS:  # not a junk line
+            kwargs.setdefault(key, code_value(key, raw))
+    if draw(st.integers(0, 3)) == 0:
+        kwargs[draw(st.sampled_from(sorted(config._PARSERS)))] = draw(
+            st.sampled_from(FUZZ_CODE_ONLY))
+    return kwargs
+
+
+@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(code_built_configs())
+def test_code_built_configs_end_in_an_exit_code(kwargs):
+    """Building a config raises nothing but `ConfigError`. A built config is
+    valid, so its run returns a report or raises what `cli.main` maps to
+    exit 3, and never what it maps to exit 2 (the output directory here is
+    always writable): the verdict the text fuzz asks of `validate` and a run."""
+    try:
+        cfg = ScenarioConfig(**kwargs)
+    except ConfigError:
+        return
+    run = run_sweep if cfg.scenario == "sweep" else run_scenario
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            assert isinstance(run(cfg, Path(tmp) / "out"), scenarios.ComparisonReport)
+        except (NumericError, OverflowError, MemoryError):
+            pass
 
 
 def test_readme_config_table_lists_every_config_key():

@@ -11,6 +11,7 @@ from collisim import (
     LindbladGenerator,
     ModelParams,
     QUTRIT_SPACE,
+    ScenarioConfig,
     density_operator,
     derive_rates,
     generator_effective_qubit,
@@ -20,7 +21,7 @@ from collisim import (
     thermal_qubit,
     transition,
 )
-from collisim import lindblad
+from collisim import lindblad, scenarios
 from collisim.lindblad import DT_MARGIN, generator_superoperator
 from collisim.scenarios import me_substep_count
 
@@ -232,6 +233,43 @@ class TestIntegrate:
             dt = tau / me_substep_count(tau, gen)
             assert dt * gen.rate_scale <= DT_MARGIN
             integrate(gen, np.eye(gen.dim) / gen.dim, tau, dt, snapshot_stride=0)
+
+    @pytest.fixture
+    def asked_steps(self, monkeypatch):
+        """The step count each `propagate` call is asked for; the call then
+        raises `StopIteration`, so no step is taken."""
+        asked = []
+
+        def record(step, mat, n, *args, **kwargs):
+            asked.append(n)
+            raise StopIteration
+
+        monkeypatch.setattr(lindblad, "propagate", record)
+        return asked
+
+    @pytest.mark.parametrize("t_end, dt, steps", [
+        (1.0, 0.3, 4),
+        (60 * 0.3, 0.3, 60),
+        (1000.0000005, 1.0, 1000),  # a relative 5e-10 over a whole count
+        (1000.000002, 1.0, 1001),  # a relative 2e-9 over: one more step
+        # t_end / dt = 31857799 + 3.7e-9: an absolute 1e-9 slack asked for one step too many
+        (31857799 * 0.05, 0.05, 31857799),
+    ])
+    def test_step_count(self, asked_steps, t_end, dt, steps):
+        with pytest.raises(StopIteration):
+            integrate(LindbladGenerator(np.zeros((2, 2)), ()), QUBIT_GROUND, t_end, dt)
+        assert asked_steps == [steps]
+
+    def test_step_count_of_a_long_master_equation_run(self, asked_steps):
+        # the effective-qubit run of this config takes one substep per collision
+        cfg = ScenarioConfig("collision-vs-me", delta=200.0, x1=0.0, x2=0.0, tau=0.05,
+                             n_steps=31857799)
+        p = scenarios.model_params(cfg, n_steps=cfg.n_steps)
+        gen = generator_effective_qubit(derive_rates(p))
+        assert me_substep_count(p.tau, gen) == 1
+        with pytest.raises(StopIteration):
+            scenarios._me_at_collision_times(gen, QUBIT_GROUND, p, cfg.snapshot_stride)
+        assert asked_steps == [cfg.n_steps]
 
     def test_qubit_populations_zero_padded(self):
         gen = generator_effective_qubit(rates_for())

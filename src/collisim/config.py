@@ -87,9 +87,9 @@ class ScenarioConfig:
         validate_config(self)
 
     def effective_tau(self) -> float:
-        """Collision duration, from ``tau`` directly or from ``alpha_tau``."""
+        """Collision duration as a float, which numpy's time grids take, from ``tau`` or ``alpha_tau``."""
         if self.tau is not None:
-            return self.tau
+            return float(self.tau)
         if self.alpha_tau is None:
             raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
         _require(self, {"delta"})
@@ -97,7 +97,7 @@ class ScenarioConfig:
             g2 = float(self.g) ** 2
         except OverflowError:  # float ** raises past the float range
             g2 = math.inf
-        return self.alpha_tau * self.delta / g2 if g2 else math.inf  # g^2 may underflow to 0
+        return float(self.alpha_tau) * self.delta / g2 if g2 else math.inf  # g^2 may underflow to 0
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -300,14 +300,14 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         fractional = [v for v in cfg.sweep_values if v % 1]
         if cfg.sweep_param == "n_steps" and fractional:
             raise ConfigError(f"sweep_values: n_steps must be whole numbers, got {fractional[0]!r}")
-        sweep_points(cfg)  # every sweep point validates as it is built
+        sweep_points(cfg)  # each point validates as built, so keys its scenario does not use hold defaults
     return cfg
 
 
 def sweep_points(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ...]:
     """The single-run config of each sweep point, in ``sweep_values`` order: the
-    fields the point's scenario does not use are reset to their defaults."""
-    return tuple(replace(cfg, **_UNUSED[cfg.sweep_scenario], scenario=cfg.sweep_scenario,
-                         output_path=None,
+    sweep's own fields are reset to their defaults, and the rest are kept."""
+    return tuple(replace(cfg, scenario=cfg.sweep_scenario, output_path=None, sweep_scenario=None,
+                         sweep_param=None, sweep_values=None, workers=1,
                          **{cfg.sweep_param: int(v) if cfg.sweep_param == "n_steps" else v})
                  for v in cfg.sweep_values)

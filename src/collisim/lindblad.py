@@ -174,4 +174,5 @@ def steady_residual(gen: LindbladGenerator, rho: np.ndarray) -> float:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (gen.dim, gen.dim):
         raise ValueError(f"state shape {rho.shape} != generator dim {gen.dim}")
-    return float(np.max(np.abs(generator_superoperator(gen) @ rho.reshape(gen.dim**2))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a rate past the float range reads as NaN
+        return float(np.max(np.abs(generator_superoperator(gen) @ rho.reshape(gen.dim**2))))

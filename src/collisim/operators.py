@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import CERT_SLACK, HERMITICITY_TOL, MIN_EIGENVALUE, TRACE_TOL, Bounds, InvariantViolation
+from .errors import CERT_SLACK, HERMITICITY_TOL, MIN_EIGENVALUE, START_BOUNDS, Bounds, InvariantViolation
 
 
 def transition(dim: int, k: int, kp: int) -> np.ndarray:
@@ -67,24 +67,16 @@ def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...]) -> 
 
     ``space`` is a tuple of ``(label, dim)`` pairs in tensor order, e.g.
     ``(("S", 3),)``; a shape other than the product of its dims raises
-    `ValueError`.  Hermiticity, unit trace and positivity are checked in
-    that order, and the first failure raises `InvariantViolation`: states
-    are never silently renormalized, so integrator bugs stay visible.
+    `ValueError`.  `batch_check_states` checks it under `START_BOUNDS`, and a
+    failure raises `InvariantViolation` naming "start state 0": states are
+    never silently renormalized, so integrator bugs stay visible.
     """
     mat = np.array(matrix, dtype=complex)
     dim = math.prod(d for _, d in space)
     if mat.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {mat.shape} does not match space {tuple(space)} (total dim {dim})")
-    herm = float(hermiticity_defect(mat))
-    if not herm <= HERMITICITY_TOL:
-        raise InvariantViolation(f"state not Hermitian: max deviation {herm:.3e}")
-    tr = float(np.real(np.trace(mat)))  # the real diagonal, which `eigvalsh` reads
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise InvariantViolation(f"state trace {tr:.12f} != 1")
-    failure = _first_not_positive(mat[None])
-    if failure is not None:
-        raise InvariantViolation(f"state not positive: min eigenvalue {failure[1]:.3e}")
+    batch_check_states(mat[None], 0, 1.0, START_BOUNDS)
     mat.flags.writeable = False
     return mat
 
@@ -192,8 +184,8 @@ def hermiticity_defect(a: np.ndarray) -> np.ndarray:
     read, mirror, _ = _disc_layout(d)
     flat = a.reshape(a.shape[:-2] + (d * d,))
     with np.errstate(over="ignore", invalid="ignore"):
-        if a.ndim == 2:  # one gathered max; the pair loop below is ~30x slower here
-            return np.max(np.abs(flat[read] - flat[mirror].conj()))
+        if a.shape[:-2] in ((), (1,)):  # one gathered max; the pair loop below is slower here
+            return np.max(np.abs(flat[..., read] - flat[..., mirror].conj()), axis=-1)
         out = np.zeros(a.shape[:-2])  # every |.| is +0 or more, or NaN
         for r, m in zip(read.tolist(), mirror.tolist()):
             np.maximum(out, np.abs(flat[..., r] - flat[..., m].conj()), out=out)

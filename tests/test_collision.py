@@ -178,7 +178,7 @@ class TestRunCollisions:
         monkeypatch.setattr(collision, "collision_superoperator", no_work)
         monkeypatch.setattr(collision, "propagate", no_work)
         rho0 = np.array([[0.5, 0.6, 0.0], [0.6, 0.5, 0.0], [0.0, 0.0, 0.0]])  # eigenvalue -0.1
-        with pytest.raises(InvariantViolation, match=r"^state not positive: min eigenvalue -1.000e-01$"):
+        with pytest.raises(InvariantViolation, match=r"^min eigenvalue -1.000e-01 at start state 0$"):
             run_collisions(rho0, ModelParams(delta=50.0, tau=1.0), "original")
 
     def test_effective_converges_to_maximally_mixed_qubit(self):

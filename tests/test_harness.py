@@ -67,7 +67,9 @@ delta = 50
 n_grid = 400
 """
 
-# Every key but alpha_tau, which ALL_KEYS_ALPHA_TAU swaps in for tau.
+# Every key but three: ALL_KEYS_ALPHA_TAU swaps alpha_tau in for tau, and
+# GRID_KEYS_SWEEP sets n_grid and alpha_t_max, which a negative-temperature
+# sweep's points do not use and so may not take.
 ALL_KEYS_SWEEP = """
 scenario = sweep
 g = 2
@@ -83,8 +85,6 @@ substeps = 4000
 initial_state = custom
 initial_populations = 0.2, 0.3, 0.5
 output_path = out/all-keys
-n_grid = 50
-alpha_t_max = 2.5
 snapshot_stride = 3
 sweep_scenario = negative-temperature
 sweep_param = delta
@@ -94,10 +94,21 @@ workers = 2
 ALL_KEYS_CONFIG = ScenarioConfig(
     "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7, omega_a1=5.0,
     omega_a2=3.0, propagator="runge_kutta", substeps=4000, initial_state="custom",
-    initial_populations=(0.2, 0.3, 0.5), output_path="out/all-keys", n_grid=50,
-    alpha_t_max=2.5, snapshot_stride=3, sweep_scenario="negative-temperature",
-    sweep_param="delta", sweep_values=(150.0, 250.0), workers=2)
+    initial_populations=(0.2, 0.3, 0.5), output_path="out/all-keys", snapshot_stride=3,
+    sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
+    workers=2)
 ALL_KEYS_ALPHA_TAU = ALL_KEYS_SWEEP.replace("tau = 40", "alpha_tau = 0.3")
+GRID_KEYS_SWEEP = """
+scenario = sweep
+n_grid = 50
+alpha_t_max = 2.5
+sweep_scenario = verify-elimination
+sweep_param = delta
+sweep_values = 40, 50
+"""
+GRID_KEYS_CONFIG = ScenarioConfig("sweep", n_grid=50, alpha_t_max=2.5,
+                                  sweep_scenario="verify-elimination", sweep_param="delta",
+                                  sweep_values=(40.0, 50.0))
 
 SWEEP_TWO_POINTS = ("scenario = sweep\nsweep_scenario = verify-elimination\n"
                     "sweep_param = delta\nsweep_values = 40, 50\nn_grid = 50\n")
@@ -299,7 +310,8 @@ sweep_values = 25, 0, 100
 
     def test_every_field_parses_to_its_declared_type(self):
         cases = ((ALL_KEYS_SWEEP, ALL_KEYS_CONFIG),
-                 (ALL_KEYS_ALPHA_TAU, replace(ALL_KEYS_CONFIG, tau=None, alpha_tau=0.3)))
+                 (ALL_KEYS_ALPHA_TAU, replace(ALL_KEYS_CONFIG, tau=None, alpha_tau=0.3)),
+                 (GRID_KEYS_SWEEP, GRID_KEYS_CONFIG))
         keys = {line.partition(" =")[0] for text, _ in cases for line in text.split("\n") if line}
         assert keys == {f.name for f in fields(ScenarioConfig)}
         for text, expected in cases:
@@ -309,7 +321,7 @@ sweep_values = 25, 0, 100
                 value = getattr(cfg, f.name)
                 if value is not None:
                     assert f.type.startswith(type(value).__name__), (f.name, value)
-            assert all(type(v) is float for v in cfg.initial_populations + cfg.sweep_values)
+            assert all(type(v) is float for v in (cfg.initial_populations or ()) + cfg.sweep_values)
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -617,9 +629,13 @@ class TestScenarioOutputs:
         (dict(delta=10**400), "delta: must be finite, got 10{400}$"),
         # alpha_tau * delta / g^2 with g^2 past the float range, not an int division error
         (dict(g=10**200), "collision duration must be positive and finite, got 0.0"),
+        # alpha_tau * delta past the float range, as for floats, not an int division error
+        (dict(alpha_tau=10**200, delta=10**200),
+         "collision duration must be positive and finite, got inf"),
     ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values",
             "float-n-grid", "float-snapshot-stride", "bool-n-steps", "list-populations",
-            "text-delta", "int-delta-past-the-float-range", "int-g-squared-past-the-float-range"])
+            "text-delta", "int-delta-past-the-float-range", "int-g-squared-past-the-float-range",
+            "int-alpha-tau-times-delta-past-the-float-range"])
     def test_code_built_values_are_checked_before_any_work(self, bad, message):
         single = ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
                                 n_steps=60)
@@ -652,16 +668,27 @@ class TestScenarioOutputs:
         defaults = {f.name: f.default for f in fields(ScenarioConfig) if f.name in kwargs}
         assert ScenarioConfig(**{**kwargs, **{k: defaults[k] for k in keys.split(", ")}})
 
-    def test_sweep_points_reset_the_fields_their_scenario_does_not_use(self):
+    def test_sweep_points_reset_the_sweeps_own_fields_and_reject_unused_keys(self):
         sweep = load_config(CONFIG_DIR / "sweep_detuning.cfg")
         assert sweep.workers == 2
         for point, delta in zip(config.sweep_points(sweep), sweep.sweep_values):
             assert point == ScenarioConfig("verify-elimination", delta=delta)
         (point,) = config.sweep_points(replace(ALL_KEYS_CONFIG, sweep_values=(150.0,)))
         assert point == replace(ALL_KEYS_CONFIG, scenario="negative-temperature", delta=150.0,
-                                output_path=None, n_grid=2000, alpha_t_max=5.0,
-                                sweep_scenario=None, sweep_param=None, sweep_values=None,
-                                workers=1)
+                                output_path=None, sweep_scenario=None, sweep_param=None,
+                                sweep_values=None, workers=1)
+        # any other field the points' scenario does not use must hold its default, as in
+        # a single-run config
+        message = "key(s) not applicable to scenario 'collision-vs-me': alpha_t_max, n_grid"
+        with pytest.raises(ConfigError) as info:
+            replace(ALL_KEYS_CONFIG, sweep_scenario="collision-vs-me", initial_populations=None,
+                    initial_state="ground_S", n_grid=500, alpha_t_max=2.0)
+        assert str(info.value) == message
+        with pytest.raises(ConfigError) as info:
+            parse_config_text(FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
+                              "sweep_scenario = collision-vs-me\nsweep_param = delta\n"
+                              "sweep_values = 100, 200\nn_grid = 500\nalpha_t_max = 2"))
+        assert str(info.value) == message
 
     def test_library_runs_validate_when_built(self, tmp_path, monkeypatch):
         calls = count_validations(monkeypatch)
@@ -679,6 +706,20 @@ class TestScenarioOutputs:
             replace(single, delta=0.0)
         with pytest.raises(ConfigError, match="zero detuning"):
             replace(sweep, sweep_values=(40.0, 0.0))
+
+    @pytest.mark.parametrize("scenario", ["collision-vs-me", "negative-temperature",
+                                          "beyond-far-off"])
+    @pytest.mark.parametrize("tau", [2, 10**20])  # 10**20 is past int64
+    def test_an_int_tau_runs_as_the_float_of_its_value(self, tmp_path, scenario, tau):
+        def outcome(tau, out):
+            cfg = ScenarioConfig(scenario, delta=20, x1=1, x2=-1, tau=tau, n_steps=3)
+            try:
+                report = run_scenario(cfg, out)
+            except NumericError as err:
+                return type(err), str(err)
+            return report, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        assert outcome(tau, tmp_path / "int") == outcome(float(tau), tmp_path / "float")
 
 
 class TestShippedConfigs:
@@ -1141,7 +1182,7 @@ FUZZ_WILD = {
     "initial_state": ["", "mixed"],
     "initial_populations": ["1, 0", "0.9, 0.3, 0", "nan, 0, 1", "-0, 1, 0", "1, 0, 0", ""],
     "sweep_scenario": ["sweep", "", "bogus"],
-    "sweep_param": ["n_grid", "workers", ""],
+    "sweep_param": ["n_grid", "workers", "", "tau"],  # tau: not a verify-elimination key
     **dict.fromkeys(["n_steps", "n_grid", "substeps", "snapshot_stride"], FUZZ_SIZES),
 }
 FUZZ_ALWAYS = {"n_steps", "n_grid"}  # so that no default size rule picks a long run
@@ -1153,14 +1194,20 @@ def fuzzed_configs(draw):
     """A command and config text for one of the five scenarios, with tiny sizes;
     about one value in six comes from the fuzz alphabet."""
     scenario = draw(st.sampled_from(config.SCENARIO_NAMES))
-    required, optional = config.SCENARIO_KEYS[scenario]
+    # a sweep takes the keys of its points' scenario, which it draws first, and its own
+    point = draw(st.sampled_from(FUZZ_VALID["sweep_scenario"])) if scenario == "sweep" else scenario
+    required, optional = config.SCENARIO_KEYS[point]
+    if scenario == "sweep":
+        required, optional = required | config.SCENARIO_KEYS["sweep"][0], optional | {"workers"}
+    valid = {**FUZZ_VALID, "sweep_scenario": [point],
+             "sweep_param": sorted(config.SWEEPABLE_KEYS & (required | optional))}
     # likely: what the scenario, or a sweep's points, require; other keys not
     likely = required | {"delta", "x1", "x2", draw(st.sampled_from(["tau", "alpha_tau"]))}
     lines = [f"scenario = {scenario}"]
 
     def add(key):
         if draw(st.integers(0, 5)) > 0:
-            value = draw(st.sampled_from(FUZZ_VALID[key]))
+            value = draw(st.sampled_from(valid[key]))
         elif key == "sweep_values":
             value = ", ".join(draw(st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=1,
                                             max_size=2)))
@@ -1204,9 +1251,9 @@ def test_fuzzed_configs_end_in_an_exit_code(case):
 
 
 # Values code may pass that the parser never makes: a bool, text for a number,
-# a list, NaN in any field, and integers in float fields, one of them past the
-# float range
-FUZZ_CODE_ONLY = [True, "2", [0.5, 0.5, 0.0], float("nan"), 2, 10**400]
+# a list, NaN in any field, and integers in float fields, one of them past int64
+# but within the float range and one past the float range
+FUZZ_CODE_ONLY = [True, "2", [0.5, 0.5, 0.0], float("nan"), 2, 10**20, 10**400]
 
 
 def code_value(key, raw):
@@ -1342,7 +1389,7 @@ class TestLazyNamespace:
             modules = sorted(set(collisim._EXPORTS.values()))
             assert set(modules) <= set(dir(collisim))
             print(collisim.config.MAX_GRID, "numpy" in sys.modules)
-            assert collisim.operators.TRACE_TOL == collisim.config.TRACE_TOL
+            assert collisim.operators.MIN_EIGENVALUE == collisim.errors.MIN_EIGENVALUE
             assert all(getattr(collisim, m) is sys.modules[f"collisim.{m}"] for m in modules)
         """
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

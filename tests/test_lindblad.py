@@ -178,6 +178,11 @@ class TestRhsProperties:
         with pytest.raises(ValueError, match=r"^state shape \(3, 3\) != generator dim 2$"):
             steady_residual(gen, np.eye(3))
 
+    def test_a_rate_past_the_float_range_gives_a_nan_residual(self):
+        # g = 1e150 makes Gamma inf in a negative-temperature run, whose residual check then fails
+        gen = generator_effective_qubit(rates_for(gamma=math.inf))
+        assert math.isnan(steady_residual(gen, np.diag([0.5, 0.5])))
+
 
 class TestIntegrate:
     def test_null_generator_is_constant(self):
@@ -278,9 +283,9 @@ class TestIntegrate:
         assert np.all(traj.populations[:, 2] == 0.0)
 
     @pytest.mark.parametrize("rho0, error, message", [
-        (np.diag([0.6, 0.6]), InvariantViolation, r"^state trace 1.200000000000 != 1$"),
+        (np.diag([0.6, 0.6]), InvariantViolation, r"^trace 1.200000000000 != 1 at start state 0$"),
         (np.array([[0.5, 0.5], [0.0, 0.5]]), InvariantViolation,
-         r"^state not Hermitian: max deviation 5.000e-01$"),
+         r"^Hermiticity defect 5.000e-01 at start state 0$"),
         (np.eye(3) / 3, ValueError,
          r"^matrix shape \(3, 3\) does not match space \(\('S', 2\),\) \(total dim 2\)$"),
     ], ids=["trace", "non_hermitian", "wrong_dim"])

@@ -248,26 +248,59 @@ class TestDensityOperator:
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-        with pytest.raises(InvariantViolation, match="Hermitian"):
+        with pytest.raises(InvariantViolation, match=r"^Hermiticity defect 5.000e-01 at start state 0$"):
             density_operator(bad, (("S", 2),))
 
     def test_rejects_wrong_trace(self):
-        with pytest.raises(InvariantViolation, match=r"^state trace 1.200000000000 != 1$"):
+        with pytest.raises(InvariantViolation, match=r"^trace 1.200000000000 != 1 at start state 0$"):
             density_operator(np.diag([0.6, 0.6]).astype(complex), (("S", 2),))
 
+    def test_reports_trace_before_hermiticity(self):
+        bad = np.array([[0.6, 0.5], [0.0, 0.6]], dtype=complex)
+        with pytest.raises(InvariantViolation, match=r"^trace 1.200000000000 != 1 at start state 0$"):
+            density_operator(bad, (("S", 2),))
+
     def test_rejects_negative_state(self):
-        with pytest.raises(InvariantViolation, match="positive"):
+        with pytest.raises(InvariantViolation, match=r"^min eigenvalue -1.000e-01 at start state 0$"):
             density_operator(np.diag([1.1, -0.1]).astype(complex), (("S", 2),))
 
     def test_rejects_nan_coherence(self):
         bad = np.diag([0.6, 0.4]).astype(complex)
         bad[0, 1] = bad[1, 0] = np.nan
-        with pytest.raises(InvariantViolation, match="Hermitian"):
+        with pytest.raises(InvariantViolation, match=r"^non-finite entry at start state 0$"):
             density_operator(bad, (("S", 2),))
 
     def test_rejects_infinite_population(self):
-        with pytest.raises(InvariantViolation, match="Hermitian"):
+        with pytest.raises(InvariantViolation, match=r"^non-finite entry at start state 0$"):
             density_operator(np.diag([np.inf, 0.0]).astype(complex), (("S", 2),))
+
+    @pytest.mark.parametrize("offset", [-1.1e-10, -0.9e-10, 0.9e-10, 1.1e-10])
+    def test_trace_bound_is_1e10(self, offset):
+        mat = np.diag([0.5, 0.5 + offset]).astype(complex)
+        if abs(offset) < 1e-10:
+            density_operator(mat, (("S", 2),))
+        else:
+            with pytest.raises(InvariantViolation) as err:
+                density_operator(mat, (("S", 2),))
+            assert str(err.value) == f"trace {1 + offset:.12f} != 1 at start state 0"
+
+    @pytest.mark.parametrize("defect", [0.9e-10, 1.1e-10])
+    def test_hermiticity_bound_is_1e10(self, defect):
+        mat = np.array([[0.5, 0.0], [defect, 0.5]], dtype=complex)
+        if defect < 1e-10:
+            density_operator(mat, (("S", 2),))
+        else:
+            with pytest.raises(InvariantViolation,
+                               match=r"^Hermiticity defect 1.100e-10 at start state 0$"):
+                density_operator(mat, (("S", 2),))
+
+    def test_checks_through_the_batch_checker(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(operators, "batch_check_states", lambda *args: calls.append(args))
+        density_operator(np.diag([0.25, 0.75]), (("S", 2),))
+        (states, first_step, prev_trace, bounds), = calls
+        assert states.shape == (1, 2, 2) and (first_step, prev_trace) == (0, 1.0)
+        assert bounds is errors.START_BOUNDS
 
     def test_tolerates_1e9_negativity(self):
         mat = np.diag([1.0 + 5e-10, -5e-10]).astype(complex)
@@ -291,7 +324,7 @@ class TestDensityOperator:
         else:
             with pytest.raises(InvariantViolation) as err:
                 density_operator(mat, (("S", 2),))
-            assert str(err.value) == f"state not positive: min eigenvalue {min_eig:.3e}"
+            assert str(err.value) == f"min eigenvalue {min_eig:.3e} at start state 0"
         assert (min_eig >= -1e-9) == (offset > 0)
 
     def test_matrix_is_read_only(self):
@@ -311,11 +344,14 @@ class TestBounds:
     def test_records_keep_the_values_of_the_constants_they_replace(self):
         # collision: STEP_TRACE_TOL, CUMULATIVE_TRACE_TOL, STEP_HERMITICITY_TOL;
         # integrator: an unbounded step, TRACE_DRIFT_TOL, HERMITICITY_DRIFT_TOL
-        c, m = errors.COLLISION_BOUNDS, errors.INTEGRATOR_BOUNDS
+        # start state: an unbounded step, TRACE_TOL, HERMITICITY_TOL
+        c, m, s = errors.COLLISION_BOUNDS, errors.INTEGRATOR_BOUNDS, errors.START_BOUNDS
         assert (c.step_trace, c.cumulative_trace, c.hermiticity, c.context) == (
             1e-10, 1e-8, 1e-10, "step")
         assert (m.step_trace, m.cumulative_trace, m.hermiticity, m.context) == (
             math.inf, 1e-9, 1e-12, "integrator step")
+        assert (s.step_trace, s.cumulative_trace, s.hermiticity, s.context) == (
+            math.inf, 1e-10, 1e-10, "start state")
         assert errors.Bounds._fields == ("step_trace", "cumulative_trace", "hermiticity", "context")
         assert (errors.TRACE_TOL, errors.HERMITICITY_TOL, errors.MIN_EIGENVALUE, errors.CERT_SLACK,
                 errors.PURITY_DRIFT_TOL, errors.HAMILTONIAN_HERMITICITY_TOL) == (
@@ -362,6 +398,8 @@ def test_hermiticity_defect_equals_full_matrix_defect(d):
         assert np.array_equal(hermiticity_defect(a.reshape(5, 10, d, d)),
                               full_matrix_defect(a).reshape(5, 10), equal_nan=True)
         assert np.array_equal(hermiticity_defect(a[0]), full_matrix_defect(a[0]), equal_nan=True)
+        one = hermiticity_defect(a[:1])  # a stack of one takes the 2-D path's gathered max
+        assert one.shape == (1,) and np.array_equal(one, full_matrix_defect(a[:1]), equal_nan=True)
 
 
 def test_hermiticity_defect_of_a_real_infinite_diagonal_is_nan():

@@ -26,8 +26,7 @@ _EXPORTS = {name: module for module, names in {
                 "steady_residual",
     "model": "DerivedRates FAR_OFF_THRESHOLD ModelParams QUTRIT_SPACE ancilla_pair basis_index "
              "build_h_eff build_h_prime build_v derive_rates",
-    "operators": "anticommutator commutator density_operator kron thermal_qubit "
-                 "trace_distance transition",
+    "operators": "density_operator kron thermal_qubit trace_distance transition",
     "scenarios": "ComparisonReport metrics run_scenario run_sweep",
     "trajectory": "Trajectory",
 }.items() for name in names.split()}

@@ -46,9 +46,7 @@ from .errors import (COLLISION_BOUNDS, PURITY_DRIFT_TOL, TRACE_TOL, Bounds, Inva
                      NumericError)
 from .model import ModelParams, QUTRIT_SPACE, ancilla_pair, build_h_prime, build_v
 from .operators import (
-    anticommutator,
     batch_check_states,
-    commutator,
     density_operator,
     fold,
     kron,
@@ -104,9 +102,10 @@ def default_substeps(h: np.ndarray, tau: float) -> int:
     effective-Hamiltonian propagation, whose fast scale is set by the
     coupling instead.  The 30x oversampling keeps the accumulated
     phase error of the degree-4 substep under 1e-7 across the longest
-    shipped runs (300 collisions at detuning 200).
+    shipped runs (300 collisions at detuning 200).  A non-Hermitian ``h``
+    raises `ValueError` (see `require_hermitian`).
     """
-    return _substeps_for_spectrum(np.linalg.eigvalsh(h), tau)
+    return _substeps_for_spectrum(np.linalg.eigvalsh(require_hermitian(h)), tau)
 
 
 def _substeps_for_spectrum(e: np.ndarray, tau: float) -> int:
@@ -272,9 +271,9 @@ def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
     (whose dynamics never touch level 2).  The returned trajectory has
     ``n_steps + 1`` entries including the initial state; every
     intermediate state is checked against the density-operator
-    invariants, and a violation aborts with the offending step index.  ``snapshot_stride = 0`` disables full-state
-    snapshots.  A non-positive or non-finite ``p.tau`` raises `ValueError`
-    before the map is built.
+    invariants, and a violation aborts with the offending step index.
+    ``snapshot_stride = 0`` disables full-state snapshots.  A non-positive
+    or non-finite ``p.tau`` raises `ValueError` before the map is built.
     """
     if not (math.isfinite(p.tau) and p.tau > 0):
         raise ValueError(f"collision runs need a positive, finite tau, got {p.tau}")
@@ -369,6 +368,7 @@ def second_order_map(rho_s: np.ndarray, p: ModelParams) -> np.ndarray:
     v = build_v(p)
     eta1, eta2 = ancilla_pair(p)
     sigma = kron(eta1, eta2, as_qutrit_matrix(rho_s))
-    first = -1j * p.tau * commutator(v, sigma)
-    second = p.tau**2 * (v @ sigma @ v - 0.5 * anticommutator(sigma, v @ v))
+    v2 = v @ v
+    first = -1j * p.tau * (v @ sigma - sigma @ v)
+    second = p.tau**2 * (v @ sigma @ v - 0.5 * (sigma @ v2 + v2 @ sigma))
     return partial_trace_matrix(first + second, (2, 2, 3), (2,))

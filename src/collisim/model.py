@@ -7,7 +7,8 @@ by ``delta``.  For large detuning the top level is only virtually
 populated and can be eliminated, leaving an effective qubit whose two
 levels are jointly driven by ancilla pairs.
 
-Every builder works in the fixed tensor order A1 (x) A2 (x) S and in
+Every builder works in the fixed tensor order A1 (x) A2 (x) S, writing
+each term as one `kron` of its three local factors, and in
 coupling-strength units: ``g = 1`` is the frequency unit, times are in
 ``1/g``, and all derived rates come out in units of ``g``.
 """
@@ -33,22 +34,11 @@ QUTRIT_SPACE = (("S", 3),)
 FAR_OFF_THRESHOLD = 20.0
 
 _I2 = np.eye(2, dtype=complex)
-_I3 = np.eye(3, dtype=complex)
 
 
 def basis_index(a1: int, a2: int, s: int) -> int:
     """Flat index of the product basis state |a1, a2, s>."""
     return a1 * 6 + a2 * 3 + s
-
-
-def op_a1(op: np.ndarray) -> np.ndarray:
-    return kron(op, _I2, _I3)
-
-def op_a2(op: np.ndarray) -> np.ndarray:
-    return kron(_I2, op, _I3)
-
-def op_s(op: np.ndarray) -> np.ndarray:
-    return kron(_I2, _I2, op)
 
 
 @dataclass(frozen=True)
@@ -124,9 +114,9 @@ def build_h_prime(p: ModelParams) -> np.ndarray:
     bath channel.  No approximation is involved; this generates the
     accurate collision dynamics.
     """
-    coupling = p.g * op_a1(transition(2, 1, 0)) @ op_s(transition(3, 0, 2))
-    coupling = coupling + p.g * op_a2(transition(2, 1, 0)) @ op_s(transition(3, 1, 2))
-    return p.delta * op_s(transition(3, 2, 2)) + coupling + coupling.conj().T
+    coupling = p.g * kron(transition(2, 1, 0), _I2, transition(3, 0, 2))
+    coupling = coupling + p.g * kron(_I2, transition(2, 1, 0), transition(3, 1, 2))
+    return p.delta * kron(_I2, _I2, transition(3, 2, 2)) + coupling + coupling.conj().T
 
 
 def _warn_if_not_far_off(p: ModelParams) -> None:
@@ -141,9 +131,7 @@ def _warn_if_not_far_off(p: ModelParams) -> None:
 def _exchange(p: ModelParams) -> np.ndarray:
     """`build_v` without its far-off-resonant warning."""
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
-    exchange = -alpha * (
-        op_a1(transition(2, 0, 1)) @ op_a2(transition(2, 1, 0)) @ op_s(transition(3, 1, 0))
-    )
+    exchange = -alpha * kron(transition(2, 0, 1), transition(2, 1, 0), transition(3, 1, 0))
     return exchange + exchange.conj().T
 
 
@@ -163,8 +151,8 @@ def build_h_eff(p: ModelParams) -> np.ndarray:
     """
     v = _exchange(p)
     shift = -compute_alpha(p.g, p.g, p.delta, p.delta) * (
-        op_a1(transition(2, 1, 1)) @ op_s(transition(3, 0, 0))
-        + op_a2(transition(2, 1, 1)) @ op_s(transition(3, 1, 1))
+        kron(transition(2, 1, 1), _I2, transition(3, 0, 0))
+        + kron(_I2, transition(2, 1, 1), transition(3, 1, 1))
     )
     _warn_if_not_far_off(p)
     return shift + v

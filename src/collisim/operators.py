@@ -36,19 +36,6 @@ def kron(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ab - ba``.  Raises ValueError on dimension mismatch."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``ab + ba``.  Raises ValueError on dimension mismatch."""
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b + b @ a
-
-
 def require_hermitian(h: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """``h`` as a complex array; ValueError unless Hermitian within ``tol``.
 

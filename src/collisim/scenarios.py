@@ -311,7 +311,7 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
         scenario=cfg.scenario,
         checks=checks,
         metrics=(
-            ("x_s", rates.x_s),
+            ("x_s", float(rates.x_s)),
             ("capital_gamma", rates.capital_gamma),
             ("n_steps", float(p.n_steps)),
             ("final_p0_collisions", float(final[0])),

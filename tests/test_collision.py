@@ -81,6 +81,14 @@ class TestPropagatorChoice:
         assert radius * (p.tau / n) <= 1 / 30 + 1e-12
         assert default_substeps(np.zeros((3, 3)), 5.0) == 1
 
+    def test_default_substeps_rejects_non_hermitian(self):
+        # eigvalsh reads one triangle: unchecked, this h would read as zero and get 1 substep
+        h = np.zeros((12, 12), dtype=complex)
+        h[0, 5] = 100.0
+        with pytest.raises(ValueError, match="^generator is not Hermitian"):
+            default_substeps(h, 1.0)
+        assert default_substeps(h + h.conj().T, 1.0) == 3000
+
 
 def one_collision(rho, p, mode, prop=PropagatorChoice()):
     """The state after one collision (``p.n_steps`` is 1), checked like every step."""

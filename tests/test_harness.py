@@ -721,6 +721,20 @@ class TestScenarioOutputs:
 
         assert outcome(tau, tmp_path / "int") == outcome(float(tau), tmp_path / "float")
 
+    @pytest.mark.parametrize("scenario", ["negative-temperature", "collision-vs-me"])
+    def test_int_inputs_report_float_values(self, tmp_path, scenario):
+        def outcome(number, out):
+            cfg = ScenarioConfig(scenario, g=number(1), delta=number(200), x1=number(1),
+                                 x2=number(-1), alpha_tau=0.3, n_steps=30,
+                                 omega_a1=number(3), omega_a2=number(2))
+            report = run_scenario(cfg, out)
+            values = [*(v for _, v in report.metrics), *(c.value for c in report.checks)]
+            # type, not value: 2 == 2.0 would hide an int
+            assert [type(v) for v in values] == [float] * len(values), report
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        assert outcome(int, tmp_path / "int") == outcome(float, tmp_path / "float")
+
 
 class TestShippedConfigs:
     @pytest.fixture(scope="class", params=sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.stem)
@@ -1265,19 +1279,39 @@ def code_value(key, raw):
     return raw
 
 
+# Short valid runs of each scenario as code might build them: each key maps
+# to the values drawn for it, ints among them
+CODE_BASES = [
+    {"scenario": ["verify-elimination"], "delta": [2.0, 50], "g": [1, 0.5], "n_grid": [2, 5]},
+    *({"scenario": [scenario], "delta": [2.0, 50], "x1": [1.0, -0.5], "x2": [0.5, 2],
+       duration: [0.05], "n_steps": [1, 2], "propagator": ["spectral", "runge_kutta"]}
+      for scenario, duration in (("collision-vs-me", "tau"), ("negative-temperature", "alpha_tau"))),
+    {"scenario": ["beyond-far-off"], "delta": [-3.0, 2], "x1": [1.0], "x2": [0.5, -1],
+     "tau": [0.05], "n_steps": [1, 2]},
+    {"scenario": ["sweep"], "sweep_scenario": ["verify-elimination"], "sweep_param": ["delta", "g"],
+     "sweep_values": [(1.0, 2.0), (50,)], "delta": [2.0], "n_grid": [2]},
+]
+
+
 @st.composite
 def code_built_configs(draw):
-    """`ScenarioConfig` keyword arguments from a fuzzed config text's lines,
-    typed by `code_value`; one time in four a field gets a `FUZZ_CODE_ONLY` value."""
-    _, text = draw(fuzzed_configs())
-    kwargs = {}
-    for line in text.splitlines():
-        key, _, raw = line.partition(" = ")
-        if key in config._PARSERS:  # not a junk line
-            kwargs.setdefault(key, code_value(key, raw))
+    """`ScenarioConfig` keyword arguments: one time in four from a fuzzed
+    config text's lines, typed by `code_value`, which mostly fail to build,
+    and otherwise from `CODE_BASES`, so that many cases reach a run.  One time
+    in four a key of the config's scenario then gets a `FUZZ_CODE_ONLY` value."""
     if draw(st.integers(0, 3)) == 0:
-        kwargs[draw(st.sampled_from(sorted(config._PARSERS)))] = draw(
-            st.sampled_from(FUZZ_CODE_ONLY))
+        _, text = draw(fuzzed_configs())
+        kwargs = {}
+        for line in text.splitlines():
+            key, _, raw = line.partition(" = ")
+            if key in config._PARSERS:  # not a junk line
+                kwargs.setdefault(key, code_value(key, raw))
+    else:
+        kwargs = {key: draw(st.sampled_from(values))
+                  for key, values in draw(st.sampled_from(CODE_BASES)).items()}
+    if draw(st.integers(0, 3)) == 0:
+        keys = set().union(*config.SCENARIO_KEYS[kwargs["scenario"]])
+        kwargs[draw(st.sampled_from(sorted(keys)))] = draw(st.sampled_from(FUZZ_CODE_ONLY))
     return kwargs
 
 

@@ -233,6 +233,40 @@ class TestBuildV:
             assert_allclose(abs(u[idx, idx]) ** 2, np.cos(alpha * t) ** 2, atol=1e-12)
 
 
+EXACT_PARAMS = [(1.0, 50.0), (1.3, 200.0), (0.7, -30.0), (2.5, 1e3)]
+
+
+@pytest.mark.filterwarnings("ignore:delta = .* far-off-resonant:UserWarning")
+@pytest.mark.parametrize("g, delta", EXACT_PARAMS)
+class TestExactEntries:
+    """Each builder, entry by entry from `basis_index` and the elements its docstring states."""
+
+    def test_h_prime(self, g, delta):
+        expected = np.zeros((12, 12), dtype=complex)
+        for a in (0, 1):
+            # bath 1 drives 0 <-> 2 of the system, bath 2 drives 1 <-> 2
+            for i, j in ((basis_index(1, a, 0), basis_index(0, a, 2)),
+                         (basis_index(a, 1, 1), basis_index(a, 0, 2))):
+                expected[i, j] = expected[j, i] = g
+            for a2 in (0, 1):
+                expected[basis_index(a, a2, 2), basis_index(a, a2, 2)] = delta
+        assert np.array_equal(build_h_prime(ModelParams(delta=delta, g=g)), expected)
+
+    def test_v_and_h_eff(self, g, delta):
+        p = ModelParams(delta=delta, g=g)
+        alpha = compute_alpha(g, g, delta, delta)
+        v = np.zeros((12, 12), dtype=complex)
+        i, j = basis_index(0, 1, 1), basis_index(1, 0, 0)
+        v[i, j] = v[j, i] = -alpha
+        assert np.array_equal(build_v(p), v)
+        h_eff = v.copy()
+        for a in (0, 1):
+            # ancilla 1 excited shifts system level 0, ancilla 2 excited level 1
+            for k in (basis_index(1, a, 0), basis_index(a, 1, 1)):
+                h_eff[k, k] = -alpha
+        assert np.array_equal(build_h_eff(p), h_eff)
+
+
 class TestDeriveRates:
     def test_symmetric_exponents_give_zero_xs(self):
         r = derive_rates(ModelParams(delta=200.0, x1=1e-4, x2=1e-4, tau=60.0))

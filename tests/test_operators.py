@@ -14,8 +14,6 @@ from collisim import (
     InvariantViolation,
     ModelParams,
     ancilla_pair,
-    anticommutator,
-    commutator,
     density_operator,
     kron,
     thermal_qubit,
@@ -209,27 +207,6 @@ class TestThermalQubit:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(ValueError, match="finite"):
                 thermal_qubit(bad)
-
-
-class TestCommutators:
-    def test_pauli_algebra(self):
-        assert_allclose(commutator(SIGMA_X, SIGMA_Y), 2j * SIGMA_Z, atol=1e-15)
-
-    def test_anticommutator_with_self(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert_allclose(anticommutator(a, a), 2 * a @ a, atol=1e-14)
-
-    def test_identity_commutes(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(4, 4))
-        assert_allclose(commutator(np.eye(4), a), np.zeros((4, 4)), atol=1e-15)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            commutator(np.eye(2), np.eye(3))
-        with pytest.raises(ValueError, match="mismatch"):
-            anticommutator(np.eye(2), np.eye(3))
 
 
 class TestDensityOperator:

@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "collision": "PropagatorChoice closed_evolution collision_superoperator default_substeps "
-                 "run_collisions second_order_map",
+    "collision": "closed_evolution collision_superoperator default_substeps run_collisions "
+                 "second_order_map",
     "config": "ScenarioConfig compute_alpha load_config parse_config_text validate_config",
     "errors": "ConfigError InvariantViolation NumericError",
     "lindblad": "LindbladGenerator generator_effective_qubit generator_qutrit_two_bath integrate "

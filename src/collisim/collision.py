@@ -21,9 +21,10 @@ then the ancillas are traced out:
   ``z = -i(e_j - e_k) dt``, and ``F_jk`` is that factor raised to the
   substep count: the same iteration, evaluated in closed form.
 
-The default substep count keeps (spectral radius of H) * dt <= 1/30, so
-the integrator resolves the fast oscillation of period ~ 1/delta that
-far-off-resonant collisions carry.
+The substep count always keeps (spectral radius of H) * dt <= 1/30 (see
+`default_substeps`), so the integrator resolves the fast oscillation of
+period ~ 1/delta that far-off-resonant collisions carry, and every gap
+stays far inside RK4's stability region ``|e_j - e_k| dt <= 2 sqrt(2)``.
 
 `propagate` steps any fixed linear map with per-step checks; the collision
 sequence and the master equations of `lindblad` both run on it.  It
@@ -36,8 +37,6 @@ does not compound over a long relaxation (see `propagate`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -55,9 +54,6 @@ from .operators import (
 )
 from .trajectory import Trajectory
 
-# RK4 on x' = -i theta x / dt keeps |T4(-i theta)| <= 1 only for |theta| <= 2 sqrt(2).
-RK4_STABILITY_BOUND = 2.0 * math.sqrt(2.0)
-
 # Invariants are verified for every step, but in blocks of this many
 # states so each check runs as one vectorized pass, and the few states
 # whose positivity the Gershgorin discs cannot certify share one
@@ -72,25 +68,6 @@ STEP_BLOCK = 128
 # each, about 100 kB; on a 2000-point grid 64 runs about 2x slower than 512,
 # and 2048 is no faster (timings in CHANGES.md).
 GRID_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class PropagatorChoice:
-    """Evolution strategy for a collision unitary.
-
-    ``substeps`` applies to the runge_kutta variant only; ``None`` means
-    the documented default rule (see `default_substeps`).
-    """
-
-    variant: str = "spectral"
-    substeps: int | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("spectral", "runge_kutta"):
-            raise ValueError(f"unknown propagator variant {self.variant!r}")
-        n = self.substeps
-        if n is not None and (isinstance(n, bool) or not isinstance(n, Integral) or n < 1):
-            raise ValueError(f"substeps must be an integer >= 1, got {n!r}")
 
 
 def default_substeps(h: np.ndarray, tau: float) -> int:
@@ -131,17 +108,19 @@ def _rk4_power_factors(e: np.ndarray, dt: float, substeps: int) -> np.ndarray:
 
 
 def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
-                            tau: float, prop: PropagatorChoice) -> np.ndarray:
+                            tau: float, propagator: str = "spectral") -> np.ndarray:
     """The 9x9 map ``vec(rho_S) -> vec(Tr_A[U (eta1 (x) eta2 (x) rho_S) U+])``.
 
     ``h`` acts on the 12-dimensional joint space in A1 (x) A2 (x) S order
-    and must be Hermitian; ``prop`` selects the factor ``F`` of the module's
-    eigenbasis formula.  Raises `NumericError` when the eigensolve fails or
-    a runge_kutta substep count is unstable: the map is not finite, or some
-    ``|e_j - e_k| dt`` exceeds RK4's stability bound ``2 sqrt(2)``.
+    and must be Hermitian; ``propagator``, ``"spectral"`` or
+    ``"runge_kutta"``, selects the factor ``F`` of the module's eigenbasis
+    formula, and runge_kutta takes the `default_substeps` count.  Raises
+    `NumericError` when the eigensolve fails.
     """
     if h.shape != (12, 12):
         raise ValueError(f"collision Hamiltonian must be 12x12, got {h.shape}")
+    if propagator not in ("spectral", "runge_kutta"):
+        raise ValueError(f"unknown propagator variant {propagator!r}")
     try:
         e, q = np.linalg.eigh(require_hermitian(h))
     except np.linalg.LinAlgError as exc:
@@ -150,25 +129,13 @@ def collision_superoperator(h: np.ndarray, eta1: np.ndarray, eta2: np.ndarray,
     q4 = q.reshape(4, 3, 12)
     out = np.einsum("aij,alk->iljk", q4, q4.conj()).reshape(9, 144)
     into = np.einsum("bij,bc,clk->jkil", q4.conj(), kron(eta1, eta2), q4)
-    with np.errstate(over="ignore", invalid="ignore"):  # runge_kutta failures are flagged below
-        if prop.variant == "spectral":
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite map fails the per-step checks
+        if propagator == "spectral":
             f = np.exp(-1j * tau * (e[:, None] - e[None, :]))
         else:
-            substeps = prop.substeps if prop.substeps is not None else _substeps_for_spectrum(e, tau)
-            dt = tau / substeps
-            f = _rk4_power_factors(e, dt, substeps)
+            substeps = _substeps_for_spectrum(e, tau)
+            f = _rk4_power_factors(e, tau / substeps, substeps)
         m = out @ (f[:, :, None, None] * into).reshape(144, 9)
-    if prop.variant == "runge_kutta":
-        if not np.all(np.isfinite(m)):
-            raise NumericError(f"collision map is not finite: {substeps} runge_kutta "
-                               "substeps are unstable for this collision")
-        # |T4(-i theta)| > 1 exactly when |theta| > 2 sqrt(2): such a map is finite but wrong
-        theta_max = (e[-1] - e[0]) * dt
-        if theta_max > RK4_STABILITY_BOUND:
-            raise NumericError(
-                f"{substeps} runge_kutta substeps are unstable for this collision: "
-                f"max |e_j - e_k| dt = {theta_max:.4g} exceeds RK4's stability "
-                f"bound 2*sqrt(2) = {RK4_STABILITY_BOUND:.4g}")
     return m.reshape(9, 9)
 
 
@@ -259,8 +226,7 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, bounds:
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 
-def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
-                   prop: PropagatorChoice = PropagatorChoice(), *,
+def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str, propagator: str = "spectral", *,
                    snapshot_stride: int = 10) -> Trajectory:
     """Iterate ``p.n_steps`` collisions and record populations per step.
 
@@ -268,7 +234,8 @@ def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
     by `density_operator` before the map is built.  ``mode`` selects the
     collision Hamiltonian: ``"original"`` uses the accurate three-level
     Hamiltonian, ``"effective"`` the eliminated-level exchange Hamiltonian
-    (whose dynamics never touch level 2).  The returned trajectory has
+    (whose dynamics never touch level 2), and ``propagator`` the map's
+    variant (see `collision_superoperator`).  The returned trajectory has
     ``n_steps + 1`` entries including the initial state; every
     intermediate state is checked against the density-operator
     invariants, and a violation aborts with the offending step index.
@@ -286,7 +253,7 @@ def run_collisions(rho0: np.ndarray, p: ModelParams, mode: str,
     mat = density_operator(as_qutrit_matrix(rho0), QUTRIT_SPACE)
 
     eta1, eta2 = ancilla_pair(p)
-    m = collision_superoperator(h, eta1, eta2, p.tau, prop)
+    m = collision_superoperator(h, eta1, eta2, p.tau, propagator)
     return propagate(m, mat, p.n_steps, p.tau, COLLISION_BOUNDS, snapshot_stride=snapshot_stride)
 
 

@@ -21,7 +21,7 @@ from .errors import TRACE_TOL, ConfigError
 _BASE_KEYS = {"scenario", "g", "output_path"}
 _COLLISION_KEYS = {
     "delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "omega_a1", "omega_a2",
-    "propagator", "substeps", "initial_state", "initial_populations", "snapshot_stride",
+    "propagator", "initial_state", "initial_populations", "snapshot_stride",
 }
 
 # scenario -> (required keys, optional keys)
@@ -71,7 +71,6 @@ class ScenarioConfig:
     omega_a1: float | None = None
     omega_a2: float | None = None
     propagator: str = "spectral"
-    substeps: int | None = None
     initial_state: str = "ground_S"
     initial_populations: tuple[float, float, float] | None = None
     output_path: str | None = None
@@ -236,8 +235,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"g: must be positive, got {cfg.g}")
     if cfg.propagator not in ("spectral", "runge_kutta"):
         raise ConfigError(f"propagator: must be 'spectral' or 'runge_kutta', got {cfg.propagator!r}")
-    if cfg.substeps is not None and cfg.substeps < 1:
-        raise ConfigError(f"substeps: must be >= 1, got {cfg.substeps}")
     if cfg.initial_state not in ("ground_S", "custom"):
         raise ConfigError(f"initial_state: must be 'ground_S' or 'custom', got {cfg.initial_state!r}")
     if cfg.initial_state == "custom" and cfg.initial_populations is None:

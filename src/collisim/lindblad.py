@@ -55,7 +55,7 @@ class LindbladGenerator:
             op = np.array(op, dtype=complex)
             if op.shape != h.shape:
                 raise ValueError(f"jump operator shape {op.shape} != generator dim {h.shape}")
-            if rate < 0:
+            if not rate >= 0:  # NaN-safe
                 raise ValueError(f"dissipator rate must be nonnegative, got {rate}")
             op.flags.writeable = False
             ops.append((op, float(rate)))
@@ -147,7 +147,7 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
     """Fixed-step RK4 integration from 0 to ``t_end``, rounded up to whole
     steps unless ``t_end / dt`` is within a relative 1e-9 of a whole number.
 
-    Requires ``dt <= t_end``, the stability guard
+    Requires ``0 < dt <= t_end < inf``, the stability guard
     ``dt * (rate scale) <= 0.1`` and a ``rho0`` that `density_operator`
     accepts as a state of the generator's dimension; violating any of them
     raises before any work.  Every step is checked against
@@ -155,8 +155,8 @@ def integrate(gen: LindbladGenerator, rho0: np.ndarray, t_end: float, dt: float,
     defect within 1e-12.  Populations of two-level generators are
     zero-padded to the common three-level trajectory shape.
     """
-    if dt <= 0 or dt > t_end:
-        raise ValueError(f"need 0 < dt <= t_end, got dt={dt}, t_end={t_end}")
+    if not 0 < dt <= t_end < math.inf:  # NaN-safe
+        raise ValueError(f"need 0 < dt <= t_end < inf, got dt={dt}, t_end={t_end}")
     if dt * gen.rate_scale > STABILITY_GUARD:
         raise ValueError(
             f"stability guard violated: dt * rate scale = {dt * gen.rate_scale:.3f} > {STABILITY_GUARD}"

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision import PropagatorChoice, as_qutrit_matrix, closed_evolution, run_collisions
+from .collision import as_qutrit_matrix, closed_evolution, run_collisions
 from .config import ScenarioConfig, sweep_points
 from .errors import ConfigError, NumericError
 from .lindblad import (
@@ -230,8 +230,7 @@ def _collision_run(cfg: ScenarioConfig,
         p, relaxation_rate_of(p))
     p = model_params(cfg, n_steps=n)
     rho0 = initial_system_state(cfg)
-    traj = run_collisions(rho0, p, "original", PropagatorChoice(cfg.propagator, cfg.substeps),
-                          snapshot_stride=cfg.snapshot_stride)
+    traj = run_collisions(rho0, p, "original", cfg.propagator, snapshot_stride=cfg.snapshot_stride)
     return p, traj, rho0
 
 

@@ -35,15 +35,16 @@ class Trajectory:
                                         repr=False)
 
     def __post_init__(self):
-        steps = np.asarray(self.steps, dtype=int)
-        times = np.asarray(self.times, dtype=float)
-        pops = np.asarray(self.populations, dtype=float)
+        # read-only views: freezing them leaves the caller's own arrays writable
+        steps = np.asarray(self.steps, dtype=int).view()
+        times = np.asarray(self.times, dtype=float).view()
+        pops = np.asarray(self.populations, dtype=float).view()
         if not (len(steps) == len(times) == len(pops)):
             raise ValueError("steps, times, populations must have equal length")
         if pops.ndim != 2 or pops.shape[1] != 3:
             raise ValueError(f"populations must have shape (n, 3), got {pops.shape}")
-        snap_steps = np.asarray(self.snapshot_steps, dtype=int)
-        snap_states = np.asarray(self.snapshot_states, dtype=complex)
+        snap_steps = np.asarray(self.snapshot_steps, dtype=int).view()
+        snap_states = np.asarray(self.snapshot_states, dtype=complex).view()
         if snap_steps.ndim != 1 or snap_states.ndim != 3 or len(snap_steps) != len(snap_states):
             raise ValueError(f"snapshot steps and states must have shapes (m,) and (m, d, d), "
                              f"got {snap_steps.shape} and {snap_states.shape}")

@@ -20,7 +20,6 @@ import numpy as np
 
 from collisim import (
     ModelParams,
-    PropagatorChoice,
     QUTRIT_SPACE,
     ancilla_pair,
     basis_index,
@@ -76,7 +75,7 @@ def elimination_deviation(delta: float, n_grid: int = 2000):
 
 
 def regime_run(alpha_tau: float, x1: float, x2: float, n_steps: int | None = None,
-               prop: PropagatorChoice = PropagatorChoice(), snapshot_stride: int = 0):
+               snapshot_stride: int = 0):
     """Collision run + matching effective-qubit master equation, delta=200g."""
     delta = 200.0
     tau = alpha_tau * delta
@@ -85,7 +84,7 @@ def regime_run(alpha_tau: float, x1: float, x2: float, n_steps: int | None = Non
     if n_steps is None:
         n_steps = max(300, math.ceil(5.0 / (rates.capital_gamma * tau)))
     p = ModelParams(delta=delta, x1=x1, x2=x2, tau=tau, n_steps=n_steps)
-    exact = run_collisions(GROUND_QUTRIT, p, "original", prop, snapshot_stride=snapshot_stride)
+    exact = run_collisions(GROUND_QUTRIT, p, "original", snapshot_stride=snapshot_stride)
     gen = generator_effective_qubit(rates)
     k = max(1, math.ceil(tau * gen.rate_scale / 0.02))
     me = integrate(gen, GROUND_QUBIT, n_steps * tau, tau / k, snapshot_stride=0)
@@ -188,8 +187,7 @@ def test_criterion_6_second_order_map_defect_ratio():
     def defect(alpha_tau):
         p = ModelParams(delta=delta, x1=0.3, x2=0.8, tau=alpha_tau / alpha)
         eta1, eta2 = ancilla_pair(p)
-        m = collision_superoperator(build_v(p), eta1, eta2, p.tau,
-                                    PropagatorChoice())
+        m = collision_superoperator(build_v(p), eta1, eta2, p.tau)
         exact = (m @ rho.reshape(9)).reshape(3, 3) - rho
         return float(np.max(np.abs(exact - second_order_map(rho, p))))
 
@@ -210,10 +208,8 @@ def test_criterion_7_propagator_equivalence():
     t0 = time.time()
     delta, tau = 200.0, 60.0
     p = ModelParams(delta=delta, x1=1e-4, x2=1e-4, tau=tau, n_steps=300)
-    spectral = run_collisions(GROUND_QUTRIT, p, "original", PropagatorChoice("spectral"),
-                              snapshot_stride=50)
-    rk4 = run_collisions(GROUND_QUTRIT, p, "original", PropagatorChoice("runge_kutta"),
-                         snapshot_stride=50)
+    spectral = run_collisions(GROUND_QUTRIT, p, "original", "spectral", snapshot_stride=50)
+    rk4 = run_collisions(GROUND_QUTRIT, p, "original", "runge_kutta", snapshot_stride=50)
     pop_dev = float(np.max(np.abs(spectral.populations - rk4.populations)))
     state_dev = max(
         float(np.max(np.abs(a - b)))

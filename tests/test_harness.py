@@ -81,7 +81,6 @@ n_steps = 7
 omega_a1 = 5
 omega_a2 = 3
 propagator = runge_kutta
-substeps = 4000
 initial_state = custom
 initial_populations = 0.2, 0.3, 0.5
 output_path = out/all-keys
@@ -93,7 +92,7 @@ workers = 2
 """
 ALL_KEYS_CONFIG = ScenarioConfig(
     "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7, omega_a1=5.0,
-    omega_a2=3.0, propagator="runge_kutta", substeps=4000, initial_state="custom",
+    omega_a2=3.0, propagator="runge_kutta", initial_state="custom",
     initial_populations=(0.2, 0.3, 0.5), output_path="out/all-keys", snapshot_stride=3,
     sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
     workers=2)
@@ -850,19 +849,12 @@ n_steps = 40000
         assert err.startswith("numeric error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("substeps, code", [(1, 3), (1000, 3), (20000, 0)])
-    def test_unstable_runge_kutta_substeps_are_numeric_error(self, tmp_path, capsys, substeps, code):
-        text = ("scenario = collision-vs-me\ndelta = 200\nx1 = 0.3\nx2 = -0.2\n"
-                "alpha_tau = 0.3\nn_steps = 300\npropagator = runge_kutta\n"
-                f"substeps = {substeps}\n")
-        path = self.write(tmp_path, text)
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == code
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
-        if code == 3:
-            assert err.startswith("numeric error:")
-            # a finite map names the stability bound; an overflowing one says it is not finite
-            assert {1: "stability bound", 1000: "not finite"}[substeps] in err
+    def test_substeps_is_an_unknown_key(self, tmp_path, capsys):
+        # runge_kutta always takes the default_substeps rule
+        path = self.write(tmp_path, FIG3B + "propagator = runge_kutta\nsubsteps = 4000\n")
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s): substeps\n"
+        assert not (tmp_path / "out").exists()
 
     def test_fractional_n_steps_sweep_is_config_error(self, tmp_path, capsys):
         path = self.write(tmp_path, N_STEPS_SWEEP + "sweep_values = 10.7\n")
@@ -1169,9 +1161,9 @@ n_steps = 40000
 # Values that pass validation and keep a run short: a few collisions or grid
 # points, and a few thousand master-equation steps at most.
 FUZZ_VALID = {
-    "g": ["1", "0.5"], "delta": ["2", "-3"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
+    "g": ["1", "0.5"], "delta": ["2"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
     "tau": ["0.05"], "alpha_tau": ["0.3"], "omega_a1": ["3"], "omega_a2": ["5"],
-    "propagator": ["spectral", "runge_kutta"], "substeps": ["4", "1000"],
+    "propagator": ["spectral", "runge_kutta"],
     "initial_state": ["ground_S", "custom"],
     "initial_populations": ["0.5, 0.5, 0", "0.2, 0.3, 0.5"],
     "n_steps": ["1", "2"], "n_grid": ["2", "5"], "alpha_t_max": ["5"],
@@ -1191,13 +1183,14 @@ FUZZ_NUMBERS = ["0", "-0", "inf", "-inf", "nan", "1e300", "1e-300", "2.5", "0x10
 FUZZ_SIZES = ["0", "-0", "", "2.5", "0x3", "1_0", "nan", "inf", "1e300",
               str(2**63 - 1), str(2**63), str(2**64)]
 FUZZ_WILD = {
+    "delta": [*FUZZ_NUMBERS, "-3"],  # verify-elimination and an alpha_tau duration reject it
     "workers": ["0", "-1", "", "2.5", "0x1", "nan"],  # one process at most: no pool
     "propagator": ["", "rk4"],
     "initial_state": ["", "mixed"],
     "initial_populations": ["1, 0", "0.9, 0.3, 0", "nan, 0, 1", "-0, 1, 0", "1, 0, 0", ""],
     "sweep_scenario": ["sweep", "", "bogus"],
     "sweep_param": ["n_grid", "workers", "", "tau"],  # tau: not a verify-elimination key
-    **dict.fromkeys(["n_steps", "n_grid", "substeps", "snapshot_stride"], FUZZ_SIZES),
+    **dict.fromkeys(["n_steps", "n_grid", "snapshot_stride"], FUZZ_SIZES),
 }
 FUZZ_ALWAYS = {"n_steps", "n_grid"}  # so that no default size rule picks a long run
 FUZZ_JUNK = ["bogus = 1", "no equals sign", "delta = 1", "= 2"]
@@ -1215,12 +1208,15 @@ def fuzzed_configs(draw):
         required, optional = required | config.SCENARIO_KEYS["sweep"][0], optional | {"workers"}
     valid = {**FUZZ_VALID, "sweep_scenario": [point],
              "sweep_param": sorted(config.SWEEPABLE_KEYS & (required | optional))}
-    # likely: what the scenario, or a sweep's points, require; other keys not
-    likely = required | {"delta", "x1", "x2", draw(st.sampled_from(["tau", "alpha_tau"]))}
+    # likely: what the scenario, or a sweep's points, require, and one duration key; other
+    # keys not.  The other duration key draws only wild values, so that a valid draw sets
+    # at most one of tau and alpha_tau.
+    duration, other = draw(st.permutations(["tau", "alpha_tau"]))
+    likely = required | {"delta", "x1", "x2", duration}
     lines = [f"scenario = {scenario}"]
 
     def add(key):
-        if draw(st.integers(0, 5)) > 0:
+        if key != other and draw(st.integers(0, 5)) > 0:
             value = draw(st.sampled_from(valid[key]))
         elif key == "sweep_values":
             value = ", ".join(draw(st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=1,

@@ -65,6 +65,11 @@ class TestGeneratorConstruction:
         with pytest.raises(ValueError, match="nonnegative"):
             LindbladGenerator(np.zeros((2, 2)), ((transition(2, 0, 1), -0.1),))
 
+    def test_rejects_nan_rate(self):
+        # rate < 0 is False for NaN: the generator was built and the run failed at step 1
+        with pytest.raises(ValueError, match="^dissipator rate must be nonnegative, got nan$"):
+            LindbladGenerator(np.zeros((2, 2)), ((transition(2, 0, 1), math.nan),))
+
     def test_rejects_non_hermitian_hamiltonian(self):
         with pytest.raises(ValueError, match=r"^generator is not Hermitian \(max deviation "
                                              r"1\.000e\+00 > 1e-12\)$"):
@@ -229,6 +234,13 @@ class TestIntegrate:
             integrate(gen, QUBIT_GROUND, 1.0, 2.0)
         with pytest.raises(ValueError, match="dt"):
             integrate(gen, QUBIT_GROUND, 1.0, 0.0)
+
+    @pytest.mark.parametrize("t_end, dt", [(math.nan, 0.1), (1.0, math.nan), (math.inf, 0.1)])
+    def test_rejects_nan_or_infinite_times(self, t_end, dt):
+        # these ended in numpy's NaN-to-integer error or an OverflowError
+        gen = generator_effective_qubit(rates_for())
+        with pytest.raises(ValueError, match=r"^need 0 < dt <= t_end < inf, got dt=\S+, t_end=\S+$"):
+            integrate(gen, QUBIT_GROUND, t_end, dt)
 
     def test_me_substep_count_satisfies_guard(self):
         for tau, gen in itertools.product((0.05, 1.0, 60.0), (

@@ -21,7 +21,7 @@ from .errors import TRACE_TOL, ConfigError
 _BASE_KEYS = {"scenario", "g", "output_path"}
 _COLLISION_KEYS = {
     "delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "omega_a1", "omega_a2",
-    "propagator", "initial_state", "initial_populations", "snapshot_stride",
+    "propagator", "initial_populations", "snapshot_stride",
 }
 
 # scenario -> (required keys, optional keys)
@@ -71,8 +71,7 @@ class ScenarioConfig:
     omega_a1: float | None = None
     omega_a2: float | None = None
     propagator: str = "spectral"
-    initial_state: str = "ground_S"
-    initial_populations: tuple[float, float, float] | None = None
+    initial_populations: tuple[float, float, float] = (1.0, 0.0, 0.0)
     output_path: str | None = None
     n_grid: int = 2000
     alpha_t_max: float = 5.0
@@ -129,9 +128,10 @@ _KINDS = {
 
 def _kind_of(declared) -> tuple[tuple, bool]:
     """The `_KINDS` entry of a field declared as ``kind`` or ``kind | None``,
-    and whether it allows None."""
-    kind = next(t for t in typing.get_args(declared) or (declared,) if t is not type(None))
-    return _KINDS[typing.get_origin(kind) or kind], type(None) in typing.get_args(declared)
+    and whether it allows None; a ``tuple[...]`` is a tuple, whatever its elements."""
+    nullable = type(None) in typing.get_args(declared)
+    kind = typing.get_args(declared)[0] if nullable else declared
+    return _KINDS[typing.get_origin(kind) or kind], nullable
 
 
 def _fits(cls, value) -> bool:
@@ -216,15 +216,13 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
                                             for v in values if v is not None):
             raise ConfigError(f"{key}: must be finite, got {value}")
     pops = cfg.initial_populations
-    if pops is not None:
-        if len(pops) != 3:
-            raise ConfigError(
-                f"initial_populations: expected three comma-separated populations, got {pops}")
-        if any(v < 0 for v in pops):
-            raise ConfigError(f"initial_populations: populations must be nonnegative, got {pops}")
-        if abs(sum(pops) - 1.0) > TRACE_TOL:
-            raise ConfigError(
-                f"initial_populations: populations must sum to 1, got sum {sum(pops)!r}")
+    if len(pops) != 3:
+        raise ConfigError(
+            f"initial_populations: expected three comma-separated populations, got {pops}")
+    if any(v < 0 for v in pops):
+        raise ConfigError(f"initial_populations: populations must be nonnegative, got {pops}")
+    if abs(sum(pops) - 1.0) > TRACE_TOL:
+        raise ConfigError(f"initial_populations: populations must sum to 1, got sum {sum(pops)!r}")
     if cfg.sweep_values == ():
         raise ConfigError("sweep_values: expected a comma-separated value list")
     # a field the scenario does not use holds its default, as the parser requires
@@ -235,12 +233,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"g: must be positive, got {cfg.g}")
     if cfg.propagator not in ("spectral", "runge_kutta"):
         raise ConfigError(f"propagator: must be 'spectral' or 'runge_kutta', got {cfg.propagator!r}")
-    if cfg.initial_state not in ("ground_S", "custom"):
-        raise ConfigError(f"initial_state: must be 'ground_S' or 'custom', got {cfg.initial_state!r}")
-    if cfg.initial_state == "custom" and cfg.initial_populations is None:
-        raise ConfigError("initial_state = custom requires initial_populations")
-    if cfg.initial_state == "ground_S" and cfg.initial_populations is not None:
-        raise ConfigError("initial_populations only applies when initial_state = custom")
     if cfg.n_steps is not None and not 1 <= cfg.n_steps < MAX_GRID:  # n_steps + 1 states
         raise ConfigError(f"n_steps: must be between 1 and {MAX_GRID - 1}, got {cfg.n_steps}")
     if cfg.snapshot_stride < 0:
@@ -259,8 +251,7 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError("alpha_tau requires a nonzero delta")
         if not 0 < cfg.effective_tau() < math.inf:  # raises without either; the product may overflow
             raise ConfigError(f"collision duration must be positive and finite, got {cfg.effective_tau()}")
-    if (cfg.scenario == "collision-vs-me" and cfg.initial_populations is not None
-            and cfg.initial_populations[2] != 0):
+    if cfg.scenario == "collision-vs-me" and cfg.initial_populations[2] != 0:
         raise ConfigError("collision-vs-me requires zero initial top-level population "
                           "(the master equation describes the effective qubit)")
     if cfg.delta == 0 and cfg.scenario in ("verify-elimination", "collision-vs-me",

@@ -99,16 +99,6 @@ def metrics(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
 # building blocks shared by the scenarios
 
 
-def initial_system_state(cfg: ScenarioConfig) -> np.ndarray:
-    """The diagonal start state, unchecked: `validate_config` bounds its
-    populations and the engine that takes it checks it."""
-    if cfg.initial_state == "ground_S":
-        pops = (1.0, 0.0, 0.0)
-    else:
-        pops = cfg.initial_populations
-    return np.diag(pops).astype(complex)
-
-
 def model_params(cfg: ScenarioConfig, n_steps: int = 1) -> ModelParams:
     return ModelParams(
         delta=cfg.delta,
@@ -123,11 +113,10 @@ def model_params(cfg: ScenarioConfig, n_steps: int = 1) -> ModelParams:
 
 
 def default_collision_count(p: ModelParams, relaxation_rate: float) -> int:
-    """Steps so the run covers ``RELAXATION_TARGET`` relaxation units."""
-    if relaxation_rate <= 0:
-        return MIN_DEFAULT_STEPS
-    per_step = relaxation_rate * p.tau  # may underflow to 0
-    steps = RELAXATION_TARGET / per_step if per_step else math.inf
+    """Steps so the run covers ``RELAXATION_TARGET`` relaxation units; raises when
+    that count is not finite, as when ``rate * tau`` underflows to 0."""
+    per_step = relaxation_rate * p.tau
+    steps = RELAXATION_TARGET / per_step if per_step > 0 else math.inf
     if steps == math.inf:
         raise NumericError(f"default n_steps {RELAXATION_TARGET} / (relaxation rate * tau) "
                            f"is not finite; give n_steps")
@@ -229,7 +218,7 @@ def _collision_run(cfg: ScenarioConfig,
     n = cfg.n_steps if cfg.n_steps is not None else default_collision_count(
         p, relaxation_rate_of(p))
     p = model_params(cfg, n_steps=n)
-    rho0 = initial_system_state(cfg)
+    rho0 = np.diag(cfg.initial_populations).astype(complex)  # run_collisions checks it
     traj = run_collisions(rho0, p, "original", cfg.propagator, snapshot_stride=cfg.snapshot_stride)
     return p, traj, rho0
 

@@ -35,7 +35,7 @@ from collisim.collision import CHECK_BLOCK, GRID_BLOCK, STEP_BLOCK, propagate
 from collisim.errors import COLLISION_BOUNDS, INTEGRATOR_BOUNDS, MIN_EIGENVALUE
 from collisim.lindblad import generator_superoperator, rk4_step_matrix
 from collisim.operators import batch_check_states, partial_trace_matrix
-from collisim.scenarios import initial_system_state, me_substep_count, model_params
+from collisim.scenarios import me_substep_count, model_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -388,8 +388,8 @@ class TestPositivityCertificate:
         # certify every state and the checker makes no eigensolve.
         cfg = load_config(CONFIG_DIR / "collision_vs_me_short.cfg")
         stacks = count_eigvalsh_stacks(monkeypatch)
-        traj = run_collisions(initial_system_state(cfg), model_params(cfg, n_steps=3000), mode,
-                              snapshot_stride=1)
+        rho0 = np.diag(cfg.initial_populations).astype(complex)
+        traj = run_collisions(rho0, model_params(cfg, n_steps=3000), mode, snapshot_stride=1)
         assert stacks == []
         monkeypatch.undo()
         assert check_outcome(eigvalsh_check_states, traj.snapshot_states[1:]) == pytest.approx(1.0)
@@ -677,7 +677,7 @@ def short_collision_maps():
     gen = generator_effective_qubit(derive_rates(p))
     dt = p.tau / me_substep_count(p.tau, gen)
     me_map = rk4_step_matrix(generator_superoperator(gen), dt)
-    rho0 = initial_system_state(cfg)
+    rho0 = np.diag(cfg.initial_populations).astype(complex)
     return [pytest.param(collision_map, rho0, p.tau, COLLISION_BOUNDS, id="collision"),
             pytest.param(me_map, np.array(rho0[:2, :2]), dt, INTEGRATOR_BOUNDS,
                          id="master_equation")]

@@ -81,7 +81,6 @@ n_steps = 7
 omega_a1 = 5
 omega_a2 = 3
 propagator = runge_kutta
-initial_state = custom
 initial_populations = 0.2, 0.3, 0.5
 output_path = out/all-keys
 snapshot_stride = 3
@@ -92,8 +91,8 @@ workers = 2
 """
 ALL_KEYS_CONFIG = ScenarioConfig(
     "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7, omega_a1=5.0,
-    omega_a2=3.0, propagator="runge_kutta", initial_state="custom",
-    initial_populations=(0.2, 0.3, 0.5), output_path="out/all-keys", snapshot_stride=3,
+    omega_a2=3.0, propagator="runge_kutta", initial_populations=(0.2, 0.3, 0.5),
+    output_path="out/all-keys", snapshot_stride=3,
     sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
     workers=2)
 ALL_KEYS_ALPHA_TAU = ALL_KEYS_SWEEP.replace("tau = 40", "alpha_tau = 0.3")
@@ -252,20 +251,17 @@ class TestConfigParsing:
         assert str(info.value) == message
 
     def test_custom_initial_state(self):
+        assert parse_config_text(FIG3B).initial_populations == (1.0, 0.0, 0.0)
         cfg = parse_config_text(
             FIG3B.replace("collision-vs-me", "negative-temperature")
-            + "initial_state = custom\ninitial_populations = 0.2, 0.3, 0.5\n"
+            + "initial_populations = 0.2, 0.3, 0.5\n"
         )
         assert cfg.initial_populations == (0.2, 0.3, 0.5)
         # within the state trace tolerance 1e-10; 1 + 5e-10 is rejected
-        cfg = parse_config_text(
-            FIG3B + "initial_state = custom\ninitial_populations = 0.60000000005, 0.4, 0\n"
-        )
+        cfg = parse_config_text(FIG3B + "initial_populations = 0.60000000005, 0.4, 0\n")
         assert cfg.initial_populations == (0.60000000005, 0.4, 0.0)
         with pytest.raises(ConfigError, match="sum to 1"):
-            parse_config_text(FIG3B + "initial_state = custom\ninitial_populations = 0.9,0.3,0\n")
-        with pytest.raises(ConfigError, match="custom"):
-            parse_config_text(FIG3B + "initial_populations = 0.5,0.5,0\n")
+            parse_config_text(FIG3B + "initial_populations = 0.9,0.3,0\n")
 
     def test_sweep_requires_valid_points(self):
         text = """
@@ -320,7 +316,7 @@ sweep_values = 25, 0, 100
                 value = getattr(cfg, f.name)
                 if value is not None:
                     assert f.type.startswith(type(value).__name__), (f.name, value)
-            assert all(type(v) is float for v in (cfg.initial_populations or ()) + cfg.sweep_values)
+            assert all(type(v) is float for v in cfg.initial_populations + cfg.sweep_values)
 
     def test_load_config_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -499,6 +495,40 @@ class TestScenarioOutputs:
         columns = write_trajectory_csv(tmp_path / "orig.csv", orig, "orig")
         assert write_trajectory_csv(tmp_path / "me10.csv", me, "me10", columns) is columns
 
+    @pytest.mark.parametrize("name, expected", [
+        ("negative_temperature", 300),  # 5 / (rate * tau) = 131.6, below the floor
+        ("collision_vs_me_short", 200001),  # ceil(200000.0005), the n_steps of its golden report.kv
+    ])
+    def test_default_collision_count(self, monkeypatch, name, expected):
+        """The default step rule max(300, ceil(5 / (rate * tau))) at the rate each scenario passes."""
+        cfg = load_config(CONFIG_DIR / f"{name}.cfg")
+        assert cfg.n_steps is None
+        counts, rule = [], scenarios.default_collision_count
+
+        class Stop(Exception):
+            pass
+
+        def count_and_stop(p, relaxation_rate):
+            counts.append(rule(p, relaxation_rate))
+            raise Stop  # before any collision is computed
+
+        monkeypatch.setattr(scenarios, "default_collision_count", count_and_stop)
+        with pytest.raises(Stop):
+            scenarios._RUNNERS[cfg.scenario](cfg)
+        assert counts == [expected]
+
+    @pytest.mark.parametrize("text", [
+        FIG3B,
+        FIG3B.replace("collision-vs-me", "negative-temperature"),
+        "scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\nn_steps = 60\n",
+    ], ids=["collision-vs-me", "negative-temperature", "beyond-far-off"])
+    def test_ground_state_is_the_default_start(self, tmp_path, text):
+        outputs = []
+        for name, extra in (("default", ""), ("explicit", "initial_populations = 1, 0, 0\n")):
+            run_scenario(parse_config_text(text + extra), tmp_path / name)
+            outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+        assert outputs[0] == outputs[1]
+
     def test_report_table_matches_per_line_writer(self, tmp_path):
         pairs = tuple(zip(ADVERSARIAL_FLOATS, reversed(ADVERSARIAL_FLOATS)))
         report = scenarios.ComparisonReport("beyond-far-off", (), (), trace_distances=pairs)
@@ -600,7 +630,7 @@ class TestScenarioOutputs:
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(scenario="collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
-              n_steps=60, initial_state="custom", initial_populations=(0.5, 0.3, 0.2)),
+              n_steps=60, initial_populations=(0.5, 0.3, 0.2)),
          "zero initial top-level"),
         (dict(scenario="negative-temperature", delta=200.0, x1=0.5, x2=1.5),
          "requires tau or alpha_tau"),
@@ -612,17 +642,17 @@ class TestScenarioOutputs:
             ScenarioConfig(**kwargs)
 
     @pytest.mark.parametrize("bad, message", [
-        (dict(initial_state="custom", initial_populations=(0.9, 0.3, 0)),
+        (dict(initial_populations=(0.9, 0.3, 0)),
          "initial_populations: populations must sum to 1"),
-        (dict(initial_state="custom", initial_populations=(-0.1, 1.1, 0)),
+        (dict(initial_populations=(-0.1, 1.1, 0)),
          "initial_populations: populations must be nonnegative"),
-        (dict(initial_state="custom", initial_populations=(0.5, 0.5)),
+        (dict(initial_populations=(0.5, 0.5)),
          "initial_populations: expected three comma-separated populations"),
         (dict(sweep_values=()), "sweep_values: expected a comma-separated value list"),
         (dict(n_grid=2.5), "n_grid: expected an integer, got 2.5"),
         (dict(snapshot_stride=2.5), "snapshot_stride: expected an integer, got 2.5"),
         (dict(n_steps=True), "n_steps: expected an integer, got True"),
-        (dict(initial_state="custom", initial_populations=[0.2, 0.3, float("nan")]),
+        (dict(initial_populations=[0.2, 0.3, float("nan")]),
          r"initial_populations: expected a tuple of numbers, got \[0.2, 0.3, nan\]"),
         (dict(delta="50"), "delta: expected a number, got '50'"),
         (dict(delta=10**400), "delta: must be finite, got 10{400}$"),
@@ -680,8 +710,8 @@ class TestScenarioOutputs:
         # a single-run config
         message = "key(s) not applicable to scenario 'collision-vs-me': alpha_t_max, n_grid"
         with pytest.raises(ConfigError) as info:
-            replace(ALL_KEYS_CONFIG, sweep_scenario="collision-vs-me", initial_populations=None,
-                    initial_state="ground_S", n_grid=500, alpha_t_max=2.0)
+            replace(ALL_KEYS_CONFIG, sweep_scenario="collision-vs-me",
+                    initial_populations=(1.0, 0.0, 0.0), n_grid=500, alpha_t_max=2.0)
         assert str(info.value) == message
         with pytest.raises(ConfigError) as info:
             parse_config_text(FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
@@ -767,7 +797,7 @@ class TestShippedConfigs:
         """`bench/oracle.py` recomputes sampled CSV rows without collisim's stepping code."""
         _, cfg, out, _ = shipped_run
         # the oracle assumes g = 1, a ground-state start and alpha_t_max = 5
-        assert (cfg.g, cfg.initial_state, cfg.alpha_t_max) == (1.0, "ground_S", 5.0)
+        assert (cfg.g, cfg.initial_populations, cfg.alpha_t_max) == (1.0, (1.0, 0.0, 0.0), 5.0)
         config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
                   if getattr(cfg, f.name) is not None}  # with its defaults filled in
         if cfg.scenario == "verify-elimination":  # which the oracle reads as a one-point sweep
@@ -854,6 +884,30 @@ n_steps = 40000
         path = self.write(tmp_path, FIG3B + "propagator = runge_kutta\nsubsteps = 4000\n")
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: unknown key(s): substeps\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", ["initial_state = ground_S\n",
+                                       "initial_state = custom\ninitial_populations = 0.5, 0.5, 0\n"],
+                             ids=["ground_S", "custom"])
+    def test_initial_state_is_an_unknown_key(self, tmp_path, capsys, extra):
+        # a run starts from its initial_populations, 1, 0, 0 by default
+        path = self.write(tmp_path, FIG3B + extra)
+        assert main(["validate", path]) == 2
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: unknown key(s): initial_state\n" * 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("delta, tau", [("1e200", "1"), ("1e150", "1e-10")],
+                             ids=["rate-underflows", "rate-times-tau-underflows"])
+    def test_default_n_steps_past_the_float_range_is_numeric_error(self, tmp_path, capsys,
+                                                                     delta, tau):
+        # (g/delta)^2 underflows to a zero rate in the first case, and
+        # rate * tau underflows to 0 in the second: either count is infinite
+        path = self.write(tmp_path, f"scenario = collision-vs-me\ndelta = {delta}\n"
+                                    f"x1 = 0.5\nx2 = 1.5\ntau = {tau}\n")
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("numeric error: default n_steps 5.0 / (relaxation "
+                                           "rate * tau) is not finite; give n_steps\n")
         assert not (tmp_path / "out").exists()
 
     def test_fractional_n_steps_sweep_is_config_error(self, tmp_path, capsys):
@@ -1100,7 +1154,7 @@ n_steps = 40000
         (FIG3B.replace("x1 = 1e-4", "x1 = inf"), "x1: must be finite"),
         (FIG3B + "g = nan\n", "g: must be finite"),
         (FIG3B + "omega_a1 = -inf\nomega_a2 = 1\n", "omega_a1: must be finite"),
-        (FIG3B + "initial_state = custom\ninitial_populations = 1, 0, nan\n",
+        (FIG3B + "initial_populations = 1, 0, nan\n",
          "initial_populations: must be finite"),
         (N_STEPS_SWEEP.replace("n_steps = 60", "n_steps = 60\nsweep_values = 10, nan"),
          "sweep_values: must be finite"),
@@ -1113,9 +1167,9 @@ n_steps = 40000
         (FIG3B + "omega_a1 = 4\nomega_a2 = 4\n", "omega_a1 = omega_a2"),
         (FIG3B.replace("delta = 200", "delta = 1e300").replace("alpha_tau = 0.3", "alpha_tau = 1e300"),
          "collision duration must be positive and finite"),
-        (FIG3B + "initial_state = custom\ninitial_populations = 0.5, 0.3, 0.2\n",
+        (FIG3B + "initial_populations = 0.5, 0.3, 0.2\n",
          "collision-vs-me requires zero initial top-level population"),
-        (FIG3B + "initial_state = custom\ninitial_populations = 0.6000000005, 0.4, 0\n",
+        (FIG3B + "initial_populations = 0.6000000005, 0.4, 0\n",
          "populations must sum to 1"),
     ], ids=["delta-nan", "x1-inf", "g-nan", "omega-inf", "population-nan", "sweep-value-nan",
             "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "bfo-equal-omegas",
@@ -1164,8 +1218,7 @@ FUZZ_VALID = {
     "g": ["1", "0.5"], "delta": ["2"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
     "tau": ["0.05"], "alpha_tau": ["0.3"], "omega_a1": ["3"], "omega_a2": ["5"],
     "propagator": ["spectral", "runge_kutta"],
-    "initial_state": ["ground_S", "custom"],
-    "initial_populations": ["0.5, 0.5, 0", "0.2, 0.3, 0.5"],
+    "initial_populations": ["1, 0, 0", "0.5, 0.5, 0", "0.2, 0.3, 0.5"],
     "n_steps": ["1", "2"], "n_grid": ["2", "5"], "alpha_t_max": ["5"],
     "snapshot_stride": ["0", "1", "10"], "workers": ["1"],
     "sweep_scenario": [s for s in config.SCENARIO_NAMES if s != "sweep"],
@@ -1186,8 +1239,7 @@ FUZZ_WILD = {
     "delta": [*FUZZ_NUMBERS, "-3"],  # verify-elimination and an alpha_tau duration reject it
     "workers": ["0", "-1", "", "2.5", "0x1", "nan"],  # one process at most: no pool
     "propagator": ["", "rk4"],
-    "initial_state": ["", "mixed"],
-    "initial_populations": ["1, 0", "0.9, 0.3, 0", "nan, 0, 1", "-0, 1, 0", "1, 0, 0", ""],
+    "initial_populations": ["1, 0", "0.9, 0.3, 0", "nan, 0, 1", "-0, 1, 0", ""],
     "sweep_scenario": ["sweep", "", "bogus"],
     "sweep_param": ["n_grid", "workers", "", "tau"],  # tau: not a verify-elimination key
     **dict.fromkeys(["n_steps", "n_grid", "snapshot_stride"], FUZZ_SIZES),
@@ -1225,14 +1277,10 @@ def fuzzed_configs(draw):
             value = draw(st.sampled_from(FUZZ_WILD.get(key, FUZZ_NUMBERS)))
         lines.append(f"{key} = {value}")
 
-    for key in sorted(required | optional - {"scenario", "output_path", "initial_populations"}):
+    for key in sorted(required | optional - {"scenario", "output_path"}):
         if key in FUZZ_ALWAYS or (draw(st.integers(0, 15)) > 0 if key in likely
                                   else draw(st.integers(0, 3)) == 0):
             add(key)
-    # populations go with initial_state = custom, seven times in eight
-    if "initial_populations" in optional and (
-            draw(st.integers(0, 7)) > 0) == ("initial_state = custom" in lines):
-        add("initial_populations")
     if draw(st.integers(0, 9)) == 0:
         lines.append(draw(st.sampled_from(FUZZ_JUNK)))
     return "sweep" if scenario == "sweep" else "run", "\n".join(lines) + "\n"

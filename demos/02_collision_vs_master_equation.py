@@ -28,7 +28,7 @@ from collisim import (
     integrate,
     run_collisions,
 )
-from collisim.scenarios import default_collision_count, me_substep_count
+from collisim.scenarios import default_collision_count
 
 DELTA = 200.0
 GROUND = density_operator(np.diag([1.0, 0.0, 0.0]).astype(complex), QUTRIT_SPACE)
@@ -43,9 +43,7 @@ def compare(alpha_tau):
     p = ModelParams(delta=DELTA, x1=1e-4, x2=1e-4, tau=tau, n_steps=n)
     exact = run_collisions(GROUND, p, "original", snapshot_stride=0)
     gen = generator_effective_qubit(rates)
-    k = me_substep_count(tau, gen)
-    me = integrate(gen, GROUND_QUBIT, n * tau, tau / k, snapshot_stride=0)
-    me_pops = me.populations[::k]
+    me_pops = integrate(gen, GROUND_QUBIT, n * tau, tau, snapshot_stride=0).populations
     dev = np.max(np.abs(exact.populations - me_pops))
     print(f"alpha*tau = {alpha_tau:<5}  Gamma = {rates.capital_gamma:.2e}g  "
           f"n = {n:>6}  max deviation = {dev:.3f}  "

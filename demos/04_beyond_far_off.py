@@ -22,16 +22,13 @@ from collisim import (
     run_collisions,
     steady_residual,
 )
-from collisim.scenarios import me_substep_count
 
 GROUND = density_operator(np.diag([1.0, 0.0, 0.0]).astype(complex), QUTRIT_SPACE)
 
 p = ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05, n_steps=400)
 exact = run_collisions(GROUND, p, "original", snapshot_stride=0)
 gen = generator_qutrit_two_bath(p)
-k = me_substep_count(p.tau, gen)
-me = integrate(gen, GROUND, p.n_steps * p.tau, p.tau / k, snapshot_stride=0)
-me_pops = me.populations[::k]
+me_pops = integrate(gen, GROUND, p.n_steps * p.tau, p.tau, snapshot_stride=0).populations
 dev = np.max(np.abs(exact.populations - me_pops))
 
 print(f"delta = 2g, g*tau = 0.05, x1 = 1, x2 = 2, {p.n_steps} collisions")

@@ -87,8 +87,11 @@ def default_substeps(h: np.ndarray, tau: float) -> int:
 
 def _substeps_for_spectrum(e: np.ndarray, tau: float) -> int:
     """The `default_substeps` rule for a Hamiltonian with eigenvalues ``e``."""
-    radius = float(np.max(np.abs(e)))
-    return max(1, math.ceil(30.0 * radius * tau))
+    count = 30.0 * float(np.max(np.abs(e))) * tau
+    if not count < math.inf:  # NaN-safe
+        raise NumericError(f"runge_kutta substep rule 30 * spectral radius * tau = {count} is "
+                           f"not finite at collision duration tau = {tau:g}")
+    return max(1, math.ceil(count))
 
 
 def _rk4_power_factors(e: np.ndarray, dt: float, substeps: int) -> np.ndarray:

@@ -34,7 +34,8 @@ class Bounds(NamedTuple):
 
 
 COLLISION_BOUNDS = Bounds(1e-10, 1e-8, 1e-10, "step")
-# RK4 moves the trace by rounding only, so the integrator bounds the total drift.
+# The master-equation step map moves the trace by rounding only, so the
+# integrator bounds the total drift.
 INTEGRATOR_BOUNDS = Bounds(inf, 1e-9, 1e-12, "integrator step")
 # A start state has no step before it, so a bad trace reads as != 1, not as a drift.
 START_BOUNDS = Bounds(inf, TRACE_TOL, HERMITICITY_TOL, "start state")

@@ -7,11 +7,10 @@ product basis state ``|a1, a2, s>`` has flat index ``a1*6 + a2*3 + s``.
 All Hilbert-space dimensions in this package are small (<= 16), so every
 matrix is dense.  The ``spectral`` collision map and closed evolution
 exponentiate a dense eigendecomposition, so their joint evolution is
-unitary up to solver accuracy.  The rest are series approximations: the
-``runge_kutta`` collision map is a power of RK4's stability function
-``T4``, whose gain ``|T4(-i theta)|`` is below 1 for real ``theta != 0``,
-so it is not unitary, and each master-equation step is RK4's degree-4
-Taylor polynomial of the step propagator.
+unitary up to solver accuracy.  The ``runge_kutta`` collision map is a
+power of RK4's stability function ``T4``, whose gain ``|T4(-i theta)|`` is
+below 1 for real ``theta != 0``, so it is not unitary, and neither is a
+master-equation step, the dissipative map ``exp(G dt)``.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ scenario's documented tolerances.  Outputs are deterministic: rerunning
 a config yields byte-identical files.
 
 Comparisons between stroboscopic and continuous-time trajectories avoid
-interpolation error by integrating the master equation with a step that
-divides the collision duration, so the integrator lands exactly on the
-collision times.
+interpolation error: the master equation takes one step of its exact map
+``exp(G tau)`` per collision, so its times are the collision times ``j *
+tau`` bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +26,6 @@ from .collision import as_qutrit_matrix, closed_evolution, run_collisions
 from .config import ScenarioConfig, sweep_points
 from .errors import ConfigError, NumericError
 from .lindblad import (
-    DT_MARGIN,
-    LindbladGenerator,
     generator_effective_qubit,
     generator_qutrit_two_bath,
     integrate,
@@ -123,11 +121,7 @@ def default_collision_count(p: ModelParams, relaxation_rate: float) -> int:
     return max(MIN_DEFAULT_STEPS, math.ceil(steps))
 
 
-def me_substep_count(tau: float, gen: LindbladGenerator) -> int:
-    """Smallest number of equal divisions of tau whose step obeys `DT_MARGIN`."""
-    return max(1, math.ceil(tau * gen.rate_scale / DT_MARGIN))
-
-
+# No caller here: bench/spans.py still wraps scenarios.subsample by name.
 def subsample(traj: Trajectory, every: int) -> Trajectory:
     """Every ``every``-th entry, with step indices renumbered to match."""
     if every == 1:
@@ -223,27 +217,14 @@ def _collision_run(cfg: ScenarioConfig,
     return p, traj, rho0
 
 
-def _me_at_collision_times(gen: LindbladGenerator, rho0: np.ndarray, p: ModelParams,
-                           snapshot_stride: int) -> Trajectory:
-    """Master-equation run over ``p.n_steps`` collisions, sampled at the collision times.
-
-    The samples carry the collision run's own times ``j * tau``: the
-    integrator's ``(j k) * (tau / k)`` equal them in exact arithmetic but
-    can differ in the last bit.
-    """
-    k = me_substep_count(p.tau, gen)
-    me_full = integrate(gen, rho0, p.n_steps * p.tau, p.tau / k,
-                        snapshot_stride=snapshot_stride * k)
-    return replace(subsample(me_full, k), times=np.arange(p.n_steps + 1) * p.tau)
-
-
 def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the effective-qubit master equation."""
     p, exact, rho0 = _collision_run(cfg, lambda p: derive_rates(p).capital_gamma)
     rates = derive_rates(p)
     gen = generator_effective_qubit(rates)
 
-    me = _me_at_collision_times(gen, rho0[:2, :2], p, cfg.snapshot_stride)
+    me = integrate(gen, rho0[:2, :2], p.n_steps * p.tau, p.tau,
+                   snapshot_stride=cfg.snapshot_stride)
     dev = metrics(exact, me)
     max_p2 = float(np.max(exact.populations[:, 2]))
     final_exact, final_me = exact.final_window_mean(), me.final_window_mean()
@@ -319,7 +300,7 @@ def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str,
     in the short-collision, modest-detuning regime."""
     p, exact, rho0 = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
     gen = generator_qutrit_two_bath(p)
-    me = _me_at_collision_times(gen, rho0, p, cfg.snapshot_stride)
+    me = integrate(gen, rho0, p.n_steps * p.tau, p.tau, snapshot_stride=cfg.snapshot_stride)
     dev = metrics(exact, me)
     final = exact.final_window_mean()
 

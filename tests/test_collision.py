@@ -33,9 +33,9 @@ from collisim import collision
 from collisim.cli import main
 from collisim.collision import CHECK_BLOCK, GRID_BLOCK, STEP_BLOCK, propagate
 from collisim.errors import COLLISION_BOUNDS, INTEGRATOR_BOUNDS, MIN_EIGENVALUE
-from collisim.lindblad import generator_superoperator, rk4_step_matrix
+from collisim.lindblad import exp_step_map, generator_superoperator
 from collisim.operators import batch_check_states, partial_trace_matrix
-from collisim.scenarios import me_substep_count, model_params
+from collisim.scenarios import model_params
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -674,12 +674,10 @@ def short_collision_maps():
     p = model_params(cfg)
     eta1, eta2 = ancilla_pair(p)
     collision_map = collision_superoperator(build_h_prime(p), eta1, eta2, p.tau)
-    gen = generator_effective_qubit(derive_rates(p))
-    dt = p.tau / me_substep_count(p.tau, gen)
-    me_map = rk4_step_matrix(generator_superoperator(gen), dt)
+    me_map = exp_step_map(generator_superoperator(generator_effective_qubit(derive_rates(p))), p.tau)
     rho0 = np.diag(cfg.initial_populations).astype(complex)
     return [pytest.param(collision_map, rho0, p.tau, COLLISION_BOUNDS, id="collision"),
-            pytest.param(me_map, np.array(rho0[:2, :2]), dt, INTEGRATOR_BOUNDS,
+            pytest.param(me_map, np.array(rho0[:2, :2]), p.tau, INTEGRATOR_BOUNDS,
                          id="master_equation")]
 
 

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,6 @@ from collisim import (
     NumericError,
     ScenarioConfig,
     Trajectory,
-    generator_qutrit_two_bath,
     load_config,
     metrics,
     parse_config_text,
@@ -38,6 +38,7 @@ from collisim import (
 from collisim import config, scenarios
 from collisim.cli import main
 from collisim.scenarios import subsample, write_trajectory_csv
+from repin_report import compare, format_rows
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -482,18 +483,19 @@ class TestScenarioOutputs:
         # the second call is handed the first call's columns, and reuses them
         assert calls[1][0][3] is calls[0][2] is calls[1][2]
 
-    def test_master_equation_carries_the_collision_times(self, tmp_path):
-        # With k > 1 integrator substeps the master-equation samples still carry
-        # the collision times bit for bit, so its CSV reuses the first file's columns.
-        cfg = parse_config_text(
-            "scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\nn_steps = 100\n")
-        p = scenarios.model_params(cfg)
-        assert scenarios.me_substep_count(p.tau, generator_qutrit_two_bath(p)) > 1
-        _, trajectories = scenarios.run_beyond_far_off(cfg)
-        orig, me = trajectories["orig"], trajectories["me10"]
+    @pytest.mark.parametrize("text, source", [
+        ("scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\nn_steps = 100\n", "me10"),
+        (FIG3B, "me5"),
+    ], ids=["beyond-far-off", "collision-vs-me"])
+    def test_master_equation_carries_the_collision_times(self, tmp_path, text, source):
+        # One step of exp(G tau) per collision: the master-equation times are the
+        # collision times bit for bit, so its CSV reuses the first file's columns.
+        cfg = parse_config_text(text)
+        _, trajectories = scenarios._RUNNERS[cfg.scenario](cfg)
+        orig, me = trajectories["orig"], trajectories[source]
         assert np.array_equal(orig.times.view(np.int64), me.times.view(np.int64))
         columns = write_trajectory_csv(tmp_path / "orig.csv", orig, "orig")
-        assert write_trajectory_csv(tmp_path / "me10.csv", me, "me10", columns) is columns
+        assert write_trajectory_csv(tmp_path / f"{source}.csv", me, source, columns) is columns
 
     @pytest.mark.parametrize("name, expected", [
         ("negative_temperature", 300),  # 5 / (rate * tau) = 131.6, below the floor
@@ -808,6 +810,11 @@ class TestShippedConfigs:
         assert oracle.check_run(SimpleNamespace(config=config), out) == []
 
 
+# What `exp_step_map` says of a |G dt|_1 outside its range
+STEP_MAP_ERROR = ("master-equation step map exp(G dt): |G dt|_1 = %s is not finite or not below "
+                  "2^32, the range its accuracy holds in")
+
+
 class TestCli:
     def write(self, tmp_path, text, name="cfg.txt"):
         path = tmp_path / name
@@ -1046,15 +1053,14 @@ n_steps = 40000
         ("scenario = negative-temperature\ndelta = 2\nx1 = 1\nx2 = 0.5\ntau = 1e-300\n",
          "numeric error: default n_steps 5.0 / (relaxation rate * tau) is not finite; "
          "give n_steps\n"),
-        # a default collision count, or a master-equation step count, numpy cannot size:
-        # "Maximum allowed dimension exceeded", exit 2
+        # a default collision count numpy cannot size: "Maximum allowed dimension exceeded", exit 2
         ("scenario = negative-temperature\ndelta = 2\nx1 = 1\nx2 = 0.5\ntau = 1e-150\n",
          f"numeric error: over {config.MAX_GRID - 1} steps, more than numpy can size a "
          "trajectory for\n"),
+        # tau = 2^64 asked for RK4 master-equation substeps past that size; one step of
+        # exp(G tau) is now past the step map's range
         ("scenario = collision-vs-me\ndelta = 2\nx1 = 1\nx2 = 0.5\nn_steps = 1\n"
-         "tau = 18446744073709551616\n",
-         f"numeric error: over {config.MAX_GRID - 1} steps, more than numpy can size a "
-         "trajectory for\n"),
+         "tau = 18446744073709551616\n", f"numeric error: {STEP_MAP_ERROR % '4.696e+37'}\n"),
     ], ids=["default-count-underflow", "default-count-unsizable", "me-steps-unsizable"])
     def test_step_counts_past_what_numpy_can_size_are_numeric_error(self, tmp_path, capsys,
                                                                     text, err):
@@ -1064,6 +1070,35 @@ n_steps = 40000
         capsys.readouterr()
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err == err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, err", [
+        # tau = 2e300: "cannot convert float infinity to integer" from the substep count
+        ("scenario = collision-vs-me\nalpha_tau = 1e300\ndelta = 2\nn_steps = 1\nx1 = 0\nx2 = 0\n",
+         STEP_MAP_ERROR % "inf"),
+        # tau delta^2 = inf: "cannot convert float infinity to integer" as well
+        ("scenario = beyond-far-off\ndelta = 1e150\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
+         STEP_MAP_ERROR % "nan"),
+        # delta^2 raised "(34, 'Numerical result out of range')"
+        ("scenario = beyond-far-off\ndelta = 1e200\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
+         "two-bath dephasing rate tau * delta^2 is past the float range at delta = 1e+200"),
+        # the substep count's math.ceil raised "cannot convert float infinity to integer";
+        # the spectral map of the same config keeps its message
+        ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n"
+         "propagator = runge_kutta\n", "runge_kutta substep rule 30 * spectral radius * tau = "
+                                       "inf is not finite at collision duration tau = 1e+10"),
+        ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
+         "non-finite entry at step 1"),
+    ], ids=["alpha-tau-1e300", "dephasing-rate-infinite", "dephasing-rate-overflows",
+            "runge-kutta-substeps-infinite", "spectral-map-infinite"])
+    def test_maps_and_rates_past_the_float_range_are_numeric_error(self, tmp_path, capsys, text,
+                                                                   err):
+        # validation accepts these: the rates and maps come from derived values
+        path = self.write(tmp_path, text)
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"numeric error: {err}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text", [
@@ -1497,6 +1532,47 @@ def test_demo_runs(tmp_path, demo):
     stdout = re.sub(r"\n\nwrote [^\n]*", "", result.stdout)
     pinned = dict(line.split()[::-1] for line in DEMO_TABLE.read_text().splitlines())
     assert hashlib.sha256(stdout.encode()).hexdigest() == pinned[demo.stem], result.stdout
+
+
+def test_repin_report_names_each_changed_column(tmp_path):
+    """`repin_report` on two tiny run directories: one file of each kind changed, one
+    identical, one on a side only and one whose cells no longer line up."""
+    files = {
+        "run/orig.csv": ("step,t,p0,source\n0,0,1,orig\n1,0.5,0.25,orig\n2,1,0.5,orig\n",
+                         "step,t,p0,source\n0,0,1,orig\n1,0.5,0.2500001,orig\n2,1,0.5,orig\n"),
+        "run/report.kv": ("passed = true\nmax_dev = 0.5\nn = 3\n",
+                          "passed = false\nmax_dev = 0.25\nn = 3\n"),
+        "run/report.txt": ("  max_dev  0.5\n\n    1  0.1\n    2  0.2\n",
+                           "  max_dev  0.5\n\n    1  0\n    2  0.3\n"),
+        "run/same.kv": ("n = 1\n", "n = 1\n"),
+        "run/short.csv": ("a,b\n1,2\n", "a,b\n1,2\n3,4\n"),
+        "parent_only.kv": ("n = 1\n", None),
+    }
+    for side, i in (("parent", 0), ("change", 1)):
+        for name, texts in files.items():
+            if texts[i] is not None:
+                (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / side / name).write_text(texts[i])
+    rows = compare(tmp_path / "parent", tmp_path / "change")
+    assert [(name, column, changed, total) for name, column, _, _, changed, total in rows] == [
+        ("parent_only.kv", f"only in {tmp_path / 'parent'}", 0, 0),
+        ("run/orig.csv", "step", 0, 3), ("run/orig.csv", "t", 0, 3),
+        ("run/orig.csv", "p0", 1, 3), ("run/orig.csv", "source", 0, 3),
+        ("run/report.kv", "passed", 1, 1), ("run/report.kv", "max_dev", 1, 1),
+        ("run/report.kv", "n", 0, 1),
+        ("run/report.txt", "text", 0, 4), ("run/report.txt", "max_dev #1", 0, 1),
+        ("run/report.txt", "#1", 0, 2), ("run/report.txt", "#2", 2, 2),
+        ("run/short.csv", "cells differ: 2 against 4", 0, 0),
+    ]
+    deviations = {(name, column): (dev, rel) for name, column, dev, rel, _, _ in rows}
+    assert deviations[("run/orig.csv", "p0")] == pytest.approx((1e-7, 4e-7), rel=1e-6)
+    assert deviations[("run/report.kv", "max_dev")] == (0.25, 0.5)
+    # the rows "1  0.1" and "2  0.2" of an unlabelled table: 0.1 -> 0 is the largest relative change
+    assert deviations[("run/report.txt", "#2")] == pytest.approx((0.1, 1.0))
+    assert all(math.isnan(x) for x in deviations[("run/report.kv", "passed")])
+    table = format_rows(rows).splitlines()
+    assert len(table) == 1 + 6  # the header, then the rows with a change or a note
+    assert table[3].split() == ["run/report.kv", "passed", "-", "-", "1", "of", "1"]
 
 
 def load_bench_module(path):

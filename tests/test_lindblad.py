@@ -1,6 +1,8 @@
 import itertools
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +12,7 @@ from collisim import (
     InvariantViolation,
     LindbladGenerator,
     ModelParams,
+    NumericError,
     QUTRIT_SPACE,
     ScenarioConfig,
     density_operator,
@@ -22,8 +25,7 @@ from collisim import (
     transition,
 )
 from collisim import lindblad, scenarios
-from collisim.lindblad import DT_MARGIN, generator_superoperator
-from collisim.scenarios import me_substep_count
+from collisim.lindblad import MAX_SQUARINGS, exp_step_map, generator_superoperator
 
 
 def rates_for(x_s=0.0, gamma=0.5):
@@ -147,6 +149,12 @@ class TestQutritTwoBathGenerator:
         gen = generator_qutrit_two_bath(ModelParams(delta=1.0, x1=x1, x2=x2, tau=0.1))
         assert all(rate >= 0 for _, rate in gen.dissipators)
 
+    def test_dephasing_rate_past_the_float_range_is_numeric_error(self):
+        # delta^2 raised a bare OverflowError, "(34, 'Numerical result out of range')"
+        with pytest.raises(NumericError, match=r"^two-bath dephasing rate tau \* delta\^2 is past "
+                                               r"the float range at delta = 1e\+200$"):
+            generator_qutrit_two_bath(ModelParams(delta=1e200, x1=1.0, x2=2.0, tau=1e10))
+
 
 class TestRhsProperties:
     def test_trace_zero_on_random_states(self):
@@ -211,22 +219,20 @@ class TestIntegrate:
         exact = 0.5 * (1.0 - np.exp(-2.0 * gamma * traj.times))
         assert np.max(np.abs(traj.populations[:, 1] - exact)) <= 1e-7
 
-    def test_fourth_order_convergence(self):
+    def test_one_step_spans_the_relaxation(self):
+        # the step map is exp(G dt), not a truncation of it: one step of the whole span is exact
         gamma = 0.5
         gen = generator_effective_qubit(rates_for(x_s=0.0, gamma=gamma))
+        traj = integrate(gen, QUBIT_GROUND, 4.0, 4.0)
+        assert traj.times.tolist() == [0.0, 4.0]
+        assert abs(traj.populations[1, 1] - 0.5 * (1.0 - math.exp(-4.0))) <= 1e-16
 
-        def global_error(dt):
-            traj = integrate(gen, QUBIT_GROUND, 4.0, dt)
-            exact = 0.5 * (1.0 - np.exp(-2.0 * gamma * traj.times))
-            return np.max(np.abs(traj.populations[:, 1] - exact))
-
-        ratio = global_error(0.05) / global_error(0.025)
-        assert 13.0 <= ratio <= 19.0
-
-    def test_stability_guard(self):
-        gen = generator_effective_qubit(rates_for(x_s=0.0, gamma=10.0))
-        with pytest.raises(ValueError, match="stability guard"):
-            integrate(gen, QUBIT_GROUND, 5.0, 0.5)
+    def test_an_infinite_rate_is_numeric_error(self):
+        # Gamma = inf makes inf * 0 entries in G: NaN with no RuntimeWarning
+        gen = generator_effective_qubit(rates_for(gamma=math.inf))
+        with pytest.raises(NumericError, match=r"^master-equation step map exp\(G dt\): "
+                                               r"\|G dt\|_1 = nan is not finite"):
+            integrate(gen, QUBIT_GROUND, 1.0, 0.5)
 
     def test_dt_bounds(self):
         gen = generator_effective_qubit(rates_for())
@@ -241,15 +247,6 @@ class TestIntegrate:
         gen = generator_effective_qubit(rates_for())
         with pytest.raises(ValueError, match=r"^need 0 < dt <= t_end < inf, got dt=\S+, t_end=\S+$"):
             integrate(gen, QUBIT_GROUND, t_end, dt)
-
-    def test_me_substep_count_satisfies_guard(self):
-        for tau, gen in itertools.product((0.05, 1.0, 60.0), (
-            generator_effective_qubit(rates_for(x_s=2.0, gamma=3.0)),
-            generator_qutrit_two_bath(ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05)),
-        )):
-            dt = tau / me_substep_count(tau, gen)
-            assert dt * gen.rate_scale <= DT_MARGIN
-            integrate(gen, np.eye(gen.dim) / gen.dim, tau, dt, snapshot_stride=0)
 
     @pytest.fixture
     def asked_steps(self, monkeypatch):
@@ -277,15 +274,13 @@ class TestIntegrate:
             integrate(LindbladGenerator(np.zeros((2, 2)), ()), QUBIT_GROUND, t_end, dt)
         assert asked_steps == [steps]
 
-    def test_step_count_of_a_long_master_equation_run(self, asked_steps):
-        # the effective-qubit run of this config takes one substep per collision
+    def test_step_count_of_a_long_master_equation_run(self, asked_steps, monkeypatch):
+        # the master equation takes one step per collision; the collision run is skipped
         cfg = ScenarioConfig("collision-vs-me", delta=200.0, x1=0.0, x2=0.0, tau=0.05,
                              n_steps=31857799)
-        p = scenarios.model_params(cfg, n_steps=cfg.n_steps)
-        gen = generator_effective_qubit(derive_rates(p))
-        assert me_substep_count(p.tau, gen) == 1
+        monkeypatch.setattr(scenarios, "run_collisions", lambda *args, **kwargs: None)
         with pytest.raises(StopIteration):
-            scenarios._me_at_collision_times(gen, QUBIT_GROUND, p, cfg.snapshot_stride)
+            scenarios.run_collision_vs_me(cfg)
         assert asked_steps == [cfg.n_steps]
 
     def test_qubit_populations_zero_padded(self):
@@ -309,6 +304,67 @@ class TestIntegrate:
         gen = generator_effective_qubit(rates_for())
         with pytest.raises(error, match=message):
             integrate(gen, rho0, 1.0, 0.05)
+
+
+def mp_expm(a: np.ndarray) -> np.ndarray:
+    """``exp(a)`` from mpmath at 40 digits: the reference for `exp_step_map`."""
+    with mp.workdps(40):
+        return np.array(mp.expm(mp.matrix(a.tolist())).tolist(), dtype=complex)
+
+
+# The generators the workloads run, in the regimes their configs draw from
+WORKLOAD_GENERATORS = [
+    *(pytest.param(generator_effective_qubit(derive_rates(p)), p.tau,
+                   id=f"qubit-delta{p.delta:g}-tau{p.tau:g}-x{p.x1:g}")
+      for delta, tau, (x1, x2) in itertools.product((150.0, 200.0, 250.0), (0.5, 5.0, 80.0),
+                                                     ((1e-4, 1e-4), (2.0, -1.0)))
+      for p in [ModelParams(delta=delta, x1=x1, x2=x2, tau=tau)]),
+    *(pytest.param(generator_qutrit_two_bath(p), p.tau,
+                   id=f"two-bath-delta{p.delta:g}-tau{p.tau:g}-x{p.x1:g}")
+      for delta, tau, (x1, x2) in itertools.product((0.5, 2.0, 4.0), (0.01, 0.05, 0.1),
+                                                     ((1.0, 2.0), (0.5, -0.5)))
+      for p in [ModelParams(delta=delta, x1=x1, x2=x2, tau=tau)]),
+]
+
+
+class TestExpStepMap:
+    @pytest.mark.parametrize("gen, tau", WORKLOAD_GENERATORS)
+    def test_matches_the_exponential_in_the_workload_regimes(self, gen, tau):
+        g = generator_superoperator(gen)
+        assert np.max(np.abs(exp_step_map(g, tau) - mp_expm(g * tau))) <= 2.3e-16
+
+    @pytest.mark.parametrize("delta, tau, squarings, bound", [
+        (250.0, 80.0, 28, 2e-13),  # the stiff corner its docstring states: 1.1e-13
+        (1000.0, 80.0, MAX_SQUARINGS, 5e-13),  # the range's end
+    ])
+    def test_stiff_two_bath_generators(self, delta, tau, squarings, bound):
+        # dephasing at rate tau delta^2 next to slow population transfer
+        g = generator_superoperator(generator_qutrit_two_bath(
+            ModelParams(delta=delta, x1=1.0, x2=2.0, tau=tau)))
+        assert math.frexp(np.max(np.sum(np.abs(g * tau), axis=0)))[1] == squarings
+        assert np.max(np.abs(exp_step_map(g, tau) - mp_expm(g * tau))) <= bound
+
+    def test_range_edge(self):
+        # |g dt|_1 just below 2^MAX_SQUARINGS takes MAX_SQUARINGS squarings; 2^MAX_SQUARINGS raises
+        g = generator_superoperator(generator_effective_qubit(rates_for(x_s=-1.0)))
+        edge = 2.0**MAX_SQUARINGS / np.max(np.sum(np.abs(g), axis=0))
+        dt = edge * (1 - 1e-15)
+        assert math.frexp(np.max(np.sum(np.abs(g * dt), axis=0)))[1] == MAX_SQUARINGS
+        assert np.max(np.abs(exp_step_map(g, dt) - mp_expm(g * dt))) <= 2.3e-16
+        with pytest.raises(NumericError, match=rf"\|G dt\|_1 = 4\.295e\+09 is not finite or not "
+                                               rf"below 2\^{MAX_SQUARINGS}, "):
+            exp_step_map(g, edge)
+
+    @pytest.mark.parametrize("gamma, dt, norm", [
+        (0.5, math.inf, "nan"), (0.5, math.nan, "nan"), (0.5, 1e300, "1.000e+300"),
+        (1e10, 1e300, "inf"),
+    ])
+    def test_a_norm_past_the_range_is_numeric_error(self, gamma, dt, norm):
+        # pyproject.toml makes a RuntimeWarning an error, so none escapes here
+        g = generator_superoperator(generator_effective_qubit(rates_for(gamma=gamma)))
+        with pytest.raises(NumericError, match=rf"^master-equation step map exp\(G dt\): \|G dt\|_1 = "
+                                               rf"{re.escape(norm)} is not finite or not below 2\^"):
+            exp_step_map(g, dt)
 
 
 class TestSteadyResidual:

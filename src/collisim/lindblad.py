@@ -17,7 +17,7 @@ import numpy as np
 
 from .collision import propagate
 from .errors import HAMILTONIAN_HERMITICITY_TOL, INTEGRATOR_BOUNDS, NumericError
-from .model import DerivedRates, ModelParams, bath_rate
+from .model import DerivedRates, ModelParams, bath_rates
 from .operators import density_operator, kron, require_hermitian, transition
 # Unused here: bench/spans.py still wraps lindblad.batch_check_states by name.
 from .operators import batch_check_states  # noqa: F401
@@ -66,51 +66,35 @@ class LindbladGenerator:
 def generator_effective_qubit(rates: DerivedRates) -> LindbladGenerator:
     """Effective-qubit thermal generator: zero Hamiltonian, two dissipators.
 
-    Lowering at rate ``Gamma e^x_s`` and raising at rate ``Gamma``; the
-    rate ratio fixes the detailed-balance steady state
-    ``p1/p0 = e^-x_s``, so a negative ``x_s`` yields inversion.
+    Lowering at ``rates.lowering_rate`` and raising at
+    ``rates.capital_gamma``, the rates of `derive_rates`; their ratio
+    ``e^x_s`` fixes the detailed-balance steady state ``p1/p0 = e^-x_s``,
+    so a negative ``x_s`` yields inversion.
     """
-    gamma = rates.capital_gamma
-    return LindbladGenerator(
-        hamiltonian_part=np.zeros((2, 2), dtype=complex),
-        dissipators=(
-            (transition(2, 0, 1), gamma * math.exp(rates.x_s)),
-            (transition(2, 1, 0), gamma),
-        ),
-    )
+    return LindbladGenerator(np.zeros((2, 2), dtype=complex),
+                             ((transition(2, 0, 1), rates.lowering_rate),
+                              (transition(2, 1, 0), rates.capital_gamma)))
 
 
 def generator_qutrit_two_bath(p: ModelParams) -> LindbladGenerator:
     """Qutrit generator with both baths attached to the top level.
 
-    Bath 1 drives 0<->2 at rates ``gamma1 e^x1`` (down) / ``gamma1``
-    (up), bath 2 drives 1<->2 analogously, and the detuning adds the
+    Bath 1 drives 2->0 and 0->2 at its `bath_rates` (lowering, raising),
+    bath 2 drives 2->1 and 1->2 at its own, and the detuning adds the
     coherent term ``i delta [rho, |2><2|]`` plus top-level dephasing at
     rate ``tau delta^2``.  At ``delta = 0`` the coherent and dephasing
     parts vanish and the generator reduces to a plain two-bath thermal
     qutrit.  Valid for short collisions; the dephasing rate grows with
-    the detuning, so keep ``delta`` modest.  A ``delta^2`` past the float
-    range raises `NumericError`.
+    the detuning, so keep ``delta`` modest.  A rate past the float range is
+    inf, which `exp_step_map` rejects.
     """
-    gamma1 = bath_rate(p, p.x1)
-    gamma2 = bath_rate(p, p.x2)
+    (down1, up1), (down2, up2) = bath_rates(p, p.x1), bath_rates(p, p.x2)
     sigma22 = transition(3, 2, 2)
-    dissipators = [
-        (transition(3, 0, 2), gamma1 * math.exp(p.x1)),
-        (transition(3, 2, 0), gamma1),
-        (transition(3, 1, 2), gamma2 * math.exp(p.x2)),
-        (transition(3, 2, 1), gamma2),
-    ]
+    dissipators = ((transition(3, 0, 2), down1), (transition(3, 2, 0), up1),
+                   (transition(3, 1, 2), down2), (transition(3, 2, 1), up2))
     if p.delta != 0:
-        try:
-            dissipators.insert(0, (sigma22, p.tau * p.delta**2))
-        except OverflowError:  # an infinite product of finite factors fails in `exp_step_map`
-            raise NumericError(f"two-bath dephasing rate tau * delta^2 is past the float range "
-                               f"at delta = {p.delta:g}") from None
-    return LindbladGenerator(
-        hamiltonian_part=p.delta * sigma22,
-        dissipators=tuple(dissipators),
-    )
+        dissipators = ((sigma22, p.tau * (p.delta * p.delta)), *dissipators)
+    return LindbladGenerator(p.delta * sigma22, dissipators)
 
 
 def generator_superoperator(gen: LindbladGenerator) -> np.ndarray:

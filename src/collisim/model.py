@@ -23,7 +23,7 @@ from numbers import Integral
 import numpy as np
 
 from .config import compute_alpha  # numpy-free, so that validation computes alpha the same way
-from .operators import kron, thermal_qubit, transition
+from .operators import kron, thermal_populations, thermal_qubit, transition
 
 # The system qutrit's space, as `operators.density_operator` takes it.
 QUTRIT_SPACE = (("S", 3),)
@@ -92,15 +92,18 @@ class ModelParams:
 class DerivedRates:
     """Rates and effective-bath quantities derived from ModelParams.
 
-    ``beta_s`` is None when the ancilla frequencies were not supplied;
-    ``x_s = x1 - x2`` is always available because the effective level
-    splitting equals the difference of the ancilla frequencies, which
+    ``capital_gamma`` is the effective qubit's raising rate (0 -> 1) and
+    ``lowering_rate`` its lowering rate (1 -> 0); their ratio is
+    ``e^x_s``.  ``beta_s`` is None when the ancilla frequencies were not
+    supplied; ``x_s = x1 - x2`` is always available because the effective
+    level splitting equals the difference of the ancilla frequencies, which
     cancels out of the populations.  ``x_s`` (and ``beta_s``) may be
     negative: that is the negative-absolute-temperature regime.
     """
 
     alpha: float
     capital_gamma: float
+    lowering_rate: float
     x_s: float
     beta_s: float | None = None
 
@@ -172,28 +175,33 @@ def build_v(p: ModelParams) -> np.ndarray:
     return v
 
 
-def bath_rate(p: ModelParams, x: float) -> float:
-    """Per-bath rate ``g^2 tau / (1 + e^x)`` of a bath with thermal exponent ``x``.
+def bath_rates(p: ModelParams, x: float) -> tuple[float, float]:
+    """Lowering and raising rates ``g^2 tau (p0, p1)`` of a bath with thermal exponent
+    ``x``, from `thermal_populations`; defined at every detuning, ``delta = 0`` included.
 
-    Defined at every detuning, including ``delta = 0``.
+    Each is its population times ``g``, ``g`` and ``tau`` in turn: an empty level
+    has rate 0, and a rate past the float range is inf, never NaN or an exception.
     """
-    return p.g**2 * p.tau / (1.0 + math.exp(x))
+    return tuple(pop * p.g * p.g * p.tau for pop in thermal_populations(x))
 
 
 def derive_rates(p: ModelParams) -> DerivedRates:
-    """All scalar rates of the continuous-time descriptions.
+    """All scalar rates of the effective-qubit description.
 
-    ``capital_gamma`` is the effective-qubit relaxation rate
-    ``R^2 g^2 tau / ((1+e^x1)(1+e^-x2))`` with ``R = g/delta``; the
-    per-bath rates of the qutrit two-bath description are `bath_rate`.
+    With ``R = g/delta`` and the populations of `thermal_populations`, the
+    effective qubit is raised at ``capital_gamma = R^2 g^2 tau p1(x1) p0(x2)``
+    (bath 1 gives up an excitation that bath 2 takes) and lowered at
+    ``lowering_rate = R^2 g^2 tau p0(x1) p1(x2)``; as in `bath_rates`, each is
+    its population product times the factors in turn, so finite or inf, never NaN.
     ``x_s = x1 - x2`` is the effective thermal exponent;
     ``beta_s = (x1 - x2)/(omega_a1 - omega_a2)`` is reported only when
     both ancilla frequencies are given, and raises if they are degenerate
     (the effective level splitting would vanish).
     """
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
-    r = p.g / p.delta
-    capital_gamma = (r**2 * p.g**2 * p.tau) / ((1.0 + math.exp(p.x1)) * (1.0 + math.exp(-p.x2)))
+    (ground1, excited1), (ground2, excited2) = thermal_populations(p.x1), thermal_populations(p.x2)
+    capital_gamma, lowering_rate = (pop * p.g / p.delta * p.g / p.delta * p.g * p.g * p.tau
+                                    for pop in (excited1 * ground2, ground1 * excited2))
     beta_s = None
     if p.omega_a1 is not None and p.omega_a2 is not None:
         if p.omega_a1 == p.omega_a2:
@@ -204,6 +212,7 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     return DerivedRates(
         alpha=alpha,
         capital_gamma=capital_gamma,
+        lowering_rate=lowering_rate,
         x_s=p.x1 - p.x2,
         beta_s=beta_s,
     )

@@ -72,31 +72,31 @@ def density_operator(matrix: np.ndarray, space: tuple[tuple[str, int], ...]) -> 
     return mat
 
 
-def thermal_qubit(x: float) -> np.ndarray:
-    """Read-only Gibbs state of a qubit with dimensionless thermal exponent ``x``.
+def thermal_populations(x: float) -> tuple[float, float]:
+    """Ground and excited populations ``(p0, p1)`` of a qubit with thermal exponent ``x``.
 
-    ``x`` is the level splitting times the inverse temperature.  Basis
-    order is (|0>, |1>) = (ground, excited); the excited population is
-    ``1/(e^x + 1)`` and the ground population ``e^x/(e^x + 1)``, so the
-    population ratio p1/p0 equals ``e^-x``.  Negative ``x`` yields an
-    inverted (negative-temperature) state.  This is each bath's ancilla and,
-    at ``x = x_s``, the effective qubit's analytic fixed point.
-
-    Raises
-    ------
-    ValueError
-        If ``x`` is not finite.
+    ``x`` is the level splitting times the inverse temperature: ``p1 = 1/(e^x + 1)``
+    and ``p1/p0 = e^-x``, so a negative ``x`` inverts the pair.  ``p1`` takes the
+    logistic form, finite for any finite ``x``, and ``p0 = 1 - p1``.  This is the one
+    ``exp`` of a thermal exponent: every ancilla state and every rate comes from it.
+    A non-finite ``x`` raises ValueError.
     """
     if not math.isfinite(x):
         raise ValueError(f"thermal exponent must be finite, got {x}")
-    # Logistic form, stable for large |x|.
     if x >= 0:
         w = math.exp(-x)
         p_excited = w / (1.0 + w)
     else:
         w = math.exp(x)
         p_excited = 1.0 / (1.0 + w)
-    mat = np.diag([1.0 - p_excited, p_excited]).astype(complex)
+    return 1.0 - p_excited, p_excited
+
+
+def thermal_qubit(x: float) -> np.ndarray:
+    """Read-only Gibbs state ``diag(p0, p1)`` from `thermal_populations`, basis order
+    (ground, excited): each bath's ancilla and, at ``x = x_s``, the effective qubit's
+    analytic fixed point."""
+    mat = np.diag(thermal_populations(x)).astype(complex)
     mat.flags.writeable = False
     return mat
 

@@ -34,7 +34,7 @@ from .lindblad import (
 from .model import (
     ModelParams,
     basis_index,
-    bath_rate,
+    bath_rates,
     build_h_eff,
     build_h_prime,
     derive_rates,
@@ -163,11 +163,14 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     """Closed-evolution agreement between the original and eliminated-level
     Hamiltonians on the two-ancilla excitation-exchange protocol."""
     p = model_params(cfg)
-    rates = derive_rates(p)
-    alpha = rates.alpha
+    alpha = derive_rates(p).alpha
     t_max = cfg.alpha_t_max / alpha if alpha else math.inf  # alpha = g^2/delta may underflow
     if not math.isfinite(t_max):
         raise NumericError(f"time span alpha_t_max / alpha = {t_max} is not finite")
+    ratio, r = 50.0 * p.g / p.delta, p.g / p.delta
+    dev_tol, p2_tol = 0.02 * (ratio * ratio), 6.0 * (r * r)
+    if not math.isfinite(dev_tol):  # the larger of the two
+        raise NumericError(f"deviation tolerance 0.02 * (50 g / delta)^2 = {dev_tol} is not finite")
     t_grid = np.linspace(0.0, t_max, cfg.n_grid)
 
     psi0 = np.eye(12, dtype=complex)[basis_index(1, 0, 0)]
@@ -180,9 +183,6 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     max_p2 = float(np.max(orig.populations[:, 2]))
     cos_defect = float(np.max(np.abs(eff.populations[:, 0] - np.cos(alpha * t_grid) ** 2)))
 
-    ratio = 50.0 * p.g / p.delta
-    dev_tol = 0.02 * ratio**2
-    p2_tol = 6.0 * (p.g / p.delta) ** 2
     checks = (
         _check("max_dev_p0", dev[0], dev_tol),
         _check("max_dev_p1", dev[1], dev_tol),
@@ -206,11 +206,11 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
 
 
 def _collision_run(cfg: ScenarioConfig,
-                   relaxation_rate_of) -> tuple[ModelParams, Trajectory, np.ndarray]:
-    """The collision run of ``cfg``: its parameters, trajectory and initial state."""
-    p = model_params(cfg)
+                   relaxation_rate: float) -> tuple[ModelParams, Trajectory, np.ndarray]:
+    """The collision run of ``cfg``: its parameters, trajectory and initial state.
+    Without ``n_steps``, ``relaxation_rate`` sets the `default_collision_count`."""
     n = cfg.n_steps if cfg.n_steps is not None else default_collision_count(
-        p, relaxation_rate_of(p))
+        model_params(cfg), relaxation_rate)
     p = model_params(cfg, n_steps=n)
     rho0 = np.diag(cfg.initial_populations).astype(complex)  # run_collisions checks it
     traj = run_collisions(rho0, p, "original", cfg.propagator, snapshot_stride=cfg.snapshot_stride)
@@ -219,8 +219,8 @@ def _collision_run(cfg: ScenarioConfig,
 
 def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the effective-qubit master equation."""
-    p, exact, rho0 = _collision_run(cfg, lambda p: derive_rates(p).capital_gamma)
-    rates = derive_rates(p)
+    rates = derive_rates(model_params(cfg))
+    p, exact, rho0 = _collision_run(cfg, rates.capital_gamma)
     gen = generator_effective_qubit(rates)
 
     me = integrate(gen, rho0[:2, :2], p.n_steps * p.tau, p.tau,
@@ -254,12 +254,8 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
 def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Population-inverted steady state from collisions and from the
     analytic fixed point of the effective-qubit equation."""
-    def relax(p):
-        r = derive_rates(p)
-        return r.capital_gamma * (1.0 + math.exp(r.x_s))
-
-    p, exact, _ = _collision_run(cfg, relax)
-    rates = derive_rates(p)
+    rates = derive_rates(model_params(cfg))
+    p, exact, _ = _collision_run(cfg, rates.capital_gamma + rates.lowering_rate)
     gen = generator_effective_qubit(rates)
     analytic = thermal_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
@@ -298,7 +294,8 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
 def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Exact collision dynamics against the qutrit two-bath master equation
     in the short-collision, modest-detuning regime."""
-    p, exact, rho0 = _collision_run(cfg, lambda p: bath_rate(p, p.x1) + bath_rate(p, p.x2))
+    p = model_params(cfg)
+    p, exact, rho0 = _collision_run(cfg, bath_rates(p, p.x1)[1] + bath_rates(p, p.x2)[1])
     gen = generator_qutrit_two_bath(p)
     me = integrate(gen, rho0, p.n_steps * p.tau, p.tau, snapshot_stride=cfg.snapshot_stride)
     dev = metrics(exact, me)

@@ -793,7 +793,10 @@ class TestShippedConfigs:
             if key.startswith(f"{path.stem}/"):
                 golden[key] = digest
         assert golden, f"no golden digests for {path.stem}"
-        assert written == golden
+        changed = sorted(k for k in written.keys() & golden.keys() if written[k] != golden[k])
+        missing = sorted(golden.keys() - written.keys())
+        extra = sorted(written.keys() - golden.keys())
+        assert written == golden, f"changed: {changed}; missing: {missing}; extra: {extra}"
 
     def test_outputs_match_the_independent_oracle(self, shipped_run, tmp_path):
         """`bench/oracle.py` recomputes sampled CSV rows without collisim's stepping code."""
@@ -878,13 +881,42 @@ n_steps = 40000
         assert main(["sweep", path]) == 2
 
     @pytest.mark.parametrize("exponents", ["x1 = 800\nx2 = 0\n", "x1 = 0\nx2 = -800\n"])
-    def test_exponent_overflow_is_numeric_error(self, tmp_path, capsys, exponents):
+    def test_exponents_past_the_exp_range_run(self, tmp_path, capsys, exponents):
+        # e^800 raised "math range error"; the raising rate is now 0, so the run
+        # takes its n_steps, and without them the default count is infinite
         text = "scenario = collision-vs-me\ndelta = 200\nalpha_tau = 0.3\n" + exponents
+        path = self.write(tmp_path, text + "n_steps = 3\n", "steps.cfg")
+        assert main(["run", path, "--output-dir", str(tmp_path / "steps")]) in (0, 1)
+        assert capsys.readouterr().err == ""
         path = self.write(tmp_path, text)
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric error:")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == ("numeric error: default n_steps 5.0 / (relaxation "
+                                           "rate * tau) is not finite; give n_steps\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        "scenario = collision-vs-me\ndelta = 200\nx1 = 800\nx2 = -800\ntau = 1\nn_steps = 3\n",
+        "scenario = negative-temperature\nalpha_tau = 0.3\ndelta = 2\nn_steps = 1\n"
+        "x1 = 9223372036854775807\nx2 = 0.5\n",
+        "scenario = beyond-far-off\ndelta = 2\nx1 = 800\nx2 = -750\ntau = 0.05\nn_steps = 3\n",
+    ], ids=["collision-vs-me", "negative-temperature", "beyond-far-off"])
+    def test_thermal_rates_at_any_finite_exponent_run(self, tmp_path, capsys, text):
+        # each rate's e^x raised "math range error"; the rates come from the stable populations
+        path = self.write(tmp_path, text)
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    def test_verify_elimination_tolerance_past_the_float_range_is_numeric_error(self, tmp_path,
+                                                                               capsys):
+        # (g / delta)^2 raised "(34, 'Numerical result out of range')"
+        path = self.write(tmp_path, "scenario = verify-elimination\ndelta = 1e-300\nn_grid = 2\n"
+                                    "alpha_t_max = 5\n")
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == ("numeric error: deviation tolerance 0.02 * (50 g / "
+                                           "delta)^2 = inf is not finite\n")
+        assert not (tmp_path / "out").exists()
 
     def test_substeps_is_an_unknown_key(self, tmp_path, capsys):
         # runge_kutta always takes the default_substeps rule
@@ -1079,9 +1111,14 @@ n_steps = 40000
         # tau delta^2 = inf: "cannot convert float infinity to integer" as well
         ("scenario = beyond-far-off\ndelta = 1e150\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
          STEP_MAP_ERROR % "nan"),
-        # delta^2 raised "(34, 'Numerical result out of range')"
+        # delta^2 raised "(34, 'Numerical result out of range')"; tau delta delta is inf
         ("scenario = beyond-far-off\ndelta = 1e200\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
-         "two-bath dephasing rate tau * delta^2 is past the float range at delta = 1e+200"),
+         STEP_MAP_ERROR % "nan"),
+        # g^2 raised "(34, 'Numerical result out of range')" in each scenario's rates
+        ("scenario = collision-vs-me\ndelta = 200\ng = 1e200\ntau = 0.05\nn_steps = 3\nx1 = 1\n"
+         "x2 = 0.5\n", STEP_MAP_ERROR % "nan"),
+        ("scenario = beyond-far-off\ndelta = 2\ng = 1e200\ntau = 0.05\nn_steps = 3\nx1 = 1\n"
+         "x2 = 0.5\n", STEP_MAP_ERROR % "nan"),
         # the substep count's math.ceil raised "cannot convert float infinity to integer";
         # the spectral map of the same config keeps its message
         ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n"
@@ -1090,6 +1127,7 @@ n_steps = 40000
         ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
          "non-finite entry at step 1"),
     ], ids=["alpha-tau-1e300", "dephasing-rate-infinite", "dephasing-rate-overflows",
+            "effective-rates-overflow", "bath-rates-overflow",
             "runge-kutta-substeps-infinite", "spectral-map-infinite"])
     def test_maps_and_rates_past_the_float_range_are_numeric_error(self, tmp_path, capsys, text,
                                                                    err):
@@ -1278,7 +1316,13 @@ FUZZ_WILD = {
     "sweep_scenario": ["sweep", "", "bogus"],
     "sweep_param": ["n_grid", "workers", "", "tau"],  # tau: not a verify-elimination key
     **dict.fromkeys(["n_steps", "n_grid", "snapshot_stride"], FUZZ_SIZES),
+    # thermal exponents past exp's range, and a coupling whose square is past the float range
+    **dict.fromkeys(["x1", "x2"], [*FUZZ_NUMBERS, "800", "-800", "709.8"]),
+    "g": [*FUZZ_NUMBERS, "1e200"],
 }
+# What an `OverflowError` says: no exit-3 message may be one of these raw texts
+RAW_OVERFLOW_TEXTS = ("math range error", "Numerical result out of range",
+                      "cannot convert float infinity to integer")
 FUZZ_ALWAYS = {"n_steps", "n_grid"}  # so that no default size rule picks a long run
 FUZZ_JUNK = ["bogus = 1", "no equals sign", "delta = 1", "= 2"]
 
@@ -1328,7 +1372,8 @@ def test_fuzzed_configs_end_in_an_exit_code(case):
     """Every config text ends in exit 0-3 with no traceback, and exit 2 leaves no
     directory; a `RuntimeWarning` is an error here, so none may escape either.
     `validate` and the run agree: the run exits 2, a config error, exactly when
-    `validate` rejects the text (the output directory here is always writable)."""
+    `validate` rejects the text (the output directory here is always writable).
+    No exit-3 message is the raw text of an `OverflowError`."""
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
@@ -1341,6 +1386,8 @@ def test_fuzzed_configs_end_in_an_exit_code(case):
         assert "Traceback" not in err.getvalue(), text
         assert code != 2 or not out.exists(), text
         assert validated in (0, 2) and (validated == 0) == (code != 2), (text, err.getvalue())
+        assert code != 3 or not any(raw in err.getvalue() for raw in RAW_OVERFLOW_TEXTS), \
+            (text, err.getvalue())
 
 
 # Values code may pass that the parser never makes: a bool, text for a number,

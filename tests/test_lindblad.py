@@ -29,7 +29,9 @@ from collisim.lindblad import MAX_SQUARINGS, exp_step_map, generator_superoperat
 
 
 def rates_for(x_s=0.0, gamma=0.5):
-    return DerivedRates(alpha=0.1, capital_gamma=gamma, x_s=x_s)
+    """Effective-qubit rates: raising at ``gamma``, lowering at ``gamma e^x_s``."""
+    return DerivedRates(alpha=0.1, capital_gamma=gamma, lowering_rate=gamma * math.exp(x_s),
+                        x_s=x_s)
 
 
 def random_state(rng, dim):
@@ -105,7 +107,8 @@ class TestEffectiveQubitGenerator:
 
     @pytest.mark.parametrize("x_s", [-2.0, -1.0, 0.4, 3.0])
     def test_detailed_balance_ratio(self, x_s):
-        gen = generator_effective_qubit(rates_for(x_s=x_s))
+        gen = generator_effective_qubit(derive_rates(ModelParams(delta=200.0, x1=x_s / 2,
+                                                                 x2=-x_s / 2, tau=60.0)))
         (lower_op, lower_rate), (raise_op, raise_rate) = gen.dissipators
         assert_allclose(lower_op, transition(2, 0, 1))
         assert_allclose(raise_op, transition(2, 1, 0))
@@ -149,11 +152,14 @@ class TestQutritTwoBathGenerator:
         gen = generator_qutrit_two_bath(ModelParams(delta=1.0, x1=x1, x2=x2, tau=0.1))
         assert all(rate >= 0 for _, rate in gen.dissipators)
 
-    def test_dephasing_rate_past_the_float_range_is_numeric_error(self):
-        # delta^2 raised a bare OverflowError, "(34, 'Numerical result out of range')"
-        with pytest.raises(NumericError, match=r"^two-bath dephasing rate tau \* delta\^2 is past "
-                                               r"the float range at delta = 1e\+200$"):
-            generator_qutrit_two_bath(ModelParams(delta=1e200, x1=1.0, x2=2.0, tau=1e10))
+    def test_dephasing_rate_past_the_float_range_fails_in_integrate(self):
+        # delta^2 raised a bare OverflowError, "(34, 'Numerical result out of range')";
+        # the rate is now inf, and the step map's range check names it
+        gen = generator_qutrit_two_bath(ModelParams(delta=1e200, x1=1.0, x2=2.0, tau=1e10))
+        assert gen.dissipators[0][1] == math.inf
+        with pytest.raises(NumericError, match=r"^master-equation step map exp\(G dt\): "
+                                               r"\|G dt\|_1 = nan is not finite"):
+            integrate(gen, np.diag([1.0, 0.0, 0.0]), 2e10, 1e10)
 
 
 class TestRhsProperties:

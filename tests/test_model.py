@@ -1,7 +1,11 @@
 import math
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from collisim import (
@@ -15,7 +19,9 @@ from collisim import (
     compute_alpha,
     derive_rates,
 )
-from collisim.model import bath_rate
+from collisim.lindblad import generator_effective_qubit, steady_residual
+from collisim.model import bath_rates
+from collisim.operators import thermal_qubit
 
 
 def fig2_initial():
@@ -291,9 +297,32 @@ class TestDeriveRates:
         assert_allclose(derive_rates(p).alpha, p.g * (p.g / p.delta), rtol=1e-15)
 
     def test_bath_rates(self):
+        # (lowering, raising) = g^2 tau (e^x, 1) / (1 + e^x)
         p = ModelParams(delta=2.0, x1=1.0, x2=2.0, tau=0.05)
-        assert_allclose(bath_rate(p, p.x1), 0.05 / (1 + math.e), rtol=1e-14)
-        assert_allclose(bath_rate(p, p.x2), 0.05 / (1 + math.e**2), rtol=1e-14)
+        assert_allclose(bath_rates(p, p.x1), (0.05 * math.e / (1 + math.e), 0.05 / (1 + math.e)),
+                        rtol=1e-14)
+        assert_allclose(bath_rates(p, p.x2),
+                        (0.05 * math.e**2 / (1 + math.e**2), 0.05 / (1 + math.e**2)), rtol=1e-14)
+
+    @pytest.mark.parametrize("x1, x2", [(0.5, 1.5), (1.0, -1.0), (1e-4, 1e-4), (3.0, -2.0)])
+    def test_lowering_rate_is_gamma_times_e_to_the_x_s(self, x1, x2):
+        # detailed balance; a relative bound holds while neither p0 = 1 - p1 is tiny
+        r = derive_rates(ModelParams(delta=200.0, x1=x1, x2=x2, tau=60.0))
+        assert_allclose(r.lowering_rate, r.capital_gamma * math.exp(x1 - x2), rtol=1e-13)
+
+    @pytest.mark.parametrize("g, delta, scale, eff_scale", [
+        (1.0, 200.0, 1.0, 1.0 / 200.0**2),
+        # past the float range a rate is inf, and an empty level's rate 0, not inf * 0 = NaN
+        (1e200, 200.0, math.inf, math.inf),
+        (1e150, 1e-300, 1e150 * 1e150, math.inf),  # g / delta is past the float range
+    ])
+    def test_rates_at_exponents_past_the_exp_range(self, g, delta, scale, eff_scale):
+        # exp(800) raised "math range error" in each rate's closed form
+        p = ModelParams(delta=delta, x1=800.0, x2=-800.0, tau=1.0, g=g)
+        r = derive_rates(p)
+        assert (r.capital_gamma, r.lowering_rate) == (0.0, eff_scale)
+        assert bath_rates(p, p.x1) == (scale, 0.0)
+        assert bath_rates(p, p.x2) == (0.0, scale)
 
     def test_gamma_quadratic_in_inverse_detuning(self):
         base = ModelParams(delta=100.0, x1=0.2, x2=0.4, tau=10.0)
@@ -321,6 +350,58 @@ class TestDeriveRates:
     def test_zero_detuning_raises(self):
         with pytest.raises(ValueError, match="singular"):
             derive_rates(ModelParams(delta=0.0))
+
+
+# Finite thermal exponents, with the ends of the exp range and the float range
+EXPONENTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([800.0, -800.0, 709.8, -709.8, 1e308, -1e308, 0.0]))
+
+
+def reference_populations(x):
+    """``(p0, p1)`` of thermal exponent ``x`` at the working precision of mpmath."""
+    p1 = 1 / (mp.exp(mp.mpf(x)) + 1)
+    return 1 - p1, p1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x1=EXPONENTS, x2=EXPONENTS, delta=st.sampled_from([200.0, 2.0, -7.0]))
+def test_rates_are_finite_nonnegative_and_match_their_closed_forms(x1, x2, delta):
+    """Every bath and effective rate is finite and >= 0 at finite exponents, and within
+    4 ulp of its scale (``g^2 tau``, or ``R^2 g^2 tau``) of a 40-digit reference: an
+    absolute bound, since ``p0 = 1 - p1`` is only absolutely accurate for ``x << 0``.
+    Where the closed forms the rates replaced stay normal, they agree to the same bound.
+    The effective qubit's residual at its analytic fixed point is <= 1e-12."""
+    p = ModelParams(delta=delta, x1=x1, x2=x2, tau=0.7, g=0.9)
+    r = derive_rates(p)
+    with mp.workdps(40):
+        g, tau = mp.mpf(p.g), mp.mpf(p.tau)
+        scale, eff_scale = g * g * tau, (g / p.delta) ** 2 * g * g * tau
+        (a0, a1), (b0, b1) = reference_populations(x1), reference_populations(x2)
+        pairs = [(r.capital_gamma, eff_scale * a1 * b0, eff_scale),
+                 (r.lowering_rate, eff_scale * a0 * b1, eff_scale),
+                 *zip(bath_rates(p, x1), (scale * a0, scale * a1), (scale, scale)),
+                 *zip(bath_rates(p, x2), (scale * b0, scale * b1), (scale, scale))]
+    for rate, reference, unit in pairs:
+        assert math.isfinite(rate) and rate >= 0
+        assert abs(rate - float(reference)) <= 4 * math.ulp(float(unit))
+
+    # the closed forms, where finite and normal; Gamma e^x_s is left out: its
+    # e^(x1 - x2) multiplies the rounding of x1 - x2, up to 400 ulp of the scale
+    scale, eff_scale = p.g**2 * p.tau, (p.g / p.delta) ** 2 * p.g**2 * p.tau
+    closed = []
+    if abs(x1) < 700 and abs(x2) < 700:
+        closed.append((r.capital_gamma,
+                       eff_scale / ((1.0 + math.exp(x1)) * (1.0 + math.exp(-x2))), eff_scale))
+    for x in (x1, x2):
+        if abs(x) < 700:
+            up = scale / (1.0 + math.exp(x))
+            closed += zip(bath_rates(p, x), (up * math.exp(x), up), (scale, scale))
+    for rate, old, unit in closed:
+        if old >= sys.float_info.min:
+            assert abs(rate - old) <= 4 * math.ulp(unit)
+
+    if math.isfinite(r.x_s):
+        assert steady_residual(generator_effective_qubit(r), thermal_qubit(r.x_s)) <= 1e-12
 
 
 class TestAncillaPair:

@@ -53,9 +53,6 @@ class ModelParams:
         temperature) for bath 1 and bath 2; dimensionless.
     tau : collision duration in units of 1/g.
     n_steps : number of collisions.
-    omega_a1, omega_a2 : ancilla transition frequencies in units of g.
-        Only needed to report the effective inverse temperature itself;
-        effective-qubit populations depend on x1 - x2 alone.
     """
 
     delta: float
@@ -64,8 +61,6 @@ class ModelParams:
     tau: float = 1.0
     n_steps: int = 1
     g: float = 1.0
-    omega_a1: float | None = None
-    omega_a2: float | None = None
 
     def __post_init__(self):
         # Zero coupling / zero duration are degenerate but representable
@@ -94,18 +89,16 @@ class DerivedRates:
 
     ``capital_gamma`` is the effective qubit's raising rate (0 -> 1) and
     ``lowering_rate`` its lowering rate (1 -> 0); their ratio is
-    ``e^x_s``.  ``beta_s`` is None when the ancilla frequencies were not
-    supplied; ``x_s = x1 - x2`` is always available because the effective
-    level splitting equals the difference of the ancilla frequencies, which
-    cancels out of the populations.  ``x_s`` (and ``beta_s``) may be
-    negative: that is the negative-absolute-temperature regime.
+    ``e^x_s``.  ``x_s = x1 - x2`` is the effective thermal exponent.  Level 1
+    lies above level 0 by ``w1 - w2 > 0``, the ancilla frequencies' difference,
+    which cancels out of every population; the effective inverse temperature
+    ``x_s / (w1 - w2)`` has the sign of ``x_s``, negative at negative temperature.
     """
 
     alpha: float
     capital_gamma: float
     lowering_rate: float
     x_s: float
-    beta_s: float | None = None
 
 
 def build_h_prime(p: ModelParams) -> np.ndarray:
@@ -193,28 +186,19 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     (bath 1 gives up an excitation that bath 2 takes) and lowered at
     ``lowering_rate = R^2 g^2 tau p0(x1) p1(x2)``; as in `bath_rates`, each is
     its population product times the factors in turn, so finite or inf, never NaN.
-    ``x_s = x1 - x2`` is the effective thermal exponent;
-    ``beta_s = (x1 - x2)/(omega_a1 - omega_a2)`` is reported only when
-    both ancilla frequencies are given, and raises if they are degenerate
-    (the effective level splitting would vanish).
+    ``x_s = x1 - x2`` is the effective thermal exponent; with level 1 above
+    level 0 it has the sign of the effective inverse temperature, so
+    ``x_s < 0`` is a negative-temperature bath.
     """
     alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
     (ground1, excited1), (ground2, excited2) = thermal_populations(p.x1), thermal_populations(p.x2)
     capital_gamma, lowering_rate = (pop * p.g / p.delta * p.g / p.delta * p.g * p.g * p.tau
                                     for pop in (excited1 * ground2, ground1 * excited2))
-    beta_s = None
-    if p.omega_a1 is not None and p.omega_a2 is not None:
-        if p.omega_a1 == p.omega_a2:
-            raise ValueError(
-                "degenerate ancilla frequencies: effective inverse temperature undefined"
-            )
-        beta_s = (p.x1 - p.x2) / (p.omega_a1 - p.omega_a2)
     return DerivedRates(
         alpha=alpha,
         capital_gamma=capital_gamma,
         lowering_rate=lowering_rate,
         x_s=p.x1 - p.x2,
-        beta_s=beta_s,
     )
 
 

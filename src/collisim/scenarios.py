@@ -105,8 +105,6 @@ def model_params(cfg: ScenarioConfig, n_steps: int = 1) -> ModelParams:
         tau=cfg.effective_tau() if cfg.scenario != "verify-elimination" else 1.0,
         n_steps=n_steps,
         g=cfg.g,
-        omega_a1=cfg.omega_a1,
-        omega_a2=cfg.omega_a2,
     )
 
 
@@ -244,7 +242,6 @@ def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str
             ("final_p1_exact", float(final_exact[1])),
             ("final_p0_me", float(final_me[0])),
             ("final_p1_me", float(final_me[1])),
-            *([("beta_s", rates.beta_s)] if rates.beta_s is not None else []),
         ),
         trace_distances=_snapshot_trace_distances(exact, me),
     )
@@ -284,7 +281,6 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
             ("analytic_p0", float(analytic[0, 0].real)),
             ("analytic_p1", p1_analytic),
             ("steady_state_residual", residual),
-            *([("beta_s", rates.beta_s)] if rates.beta_s is not None else []),
         ),
         trace_distances=approach,
     )

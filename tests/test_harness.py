@@ -79,8 +79,6 @@ x1 = 0.5
 x2 = 1.5
 tau = 40
 n_steps = 7
-omega_a1 = 5
-omega_a2 = 3
 propagator = runge_kutta
 initial_populations = 0.2, 0.3, 0.5
 output_path = out/all-keys
@@ -91,8 +89,8 @@ sweep_values = 150, 250
 workers = 2
 """
 ALL_KEYS_CONFIG = ScenarioConfig(
-    "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7, omega_a1=5.0,
-    omega_a2=3.0, propagator="runge_kutta", initial_populations=(0.2, 0.3, 0.5),
+    "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7,
+    propagator="runge_kutta", initial_populations=(0.2, 0.3, 0.5),
     output_path="out/all-keys", snapshot_stride=3,
     sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
     workers=2)
@@ -114,6 +112,20 @@ SWEEP_TWO_POINTS = ("scenario = sweep\nsweep_scenario = verify-elimination\n"
 
 N_STEPS_SWEEP = FIG3B.replace("scenario = collision-vs-me", "scenario = sweep\n"
                               "sweep_scenario = collision-vs-me\nsweep_param = n_steps")
+
+# A short run of each single-run scenario, and one valid value, other than
+# every base's and the default, for each key a single-run scenario accepts
+KEY_BASES = {
+    "verify-elimination": dict(delta=50.0, n_grid=50),
+    "collision-vs-me": dict(delta=50.0, x1=0.5, x2=1.5, tau=20.0, n_steps=40),
+    "negative-temperature": dict(delta=50.0, x1=0.5, x2=1.5, tau=20.0, n_steps=40),
+    "beyond-far-off": dict(delta=2.0, x1=1.0, x2=0.5, tau=0.05, n_steps=40),
+}
+KEY_VALUES = {
+    "g": 2.0, "delta": 60.0, "x1": -0.5, "x2": 0.7, "tau": 0.1, "alpha_tau": 0.3,
+    "n_steps": 30, "propagator": "runge_kutta", "initial_populations": (0.5, 0.5, 0.0),
+    "snapshot_stride": 3, "n_grid": 60, "alpha_t_max": 2.5,
+}
 
 
 def constant_trajectory(pops, n=10, dt=1.0):
@@ -278,8 +290,7 @@ sweep_values = 25, 0, 100
 
     def test_validates_configs_built_in_code(self):
         cfg = parse_config_text(FIG3B)
-        for bad in (dict(delta=float("nan")), dict(tau=float("inf"), alpha_tau=None),
-                    dict(omega_a1=2.0, omega_a2=2.0)):
+        for bad in (dict(delta=float("nan")), dict(tau=float("inf"), alpha_tau=None)):
             with pytest.raises(ConfigError):
                 replace(cfg, **bad)
 
@@ -756,8 +767,7 @@ class TestScenarioOutputs:
     def test_int_inputs_report_float_values(self, tmp_path, scenario):
         def outcome(number, out):
             cfg = ScenarioConfig(scenario, g=number(1), delta=number(200), x1=number(1),
-                                 x2=number(-1), alpha_tau=0.3, n_steps=30,
-                                 omega_a1=number(3), omega_a2=number(2))
+                                 x2=number(-1), alpha_tau=0.3, n_steps=30)
             report = run_scenario(cfg, out)
             values = [*(v for _, v in report.metrics), *(c.value for c in report.checks)]
             # type, not value: 2 == 2.0 would hide an int
@@ -765,6 +775,26 @@ class TestScenarioOutputs:
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
         assert outcome(int, tmp_path / "int") == outcome(float, tmp_path / "float")
+
+    @pytest.mark.parametrize("scenario", KEY_BASES)
+    def test_every_accepted_key_moves_the_outputs(self, tmp_path, scenario):
+        # No accepted key is silently ignored.  output_path is left out: other tests
+        # check where files land.  In beyond-far-off, delta leaves me10.csv as it is:
+        # from a diagonal start, the two-bath generator's populations do not depend on it.
+        def outputs(kwargs, out):
+            run_scenario(ScenarioConfig(scenario, **kwargs), out)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        required, optional = config.SCENARIO_KEYS[scenario]
+        base = outputs(KEY_BASES[scenario], tmp_path / "base")
+        for key in sorted(required | optional - {"scenario", "output_path"}):
+            assert key in KEY_VALUES, f"no value to set {key!r} to"
+            kwargs = dict(KEY_BASES[scenario])
+            assert kwargs.get(key) != KEY_VALUES[key]
+            if key == "alpha_tau":  # it replaces tau
+                del kwargs["tau"]
+            kwargs[key] = KEY_VALUES[key]
+            assert outputs(kwargs, tmp_path / key) != base, f"{key} changes no output of {scenario}"
 
 
 class TestShippedConfigs:
@@ -918,22 +948,23 @@ n_steps = 40000
                                            "delta)^2 = inf is not finite\n")
         assert not (tmp_path / "out").exists()
 
-    def test_substeps_is_an_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("extra, keys", [
         # runge_kutta always takes the default_substeps rule
-        path = self.write(tmp_path, FIG3B + "propagator = runge_kutta\nsubsteps = 4000\n")
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: unknown key(s): substeps\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("extra", ["initial_state = ground_S\n",
-                                       "initial_state = custom\ninitial_populations = 0.5, 0.5, 0\n"],
-                             ids=["ground_S", "custom"])
-    def test_initial_state_is_an_unknown_key(self, tmp_path, capsys, extra):
+        ("propagator = runge_kutta\nsubsteps = 4000\n", "substeps"),
         # a run starts from its initial_populations, 1, 0, 0 by default
+        ("initial_state = ground_S\n", "initial_state"),
+        ("initial_state = custom\ninitial_populations = 0.5, 0.5, 0\n", "initial_state"),
+        # a bath's temperature is its exponents x1, x2
+        ("omega_a1 = 5\n", "omega_a1"),
+        ("omega_a2 = 3\n", "omega_a2"),
+        ("omega_a1 = 5\nomega_a2 = 3\n", "omega_a1, omega_a2"),
+    ], ids=["substeps", "initial_state-ground_S", "initial_state-custom", "omega_a1", "omega_a2",
+            "both-omegas"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, extra, keys):
         path = self.write(tmp_path, FIG3B + extra)
         assert main(["validate", path]) == 2
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == "error: unknown key(s): initial_state\n" * 2
+        assert capsys.readouterr().err == f"error: unknown key(s): {keys}\n" * 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delta, tau", [("1e200", "1"), ("1e150", "1e-10")],
@@ -1226,7 +1257,6 @@ n_steps = 40000
         (FIG3B.replace("delta = 200", "delta = nan"), "delta: must be finite"),
         (FIG3B.replace("x1 = 1e-4", "x1 = inf"), "x1: must be finite"),
         (FIG3B + "g = nan\n", "g: must be finite"),
-        (FIG3B + "omega_a1 = -inf\nomega_a2 = 1\n", "omega_a1: must be finite"),
         (FIG3B + "initial_populations = 1, 0, nan\n",
          "initial_populations: must be finite"),
         (N_STEPS_SWEEP.replace("n_steps = 60", "n_steps = 60\nsweep_values = 10, nan"),
@@ -1235,18 +1265,15 @@ n_steps = 40000
         ("scenario = negative-temperature\ndelta = 0\nx1 = 0\nx2 = 1\ntau = 60\n",
          "zero detuning"),
         ("scenario = verify-elimination\ndelta = 0\n", "zero detuning"),
-        ("scenario = beyond-far-off\ndelta = 2\nx1 = 1\nx2 = 2\ntau = 0.05\n"
-         "omega_a1 = 3\nomega_a2 = 3\n", "omega_a1 = omega_a2"),
-        (FIG3B + "omega_a1 = 4\nomega_a2 = 4\n", "omega_a1 = omega_a2"),
         (FIG3B.replace("delta = 200", "delta = 1e300").replace("alpha_tau = 0.3", "alpha_tau = 1e300"),
          "collision duration must be positive and finite"),
         (FIG3B + "initial_populations = 0.5, 0.3, 0.2\n",
          "collision-vs-me requires zero initial top-level population"),
         (FIG3B + "initial_populations = 0.6000000005, 0.4, 0\n",
          "populations must sum to 1"),
-    ], ids=["delta-nan", "x1-inf", "g-nan", "omega-inf", "population-nan", "sweep-value-nan",
-            "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "bfo-equal-omegas",
-            "cvm-equal-omegas", "tau-overflow", "cvm-top-level-population", "population-sum"])
+    ], ids=["delta-nan", "x1-inf", "g-nan", "population-nan", "sweep-value-nan",
+            "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "tau-overflow",
+            "cvm-top-level-population", "population-sum"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config_text(text)
@@ -1270,26 +1297,28 @@ n_steps = 40000
         assert "numeric error: Unable to allocate" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("text, beta_s", [
-        (FIG3B, "0"),
-        ("scenario = negative-temperature\ndelta = 200\nx1 = 0.5\nx2 = 1.5\n"
-         "alpha_tau = 0.3\nn_steps = 300\n", "-0.5"),
-    ], ids=["collision-vs-me", "negative-temperature"])
-    def test_reports_beta_s_when_both_frequencies_are_given(self, tmp_path, text, beta_s):
-        for name, extra in (("with", "omega_a1 = 5\nomega_a2 = 3\n"), ("without", "")):
-            out = tmp_path / name
-            assert main(["run", self.write(tmp_path, text + extra), "--output-dir", str(out)]) == 0
-            kv, txt = (out / "report.kv").read_text(), (out / "report.txt").read_text()
-            assert (f"\nbeta_s = {beta_s}\n" in kv) == bool(extra)
-            assert (f"\n  {'beta_s':<32s} {beta_s}\n" in txt) == bool(extra)
-            assert ("beta_s" in kv + txt) == bool(extra)
+    @pytest.mark.parametrize("x1, x2, x_s", [("0.5", "1.5", "-1"), ("1.5", "0.5", "1")],
+                             ids=["inverted", "not-inverted"])
+    def test_reports_the_bath_temperature_as_x_s(self, tmp_path, x1, x2, x_s):
+        # the exponents alone set the bath: the report's one temperature row is
+        # x_s = x1 - x2, and the collision populations agree with its sign
+        text = (f"scenario = negative-temperature\ndelta = 200\nx1 = {x1}\nx2 = {x2}\n"
+                "alpha_tau = 0.3\nn_steps = 300\n")
+        out = tmp_path / "out"
+        assert main(["run", self.write(tmp_path, text), "--output-dir", str(out)]) == 0
+        kv = dict(line.split(" = ") for line in (out / "report.kv").read_text().splitlines())
+        assert kv["x_s"] == x_s
+        assert kv["check.inversion_matches_sign"] == "pass"
+        inverted = float(kv["final_p1_collisions"]) > float(kv["final_p0_collisions"])
+        assert inverted == x_s.startswith("-")
+        assert "beta_s" not in (out / "report.kv").read_text() + (out / "report.txt").read_text()
 
 
 # Values that pass validation and keep a run short: a few collisions or grid
 # points, and a few thousand master-equation steps at most.
 FUZZ_VALID = {
     "g": ["1", "0.5"], "delta": ["2"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
-    "tau": ["0.05"], "alpha_tau": ["0.3"], "omega_a1": ["3"], "omega_a2": ["5"],
+    "tau": ["0.05"], "alpha_tau": ["0.3"],
     "propagator": ["spectral", "runge_kutta"],
     "initial_populations": ["1, 0, 0", "0.5, 0.5, 0", "0.2, 0.3, 0.5"],
     "n_steps": ["1", "2"], "n_grid": ["2", "5"], "alpha_t_max": ["5"],

@@ -51,8 +51,10 @@ MIN_DEFAULT_STEPS = 300
 CSV_HEADER = "step,t_in_inverse_g,p0,p1,p2,source"
 # The one number format of every output file: 12 significant digits.
 FLOAT_FMT = "%.12g"
-# Rows per write in `write_trajectory_csv`; bounds the text formatted at once.
-CSV_CHUNK = 4096
+# The output stage's block: the CSV rows `write_trajectory_csv` formats at once,
+# and the state pairs `_trace_distance_table` gathers and diagonalizes at once.
+# Its transient memory is one block's, whatever the run's length.
+CSV_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,9 @@ def _check(name: str, value: float, threshold: float, comparison: str = "<=") ->
 
 def metrics(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
     """Each level's largest population deviation between two trajectories on one time grid."""
-    if not (len(a) == len(b) and np.allclose(a.times, b.times, rtol=0, atol=1e-9)):
+    # the bit-equal grids every scenario compares need no full-length float temporaries
+    if not (len(a) == len(b) and (np.array_equal(a.times, b.times)
+                                  or np.allclose(a.times, b.times, rtol=0, atol=1e-9))):
         raise ValueError("trajectories are on different grids; resampling not permitted")
     return tuple(float(np.max(np.abs(x - y)))  # a column at a time
                  for x, y in zip(a.populations.T, b.populations.T))
@@ -134,23 +138,31 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
     )
 
 
-def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray,
-                          b: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """``(time, trace distance)`` rows for the states ``a`` and ``b`` at ``steps``.
+def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray, ia: np.ndarray,
+                          b: np.ndarray, ib: np.ndarray | None = None,
+                          ) -> tuple[tuple[float, float], ...]:
+    """``(time, trace distance)`` rows for the states ``a[ia]`` and ``b[ib]`` at ``steps``.
 
-    ``traj`` supplies the time of each step; ``b`` may be a single matrix,
-    and two-level ``b`` matrices are zero-padded.  All distances come from
-    one batched `trace_distance` call.
+    ``traj`` supplies the time of each step.  Without ``ib``, ``b`` is one
+    matrix set against every state.  Two-level ``b`` matrices are zero-padded.
+    The pairs are gathered, padded and passed to `trace_distance` one block of
+    at most ``CSV_CHUNK`` at a time, so the table's transient memory does not
+    grow with the run; ``eigvalsh`` diagonalizes each matrix on its own, so
+    the blocks give the bits of one whole-stack call.
     """
     times = traj.times[np.searchsorted(traj.steps, steps)]
-    dists = trace_distance(a, as_qutrit_matrix(b))
-    return tuple(zip(times.tolist(), dists.tolist()))
+    dists = []
+    for start in range(0, len(steps), CSV_CHUNK):
+        block = slice(start, start + CSV_CHUNK)
+        other = as_qutrit_matrix(b if ib is None else b[ib[block]])
+        dists += trace_distance(a[ia[block]], other).tolist()
+    return tuple(zip(times.tolist(), dists))
 
 
 def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float, float], ...]:
     """Trace distances between full states at matched snapshot steps."""
     steps, ia, ib = np.intersect1d(a.snapshot_steps, b.snapshot_steps, return_indices=True)
-    return _trace_distance_table(a, steps, a.snapshot_states[ia], b.snapshot_states[ib])
+    return _trace_distance_table(a, steps, a.snapshot_states, ia, b.snapshot_states, ib)
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +268,8 @@ def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dic
     gen = generator_effective_qubit(rates)
     analytic = thermal_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
-    target = as_qutrit_matrix(analytic)
-    approach = _trace_distance_table(exact, exact.snapshot_steps, exact.snapshot_states, target)
+    approach = _trace_distance_table(exact, exact.snapshot_steps, exact.snapshot_states,
+                                     np.arange(len(exact.snapshot_steps)), analytic)
 
     final = exact.final_window_mean()
     p1_analytic = float(analytic[1, 1].real)
@@ -332,9 +344,9 @@ _RUNNERS = {
 class CsvColumns:
     """The step and time columns of a trajectory CSV, formatted once.
 
-    ``chunks`` holds one bytes row template per ``CSV_CHUNK`` rows: the
-    step and time text filled in, a ``FLOAT_FMT`` slot left for each
-    population.  ``steps`` and ``times`` are the arrays it was formatted from.
+    ``chunks`` holds the step and time text of each ``CSV_CHUNK`` rows, one
+    ``"%d," + FLOAT_FMT`` line a row; the population slots are added at write
+    time.  ``steps`` and ``times`` are the arrays it was formatted from.
     """
 
     steps: np.ndarray
@@ -351,16 +363,18 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
                          columns: CsvColumns | None = None) -> CsvColumns:
     """CSV schema: step, t_in_inverse_g, p0, p1, p2, source.
 
-    The step and time columns are formatted once, into one bytes %-template
-    per ``CSV_CHUNK`` rows with a ``FLOAT_FMT`` slot per population, and rows
-    are written a chunk at a time from those templates (``bytes %`` writes
-    the bytes ``str %`` would, faster).  The templates are returned; passed
-    back as ``columns`` for a trajectory whose steps and times match them bit
-    for bit, they are reused, so only the populations are formatted.  Any
-    other ``columns`` are ignored.
+    The step and time columns are formatted once, into one bytes text per
+    ``CSV_CHUNK`` rows.  Rows are written a chunk at a time: each line end of
+    that text becomes a ``FLOAT_FMT`` slot per population and the source, and
+    one ``bytes %`` (which writes the bytes ``str %`` would, faster) fills the
+    slots.  So the text held between files is the step and time columns only,
+    and the text formatted at once is one chunk's.  The columns are returned;
+    passed back as ``columns`` for a trajectory whose steps and times match
+    them bit for bit, they are reused, so only the populations are formatted.
+    Any other ``columns`` are ignored.
     """
     if columns is None or not columns.matches(traj):
-        prefix = ("%d," + FLOAT_FMT + ("," + FLOAT_FMT.replace("%", "%%")) * 3 + "\n").encode()
+        prefix = ("%d," + FLOAT_FMT + "\n").encode()
         chunks = []
         for start in range(0, len(traj), CSV_CHUNK):
             # integer steps next to float times, one chunk at a time
@@ -369,12 +383,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
             cells[::2], cells[1::2] = steps, traj.times[start:start + CSV_CHUNK].tolist()
             chunks.append((prefix * len(steps)) % tuple(cells))
         columns = CsvColumns(traj.steps, traj.times, tuple(chunks))
-    row_end = ("," + source.replace("%", "%%") + "\n").encode()
+    row_end = (("," + FLOAT_FMT) * 3 + "," + source.replace("%", "%%") + "\n").encode()
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
-        for start, template in zip(range(0, len(traj), CSV_CHUNK), columns.chunks):
+        for start, text in zip(range(0, len(traj), CSV_CHUNK), columns.chunks):
             pops = traj.populations[start:start + CSV_CHUNK]
-            f.write(template.replace(b"\n", row_end) % tuple(pops.ravel().tolist()))
+            f.write(text.replace(b"\n", row_end) % tuple(pops.ravel().tolist()))
     return columns
 
 

@@ -37,6 +37,8 @@ from collisim import (
 )
 from collisim import config, scenarios
 from collisim.cli import main
+from collisim.collision import as_qutrit_matrix
+from collisim.operators import trace_distance
 from collisim.scenarios import subsample, write_trajectory_csv
 from repin_report import compare, format_rows
 
@@ -163,6 +165,22 @@ def grid_pair(n):
     return (Trajectory(steps=steps, times=times, populations=rng.dirichlet((1, 1, 1), n)),
             Trajectory(steps=steps.copy(), times=times.copy(),
                        populations=rng.dirichlet((1, 1, 1), n)))
+
+
+def traced_call(call, *args):
+    """``call(*args)`` under `tracemalloc`: its result, then its peak and the
+    memory it left live, both above the memory live before the call, in bytes."""
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak - before, kept - before
 
 
 ADVERSARIAL_FLOATS = (-0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.5e-13, 1.0 / 3.0, 0.5,
@@ -368,11 +386,58 @@ class TestMetrics:
             new = metrics(a, b)
             assert np.array(new).view(np.uint64).tolist() == np.array(old).view(np.uint64).tolist()
 
+    @pytest.mark.parametrize("a_times, b_times", [
+        ([-0.0, 1.0, np.inf], [0.0, 1.0, np.inf]),        # bit-different, equal
+        ([0.0, 1.0, np.inf], [0.0, 1.0 + 5e-10, np.inf]),  # within the tolerance
+        ([0.0, 1.0, np.inf], [0.0, 1.0 + 2e-9, np.inf]),  # beyond it
+        ([0.0, 1.0, np.inf], [0.0, 1.0, -np.inf]),
+        ([0.0, 1.0, np.nan], [0.0, 1.0, np.nan]),          # NaN matches nothing
+    ])
+    def test_grid_verdict_is_the_tolerance_one(self, a_times, b_times):
+        # bit-equal grids are accepted before the tolerance is tried, and the
+        # verdict stays that of the tolerance alone
+        a, b = (Trajectory(steps=np.arange(3), times=t, populations=np.zeros((3, 3)))
+                for t in (a_times, b_times))
+        if np.allclose(a_times, b_times, rtol=0, atol=1e-9):
+            assert metrics(a, b) == metrics(a, a) == (0.0, 0.0, 0.0)
+        else:
+            with pytest.raises(ValueError, match="resampling"):
+                metrics(a, b)
+
     def test_subsample_renumbers_steps(self):
         b = constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0)
         sub = subsample(b, 2)
         assert list(sub.steps) == [0, 1, 2, 3, 4]
         assert_allclose(sub.times, [0, 2, 4, 6, 8])
+
+
+class TestTraceDistanceTable:
+    CHUNK = scenarios.CSV_CHUNK
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("b_shape", [(2, 2), (3, 3), None], ids=["qubits", "qutrits", "single"])
+    def test_blocks_keep_the_bits_of_one_call(self, n, b_shape):
+        # a on every 2nd step and b on every 3rd: n shared steps, the multiples of 6
+        rng = np.random.default_rng(n)
+        a_steps, b_steps = np.arange(0, 6 * n, 2), np.arange(0, 6 * n, 3)
+        traj = Trajectory(steps=np.arange(6 * n), times=np.arange(6 * n) * 0.1,
+                          populations=np.zeros((6 * n, 3)))
+
+        def states(count, d):
+            return rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
+
+        a = states(len(a_steps), 3)
+        steps, ia, ib = np.intersect1d(a_steps, b_steps, return_indices=True)
+        assert len(steps) == n
+        if b_shape is None:
+            b, ib = states(1, 3)[0], None
+            whole = trace_distance(a[ia], b)
+        else:
+            b = states(len(b_steps), b_shape[0])
+            whole = trace_distance(a[ia], as_qutrit_matrix(b[ib]))
+        table = scenarios._trace_distance_table(traj, steps, a, ia, b, ib)
+        expected = np.column_stack((steps * 0.1, whole))
+        assert np.asarray(table, dtype=float).reshape(-1, 2).tobytes() == expected.tobytes()
 
 
 class TestScenarioOutputs:
@@ -455,25 +520,31 @@ class TestScenarioOutputs:
             assert (out / "alone.csv").read_bytes() == expected
 
     def test_writer_memory_peak(self, tmp_path):
-        # The step and time columns are listed one CSV_CHUNK at a time.  The
-        # bound is the peak of the str writer this one replaced (3.16 MB; this
-        # one measures 2.49 MB); listing the whole trajectory at once peaks at
-        # 6.43 MB and shows as a higher peak RSS on long runs.
+        # The step and time columns are formatted and the rows written one
+        # CSV_CHUNK (1024 rows) at a time, and the columns kept between files
+        # are the step and time text only.  Measured: a 0.92 MB peak, 0.63 MB
+        # kept.  The writer with 4096-row chunks whose kept templates held the
+        # population slots too peaked at 2.50 MB and kept 1.53 MB; listing the
+        # whole trajectory at once peaks at 6.43 MB and shows as a higher peak
+        # RSS on long runs.
         n = 50_001
         steps = np.arange(n)
         traj = Trajectory(steps=steps, times=steps * 0.01,
                           populations=np.random.default_rng(0).dirichlet((1, 1, 1), n))
-        started = not tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            write_trajectory_csv(tmp_path / "orig.csv", traj, "orig")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert peak <= 3.16e6
+        _, peak, kept = traced_call(write_trajectory_csv, tmp_path / "orig.csv", traj, "orig")
+        assert peak <= 1.25e6
+        assert kept <= 1.2 * 0.63e6
+
+    def test_run_memory_peak(self, tmp_path):
+        # A whole collision-vs-me run of 20 000 collisions, snapshots at the
+        # default stride: the output stage works a CSV_CHUNK block at a time, so
+        # the peak is the trajectories plus one block.  Measured: 3.00 MB above
+        # the memory live before the run, bounded here at that plus 20%.  With
+        # the trace-distance table diagonalized as one stack and 4096-row CSV
+        # chunks the same run peaked at 4.09 MB.
+        cfg = parse_config_text(FIG3B.replace("n_steps = 60", "n_steps = 20000"))
+        _, peak, _ = traced_call(run_scenario, cfg, tmp_path)
+        assert peak <= 1.2 * 3.00e6
 
     def test_run_scenario_writes_each_csv_once_path_first(self, tmp_path, monkeypatch):
         # The benchmark times this module attribute and sizes the file named by

@@ -76,20 +76,21 @@ def thermal_populations(x: float) -> tuple[float, float]:
     """Ground and excited populations ``(p0, p1)`` of a qubit with thermal exponent ``x``.
 
     ``x`` is the level splitting times the inverse temperature: ``p1 = 1/(e^x + 1)``
-    and ``p1/p0 = e^-x``, so a negative ``x`` inverts the pair.  ``p1`` takes the
-    logistic form, finite for any finite ``x``, and ``p0 = 1 - p1``.  This is the one
-    ``exp`` of a thermal exponent: every ancilla state and every rate comes from it.
-    A non-finite ``x`` raises ValueError.
+    and ``p1/p0 = e^-x``, so a negative ``x`` inverts the pair.  Each population
+    takes the logistic form, finite for any finite ``x``, but ``p0 = 1 - p1`` at
+    ``x >= 0``, where ``p1 <= 1/2`` cancels nothing: each is accurate to a few
+    ulp of itself, however small.  This is the one ``exp`` of a thermal
+    exponent: every ancilla state and every rate comes from it.  A non-finite
+    ``x`` raises ValueError.
     """
     if not math.isfinite(x):
         raise ValueError(f"thermal exponent must be finite, got {x}")
     if x >= 0:
         w = math.exp(-x)
         p_excited = w / (1.0 + w)
-    else:
-        w = math.exp(x)
-        p_excited = 1.0 / (1.0 + w)
-    return 1.0 - p_excited, p_excited
+        return 1.0 - p_excited, p_excited
+    w = math.exp(x)
+    return w / (1.0 + w), 1.0 / (1.0 + w)
 
 
 def thermal_qubit(x: float) -> np.ndarray:

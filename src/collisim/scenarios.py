@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .collision import as_qutrit_matrix, closed_evolution, run_collisions
 from .config import ScenarioConfig, sweep_points
 from .errors import ConfigError, NumericError
 from .lindblad import (
+    LindbladGenerator,
     generator_effective_qubit,
     generator_qutrit_two_bath,
     integrate,
@@ -93,7 +94,8 @@ def metrics(a: Trajectory, b: Trajectory) -> tuple[float, float, float]:
     if not (len(a) == len(b) and (np.array_equal(a.times, b.times)
                                   or np.allclose(a.times, b.times, rtol=0, atol=1e-9))):
         raise ValueError("trajectories are on different grids; resampling not permitted")
-    return tuple(float(np.max(np.abs(x - y)))  # a column at a time
+    d = np.empty(len(a))  # one full-length buffer holds each level's |x - y| in turn
+    return tuple(float(np.max(np.abs(np.subtract(x, y, out=d), out=d)))
                  for x, y in zip(a.populations.T, b.populations.T))
 
 
@@ -106,7 +108,7 @@ def model_params(cfg: ScenarioConfig, n_steps: int = 1) -> ModelParams:
         delta=cfg.delta,
         x1=cfg.x1 if cfg.x1 is not None else 0.0,
         x2=cfg.x2 if cfg.x2 is not None else 0.0,
-        tau=cfg.effective_tau() if cfg.scenario != "verify-elimination" else 1.0,
+        tau=cfg.effective_tau(),
         n_steps=n_steps,
         g=cfg.g,
     )
@@ -172,7 +174,7 @@ def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float
 def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Closed-evolution agreement between the original and eliminated-level
     Hamiltonians on the two-ancilla excitation-exchange protocol."""
-    p = model_params(cfg)
+    p = ModelParams(delta=cfg.delta, g=cfg.g)
     alpha = derive_rates(p).alpha
     t_max = cfg.alpha_t_max / alpha if alpha else math.inf  # alpha = g^2/delta may underflow
     if not math.isfinite(t_max):
@@ -215,56 +217,66 @@ def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[
     return report, {"orig": orig, "eff": eff}
 
 
-def _collision_run(cfg: ScenarioConfig,
+def _collision_run(cfg: ScenarioConfig, p: ModelParams,
                    relaxation_rate: float) -> tuple[ModelParams, Trajectory, np.ndarray]:
-    """The collision run of ``cfg``: its parameters, trajectory and initial state.
-    Without ``n_steps``, ``relaxation_rate`` sets the `default_collision_count`."""
-    n = cfg.n_steps if cfg.n_steps is not None else default_collision_count(
-        model_params(cfg), relaxation_rate)
-    p = model_params(cfg, n_steps=n)
+    """The collision run of ``cfg`` on ``p``: its parameters, trajectory and initial
+    state.  Without ``n_steps``, ``relaxation_rate`` sets the `default_collision_count`."""
+    n = cfg.n_steps if cfg.n_steps is not None else default_collision_count(p, relaxation_rate)
+    p = replace(p, n_steps=n)
     rho0 = np.diag(cfg.initial_populations).astype(complex)  # run_collisions checks it
     traj = run_collisions(rho0, p, "original", cfg.propagator, snapshot_stride=cfg.snapshot_stride)
     return p, traj, rho0
 
 
-def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
-    """Exact collision dynamics against the effective-qubit master equation."""
-    rates = derive_rates(model_params(cfg))
-    p, exact, rho0 = _collision_run(cfg, rates.capital_gamma)
-    gen = generator_effective_qubit(rates)
+def _against_master_equation(cfg: ScenarioConfig, p: ModelParams, relaxation_rate: float,
+                             gen: LindbladGenerator, source: str, head: tuple[tuple[str, float], ...],
+                             ) -> tuple[ComparisonReport, dict[str, Trajectory]]:
+    """Exact collision dynamics against the master equation ``gen``, written as ``source``.
 
-    me = integrate(gen, rho0[:2, :2], p.n_steps * p.tau, p.tau,
+    The equation evolves the start state's top-left ``gen.dim`` block one
+    ``exp(G tau)`` step per collision; ``relaxation_rate`` sets the default
+    collision count.  The metric rows start with ``head``, and the rest follow
+    from ``gen.dim``.
+    """
+    p, exact, rho0 = _collision_run(cfg, p, relaxation_rate)
+    me = integrate(gen, rho0[:gen.dim, :gen.dim], p.n_steps * p.tau, p.tau,
                    snapshot_stride=cfg.snapshot_stride)
     dev = metrics(exact, me)
-    max_p2 = float(np.max(exact.populations[:, 2]))
-    final_exact, final_me = exact.final_window_mean(), me.final_window_mean()
+    final_exact = exact.final_window_mean()
+    rows = [*head, ("n_steps", float(p.n_steps)),
+            *((f"max_dev_p{k}", d) for k, d in enumerate(dev))]
+    # the collisions' peak of each level the equation leaves out, then the final populations
+    rows += [(f"max_p{k}_exact", float(np.max(exact.populations[:, k])))
+             for k in range(gen.dim, len(dev))]
+    rows += [(f"final_p{k}_exact", float(final_exact[k])) for k in range(gen.dim)]
+    if gen.dim < len(dev):  # a reduced equation also reports its own final populations
+        final_me = me.final_window_mean()
+        rows += [(f"final_p{k}_me", float(final_me[k])) for k in range(gen.dim)]
 
     report = ComparisonReport(
         scenario=cfg.scenario,
         checks=(_check("max_abs_dev", max(dev), 0.05),),
-        metrics=(
-            ("alpha_tau", rates.alpha * p.tau),
-            ("capital_gamma", rates.capital_gamma),
-            ("n_steps", float(p.n_steps)),
-            ("max_dev_p0", dev[0]),
-            ("max_dev_p1", dev[1]),
-            ("max_dev_p2", dev[2]),
-            ("max_p2_exact", max_p2),
-            ("final_p0_exact", float(final_exact[0])),
-            ("final_p1_exact", float(final_exact[1])),
-            ("final_p0_me", float(final_me[0])),
-            ("final_p1_me", float(final_me[1])),
-        ),
+        metrics=tuple(rows),
         trace_distances=_snapshot_trace_distances(exact, me),
     )
-    return report, {"orig": exact, "me5": me}
+    return report, {"orig": exact, source: me}
+
+
+def run_collision_vs_me(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
+    """Exact collision dynamics against the effective-qubit master equation."""
+    p = model_params(cfg)
+    rates = derive_rates(p)
+    return _against_master_equation(
+        cfg, p, rates.capital_gamma, generator_effective_qubit(rates), "me5",
+        (("alpha_tau", rates.alpha * p.tau), ("capital_gamma", rates.capital_gamma)))
 
 
 def run_negative_temperature(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Population-inverted steady state from collisions and from the
     analytic fixed point of the effective-qubit equation."""
-    rates = derive_rates(model_params(cfg))
-    p, exact, _ = _collision_run(cfg, rates.capital_gamma + rates.lowering_rate)
+    p = model_params(cfg)
+    rates = derive_rates(p)
+    p, exact, _ = _collision_run(cfg, p, rates.capital_gamma + rates.lowering_rate)
     gen = generator_effective_qubit(rates)
     analytic = thermal_qubit(rates.x_s)
     residual = steady_residual(gen, analytic)
@@ -303,29 +315,9 @@ def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str,
     """Exact collision dynamics against the qutrit two-bath master equation
     in the short-collision, modest-detuning regime."""
     p = model_params(cfg)
-    p, exact, rho0 = _collision_run(cfg, bath_rates(p, p.x1)[1] + bath_rates(p, p.x2)[1])
-    gen = generator_qutrit_two_bath(p)
-    me = integrate(gen, rho0, p.n_steps * p.tau, p.tau, snapshot_stride=cfg.snapshot_stride)
-    dev = metrics(exact, me)
-    final = exact.final_window_mean()
-
-    report = ComparisonReport(
-        scenario=cfg.scenario,
-        checks=(_check("max_abs_dev", max(dev), 0.05),),
-        metrics=(
-            ("g_tau", p.g * p.tau),
-            ("delta_tau", p.delta * p.tau),
-            ("n_steps", float(p.n_steps)),
-            ("max_dev_p0", dev[0]),
-            ("max_dev_p1", dev[1]),
-            ("max_dev_p2", dev[2]),
-            ("final_p0_exact", float(final[0])),
-            ("final_p1_exact", float(final[1])),
-            ("final_p2_exact", float(final[2])),
-        ),
-        trace_distances=_snapshot_trace_distances(exact, me),
-    )
-    return report, {"orig": exact, "me10": me}
+    return _against_master_equation(
+        cfg, p, bath_rates(p, p.x1)[1] + bath_rates(p, p.x2)[1], generator_qutrit_two_bath(p),
+        "me10", (("g_tau", p.g * p.tau), ("delta_tau", p.delta * p.tau)))
 
 
 _RUNNERS = {

@@ -237,8 +237,10 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
         raise ConfigError(f"n_grid: must be between 2 and {MAX_GRID}, got {cfg.n_grid}")
     if cfg.alpha_t_max <= 0:
         raise ConfigError(f"alpha_t_max: must be positive, got {cfg.alpha_t_max}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers: must be >= 1, got {cfg.workers}")
+    if cfg.workers != 1:  # sweep points run in one process
+        raise ConfigError(f"workers: must be 1, got {cfg.workers}")
+    if cfg.output_path == "":
+        raise ConfigError("output_path: must not be empty")
 
     if cfg.scenario in ("collision-vs-me", "negative-temperature", "beyond-far-off"):
         if cfg.tau is not None and cfg.alpha_tau is not None:
@@ -290,6 +292,6 @@ def sweep_points(cfg: ScenarioConfig) -> tuple[ScenarioConfig, ...]:
     """The single-run config of each sweep point, in ``sweep_values`` order: the
     sweep's own fields are reset to their defaults, and the rest are kept."""
     return tuple(replace(cfg, scenario=cfg.sweep_scenario, output_path=None, sweep_scenario=None,
-                         sweep_param=None, sweep_values=None, workers=1,
+                         sweep_param=None, sweep_values=None,
                          **{cfg.sweep_param: int(v) if cfg.sweep_param == "n_steps" else v})
                  for v in cfg.sweep_values)

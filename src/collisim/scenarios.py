@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -424,6 +423,8 @@ def _writing_to(target: Path):
 def _output_dir(cfg: ScenarioConfig, output_dir: str | Path | None):
     """The run's output directory, made and probed for writing; if the block fails,
     the directories made here are removed again, deepest first, while empty."""
+    if output_dir == "":  # names no directory; None, not "", leaves the config's path
+        raise ConfigError("output_dir: must not be empty")
     target = Path(output_dir) if output_dir else Path(cfg.output_path or f"out/{cfg.scenario}")
     made = []
     try:
@@ -456,24 +457,13 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
 
 
 def run_sweep(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> ComparisonReport:
-    """Run one scenario per sweep value, one output subdirectory each.
-
-    Points are dispatched to a process pool no wider than ``workers``,
-    the number of points and the CPU count (serially when that is 1), and
-    assembled in input order, so the index file is deterministic.
-    """
+    """Run one scenario per sweep value, in order and in this process, one subdirectory each."""
     if cfg.scenario != "sweep":
         raise ConfigError("run_sweep requires scenario = sweep")
     with _output_dir(cfg, output_dir) as out_dir:
         dirs = [str(out_dir / f"point_{i:03d}_{cfg.sweep_param}_{value:g}")
                 for i, value in enumerate(cfg.sweep_values)]
-        workers = min(cfg.workers, len(dirs), os.cpu_count() or 1)
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # multiprocessing: pools only
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_scenario, sweep_points(cfg), dirs))
-        else:
-            reports = list(map(run_scenario, sweep_points(cfg), dirs))
+        reports = list(map(run_scenario, sweep_points(cfg), dirs))
 
     index_lines = [f"point,{cfg.sweep_param},passed,headline_check,headline_value"]
     checks = []

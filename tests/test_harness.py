@@ -1,4 +1,3 @@
-import concurrent.futures
 import contextlib
 import hashlib
 import importlib.util
@@ -88,14 +87,14 @@ snapshot_stride = 3
 sweep_scenario = negative-temperature
 sweep_param = delta
 sweep_values = 150, 250
-workers = 2
+workers = 1
 """
 ALL_KEYS_CONFIG = ScenarioConfig(
     "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7,
     propagator="runge_kutta", initial_populations=(0.2, 0.3, 0.5),
     output_path="out/all-keys", snapshot_stride=3,
     sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
-    workers=2)
+    workers=1)
 ALL_KEYS_ALPHA_TAU = ALL_KEYS_SWEEP.replace("tau = 40", "alpha_tau = 0.3")
 GRID_KEYS_SWEEP = """
 scenario = sweep
@@ -676,39 +675,6 @@ class TestScenarioOutputs:
         assert (tmp_path / "index.csv").read_text().splitlines()[1].startswith("0,10,")
         assert len((tmp_path / "point_000_n_steps_10" / "orig.csv").read_text().splitlines()) == 12
 
-    @pytest.mark.parametrize("workers, cpus, expected", [
-        (64, 2, 2),     # clamped to the CPU count
-        (64, 8, 3),     # clamped to the number of points
-        (2, 2, 2),      # the shipped sweep keeps its two workers
-        (64, 1, None),  # a single CPU runs serially, without a pool
-        (64, None, None),
-    ])
-    def test_sweep_pool_width_is_clamped(self, tmp_path, monkeypatch, workers, cpus, expected):
-        widths = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(scenarios.os, "cpu_count", lambda: cpus)
-        cfg = parse_config_text(
-            "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
-            f"sweep_values = 25, 50, 100\nn_grid = 50\nworkers = {workers}\n"
-        )
-        assert run_sweep(cfg, tmp_path).passed
-        assert widths == ([] if expected is None else [expected])
-        assert len((tmp_path / "index.csv").read_text().splitlines()) == 4
-
     def test_run_scenario_rejects_sweep(self, tmp_path):
         cfg = parse_config_text(
             "scenario = sweep\nsweep_scenario = verify-elimination\n"
@@ -725,7 +691,10 @@ class TestScenarioOutputs:
          "requires tau or alpha_tau"),
         (dict(scenario="sweep", x1=0.5, x2=1.5, sweep_scenario="negative-temperature",
               sweep_param="delta", sweep_values=(200.0,)), "requires tau or alpha_tau"),
-    ], ids=["top-level-population", "no-duration", "sweep-point-without-duration"])
+        (dict(scenario="sweep", sweep_scenario="verify-elimination", sweep_param="delta",
+              sweep_values=(50.0,), workers=2), "^workers: must be 1, got 2$"),
+    ], ids=["top-level-population", "no-duration", "sweep-point-without-duration",
+            "two-workers"])
     def test_scenario_rules_are_checked_when_built(self, kwargs, message):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig(**kwargs)
@@ -788,13 +757,12 @@ class TestScenarioOutputs:
 
     def test_sweep_points_reset_the_sweeps_own_fields_and_reject_unused_keys(self):
         sweep = load_config(CONFIG_DIR / "sweep_detuning.cfg")
-        assert sweep.workers == 2
         for point, delta in zip(config.sweep_points(sweep), sweep.sweep_values):
             assert point == ScenarioConfig("verify-elimination", delta=delta)
         (point,) = config.sweep_points(replace(ALL_KEYS_CONFIG, sweep_values=(150.0,)))
         assert point == replace(ALL_KEYS_CONFIG, scenario="negative-temperature", delta=150.0,
                                 output_path=None, sweep_scenario=None, sweep_param=None,
-                                sweep_values=None, workers=1)
+                                sweep_values=None)
         # any other field the points' scenario does not use must hold its default, as in
         # a single-run config
         message = "key(s) not applicable to scenario 'collision-vs-me': alpha_t_max, n_grid"
@@ -1168,8 +1136,16 @@ n_steps = 40000
         ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\ntau = 60\n"
                 f"n_steps = {config.MAX_GRID}\n",
          f"error: n_steps: must be between 1 and {config.MAX_GRID - 1}, got {config.MAX_GRID}\n"),
+        # sweep points run in one process
+        ("sweep", SWEEP_TWO_POINTS + "workers = 2\n", "error: workers: must be 1, got 2\n"),
+        ("run", SWEEP_TWO_POINTS + "workers = 2\n", "error: workers: must be 1, got 2\n"),
+        # an empty output_path was read as none: the run wrote to out/<scenario>
+        ("run", VERIFY + "output_path =\n", "error: output_path: must not be empty\n"),
+        ("sweep", SWEEP_TWO_POINTS + "output_path =\n", "error: output_path: must not be empty\n"),
     ], ids=["negative-delta", "negative-delta-sweep-point", "grid-step-underflow",
-            "grid-step-subnormal", "g-squared-underflow", "g-squared-overflow", "n-steps-unsizable"])
+            "grid-step-subnormal", "g-squared-underflow", "g-squared-overflow", "n-steps-unsizable",
+            "two-workers-sweep", "two-workers-run", "empty-output-path-run",
+            "empty-output-path-sweep"])
     def test_validate_rejects_what_run_rejects_as_config_error(self, tmp_path, capsys, command,
                                                                text, err):
         path = self.write(tmp_path, text)
@@ -1268,7 +1244,8 @@ n_steps = 40000
         ("run", VERIFY),
         ("sweep", SWEEP_TWO_POINTS),
     ], ids=["run", "sweep"])
-    def test_overlong_output_dir_is_a_usage_error(self, tmp_path, capsys, command, text):
+    def test_overlong_output_dir_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command,
+                                                  text):
         # a 300-byte name in an existing directory fails every file-system
         # call with ENAMETOOLONG, the first of them the check for which
         # directories the run will make; under a missing one, `mkdir` fails
@@ -1279,6 +1256,10 @@ n_steps = 40000
             err = capsys.readouterr().err
             assert err.startswith("error: output path not writable:") and err.count("\n") == 1
             assert "Traceback" not in err
+        # an empty name was read as no override: the run wrote to out/<scenario>
+        monkeypatch.chdir(tmp_path)
+        assert main([command, path, "--output-dir", ""]) == 2
+        assert capsys.readouterr().err == "error: output_dir: must not be empty\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.txt"]
 
     def test_failed_sweep_point_keeps_the_points_written(self, tmp_path, capsys, monkeypatch):
@@ -1582,13 +1563,17 @@ def test_readme_library_quick_start_runs(capsys):
     assert capsys.readouterr().out
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # Only a pooled sweep imports the process pool, with multiprocessing and socket.
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # The shipped sweep runs its points in one process: no process pool, with
+    # multiprocessing and socket, is imported, whatever the CPU count.
     src = Path(collisim.__file__).resolve().parents[1]
-    code = "import sys, collisim; print('concurrent.futures.process' in sys.modules)"
+    args = ["sweep", str(CONFIG_DIR / "sweep_detuning.cfg"), "--output-dir", str(tmp_path)]
+    code = ("import contextlib, io, sys; from collisim import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): code = cli.main({args!r})\n"
+            "print(code, 'concurrent.futures.process' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "0 False"
 
 
 def test_config_path_leaves_numpy_unloaded(tmp_path):

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +53,9 @@ CSV_HEADER = "step,t_in_inverse_g,p0,p1,p2,source"
 # The one number format of every output file: 12 significant digits.
 FLOAT_FMT = "%.12g"
 # The output stage's block: the CSV rows `write_trajectory_csv` formats at once,
-# and the state pairs `_trace_distance_table` gathers and diagonalizes at once.
-# Its transient memory is one block's, whatever the run's length.
+# the state pairs `_trace_distance_table` gathers and diagonalizes at once, and
+# the trace-distance rows `write_report_files` formats at once.  Its transient
+# memory is one block's, whatever the run's length.
 CSV_CHUNK = 1024
 
 
@@ -68,14 +70,20 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Deterministically ordered scenario outcome."""
+    """Deterministically ordered scenario outcome.
+
+    ``trace_distances`` is a read-only ``(m, 2)`` float array of ``(time,
+    trace distance)`` rows; a report without the table has ``m = 0``.
+    Reports compare by identity, as trajectories do: the table is an array,
+    which has no single truth value to compare by.
+    """
 
     scenario: str
     checks: tuple[CheckResult, ...]
     metrics: tuple[tuple[str, float], ...]
-    trace_distances: tuple[tuple[float, float], ...] = ()
+    trace_distances: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
     @property
     def passed(self) -> bool:
@@ -140,9 +148,9 @@ def subsample(traj: Trajectory, every: int) -> Trajectory:
 
 
 def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray, ia: np.ndarray,
-                          b: np.ndarray, ib: np.ndarray | None = None,
-                          ) -> tuple[tuple[float, float], ...]:
-    """``(time, trace distance)`` rows for the states ``a[ia]`` and ``b[ib]`` at ``steps``.
+                          b: np.ndarray, ib: np.ndarray | None = None) -> np.ndarray:
+    """The read-only ``(time, trace distance)`` rows for the states ``a[ia]`` and
+    ``b[ib]`` at ``steps``, as an ``(m, 2)`` array.
 
     ``traj`` supplies the time of each step.  Without ``ib``, ``b`` is one
     matrix set against every state.  Two-level ``b`` matrices are zero-padded.
@@ -151,16 +159,17 @@ def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray, ia
     grow with the run; ``eigvalsh`` diagonalizes each matrix on its own, so
     the blocks give the bits of one whole-stack call.
     """
-    times = traj.times[np.searchsorted(traj.steps, steps)]
-    dists = []
+    table = np.empty((len(steps), 2))
+    table[:, 0] = traj.times[np.searchsorted(traj.steps, steps)]
     for start in range(0, len(steps), CSV_CHUNK):
         block = slice(start, start + CSV_CHUNK)
         other = as_qutrit_matrix(b if ib is None else b[ib[block]])
-        dists += trace_distance(a[ia[block]], other).tolist()
-    return tuple(zip(times.tolist(), dists))
+        table[block, 1] = trace_distance(a[ia[block]], other)
+    table.flags.writeable = False
+    return table
 
 
-def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> tuple[tuple[float, float], ...]:
+def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> np.ndarray:
     """Trace distances between full states at matched snapshot steps."""
     steps, ia, ib = np.intersect1d(a.snapshot_steps, b.snapshot_steps, return_indices=True)
     return _trace_distance_table(a, steps, a.snapshot_states, ia, b.snapshot_states, ib)
@@ -331,13 +340,36 @@ _RUNNERS = {
 # file output
 
 
+def _exact_ints(block: np.ndarray) -> np.ndarray | None:
+    """The float ``block`` as int64 when ``%d`` prints each value as FLOAT_FMT does, else None.
+
+    That is when every value is an exact integer below 10^12 in magnitude and
+    none is -0.0: 12 significant digits print such an integer in full, with no
+    point or exponent, but print -0.0 as ``-0`` and 10^12 as ``1e+12``.  The
+    last value is tested first, so most blocks that fail cost one scalar test.
+    """
+    last = block[-1]
+    if not (abs(last) < 1e12 and last.is_integer()) or not np.abs(block).max() < 1e12:
+        return None
+    ints = block.astype(np.int64)
+    # bit for bit, so -0.0, which comes back as +0.0, fails with the fractions
+    same = np.array_equal(ints.astype(np.float64).view(np.int64), block.view(np.int64))
+    return ints if same else None
+
+
+def _time_cells(times: np.ndarray) -> tuple[str, list]:
+    """A block of ``times`` as cells, and their format: ints and ``%d`` where `_exact_ints` allows."""
+    ints = _exact_ints(times)
+    return (FLOAT_FMT, times.tolist()) if ints is None else ("%d", ints.tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class CsvColumns:
     """The step and time columns of a trajectory CSV, formatted once.
 
     ``chunks`` holds the step and time text of each ``CSV_CHUNK`` rows, one
-    ``"%d," + FLOAT_FMT`` line a row; the population slots are added at write
-    time.  ``steps`` and ``times`` are the arrays it was formatted from.
+    line a row; the population slots are added at write time.  ``steps`` and
+    ``times`` are the arrays it was formatted from.
     """
 
     steps: np.ndarray
@@ -356,30 +388,44 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
 
     The step and time columns are formatted once, into one bytes text per
     ``CSV_CHUNK`` rows.  Rows are written a chunk at a time: each line end of
-    that text becomes a ``FLOAT_FMT`` slot per population and the source, and
-    one ``bytes %`` (which writes the bytes ``str %`` would, faster) fills the
-    slots.  So the text held between files is the step and time columns only,
-    and the text formatted at once is one chunk's.  The columns are returned;
-    passed back as ``columns`` for a trajectory whose steps and times match
-    them bit for bit, they are reused, so only the populations are formatted.
-    Any other ``columns`` are ignored.
+    that text becomes a slot per population and the source, and one ``bytes
+    %`` (which writes the bytes ``str %`` would, faster) fills the slots.  So
+    the text held between files is the step and time columns only, and the
+    text formatted at once is one chunk's.  The columns are returned; passed
+    back as ``columns`` for a trajectory whose steps and times match them bit
+    for bit, they are reused, so only the populations are formatted.  Any
+    other ``columns`` are ignored.
+
+    Every cell has FLOAT_FMT's bytes.  A chunk's times, or one level of its
+    populations, that `_exact_ints` passes are written with the faster
+    ``%d``, and a level that is +0.0 throughout the chunk as a literal ``0``.
     """
     if columns is None or not columns.matches(traj):
-        prefix = ("%d," + FLOAT_FMT + "\n").encode()
         chunks = []
         for start in range(0, len(traj), CSV_CHUNK):
-            # integer steps next to float times, one chunk at a time
+            # integer steps next to the times, one chunk at a time
             steps = traj.steps[start:start + CSV_CHUNK].tolist()
+            time_fmt, times = _time_cells(traj.times[start:start + CSV_CHUNK])
             cells = [None] * (2 * len(steps))
-            cells[::2], cells[1::2] = steps, traj.times[start:start + CSV_CHUNK].tolist()
-            chunks.append((prefix * len(steps)) % tuple(cells))
+            cells[::2], cells[1::2] = steps, times
+            chunks.append(("%d," + time_fmt + "\n").encode() * len(steps) % tuple(cells))
         columns = CsvColumns(traj.steps, traj.times, tuple(chunks))
-    row_end = (("," + FLOAT_FMT) * 3 + "," + source.replace("%", "%%") + "\n").encode()
+    source = source.replace("%", "%%")
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")
         for start, text in zip(range(0, len(traj), CSV_CHUNK), columns.chunks):
             pops = traj.populations[start:start + CSV_CHUNK]
-            f.write(text.replace(b"\n", row_end) % tuple(pops.ravel().tolist()))
+            row_end, kept = "", []
+            for k, level in enumerate(pops.T):
+                ints = _exact_ints(level)
+                if ints is None or ints.any():  # `%d` takes the float cells through int()
+                    row_end += "," + (FLOAT_FMT if ints is None else "%d")
+                    kept.append(k)
+                else:  # +0.0 throughout the chunk
+                    row_end += ",0"
+            row_end = (row_end + "," + source + "\n").encode()
+            cells = pops if len(kept) == pops.shape[1] else pops[:, kept]  # a copy only when needed
+            f.write(text.replace(b"\n", row_end) % tuple(cells.ravel().tolist()))
     return columns
 
 
@@ -396,18 +442,22 @@ def write_report_files(out_dir: Path, report: ComparisonReport):
         txt_lines.append(
             f"  [{status}] {c.name}: {FLOAT_FMT % c.value} {c.comparison} {FLOAT_FMT % c.threshold}"
         )
-    if report.trace_distances:
-        kv_lines.append(f"trace_distance_max = {FLOAT_FMT % max(d for _, d in report.trace_distances)}")
-        txt_lines.append("")
-        txt_lines.append("  trace distance (t, value):")
-        # one row per (t, value) pair, the time right-aligned in 16 columns
-        row = "    " + FLOAT_FMT.replace("%", "%16") + "  " + FLOAT_FMT
-        txt_lines.append("\n".join([row] * len(report.trace_distances))
-                         % tuple(x for pair in report.trace_distances for x in pair))
-    txt_lines.append("")
-    txt_lines.append(f"result: {'PASS' if report.passed else 'FAIL'}")
+    table = report.trace_distances
+    if len(table):
+        kv_lines.append(f"trace_distance_max = {FLOAT_FMT % table[:, 1].max()}")
+        txt_lines += ["", "  trace distance (t, value):"]
     (out_dir / "report.kv").write_text("\n".join(kv_lines) + "\n")
-    (out_dir / "report.txt").write_text("\n".join(txt_lines) + "\n")
+    with open(out_dir / "report.txt", "w") as f:
+        f.write("\n".join(txt_lines) + "\n")
+        for start in range(0, len(table), CSV_CHUNK):
+            # one row per (t, value) pair, the time right-aligned in 16 columns
+            block = table[start:start + CSV_CHUNK]
+            time_fmt, times = _time_cells(block[:, 0])
+            cells = [None] * (2 * len(block))
+            cells[::2], cells[1::2] = times, block[:, 1].tolist()
+            row = "    " + time_fmt.replace("%", "%16") + "  " + FLOAT_FMT + "\n"
+            f.write(row * len(block) % tuple(cells))
+        f.write(f"\nresult: {'PASS' if report.passed else 'FAIL'}\n")
 
 
 @contextlib.contextmanager
@@ -429,7 +479,8 @@ def _output_dir(cfg: ScenarioConfig, output_dir: str | Path | None):
     made = []
     try:
         with _writing_to(target):  # `exists` raises on an overlong name or an unsearchable directory
-            made = [d for d in (target, *target.parents) if not d.exists()]
+            # the ancestors of a directory that exists exist too
+            made = list(takewhile(lambda d: not d.exists(), (target, *target.parents)))
             target.mkdir(parents=True, exist_ok=True)
             probe = target / ".write-probe"
             probe.write_text("")
@@ -452,6 +503,7 @@ def run_scenario(cfg: ScenarioConfig, output_dir: str | Path | None = None) -> C
         with _writing_to(out_dir):
             for source, traj in trajectories.items():
                 columns = write_trajectory_csv(out_dir / f"{source}.csv", traj, source, columns)
+            del trajectories, traj, columns  # the report needs none of them: free them first
             write_report_files(out_dir, report)
     return report
 

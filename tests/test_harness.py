@@ -444,6 +444,70 @@ class TestTraceDistanceTable:
         assert np.asarray(table, dtype=float).reshape(-1, 2).tobytes() == expected.tobytes()
 
 
+class TestIntegerCells:
+    """Cells that hold exact integers below 10^12 in magnitude are written with
+    ``%d``, and a level that is +0.0 throughout a chunk as a literal ``0``;
+    the bytes stay those of the per-row ``%.12g`` writer."""
+
+    CHUNK = scenarios.CSV_CHUNK
+
+    def assert_per_row_bytes(self, tmp_path, times, populations):
+        n = len(times)
+        first = Trajectory(steps=np.arange(n), times=times, populations=populations)
+        second = replace(first, populations=populations[::-1])
+        columns = write_trajectory_csv(tmp_path / "first.csv", first, "orig")
+        assert write_trajectory_csv(tmp_path / "second.csv", second, "me5", columns) is columns
+        reference_write_trajectory_csv(tmp_path / "ref_first.csv", first, "orig")
+        reference_write_trajectory_csv(tmp_path / "ref_second.csv", second, "me5")
+        for name in ("first", "second"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"ref_{name}.csv").read_bytes())
+
+    @staticmethod
+    def populations(n):
+        return np.random.default_rng(n).dirichlet((1, 1, 1), n)
+
+    @pytest.mark.parametrize("n", [3, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_integral_time_grid(self, tmp_path, n):
+        self.assert_per_row_bytes(tmp_path, np.arange(n) * 2.0, self.populations(n))
+
+    @pytest.mark.parametrize("last", [10**12 - 1, 10**12])
+    @pytest.mark.parametrize("n", [3, CHUNK + 1], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("order", ["rising", "falling"])
+    def test_times_up_to_ten_to_the_twelve(self, tmp_path, last, n, order):
+        # rising, `last` is the final row (alone in the second chunk when there
+        # are two); falling, it is the first, and the final row is below it
+        times = float(last) - np.arange(n)
+        self.assert_per_row_bytes(tmp_path, times[::-1] if order == "rising" else times,
+                                  self.populations(n))
+
+    @pytest.mark.parametrize("n", [3, CHUNK + 1])
+    def test_negative_integers(self, tmp_path, n):
+        populations = np.tile([-1.0, 3.0, -(10.0**12 - 1)], (n, 1))
+        self.assert_per_row_bytes(tmp_path, -3.0 * np.arange(n)[::-1] - 1.0, populations)
+
+    @pytest.mark.parametrize("row", [0, 1, -1])
+    def test_minus_zero_time(self, tmp_path, row):
+        times = np.arange(5) * 2.0
+        times[row] = -0.0
+        self.assert_per_row_bytes(tmp_path, times, self.populations(5))
+
+    @pytest.mark.parametrize("cells", [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, -0.0]])
+    def test_minus_zero_population(self, tmp_path, cells):
+        populations = self.populations(3)
+        populations[:, 2] = cells
+        self.assert_per_row_bytes(tmp_path, np.arange(3) * 2.0, populations)
+
+    @pytest.mark.parametrize("cell", [0.0, 1e-17, 1.0, 5.0])
+    @pytest.mark.parametrize("n", [CHUNK + 2, 2 * CHUNK + 2])
+    def test_zero_padded_level_with_one_cell_set_in_its_last_chunk(self, tmp_path, n, cell):
+        # not the final row, which the early test reads; 0.0 leaves the level all literal
+        populations = self.populations(n)
+        populations[:, 2] = 0.0
+        populations[n - 2, 2] = cell
+        self.assert_per_row_bytes(tmp_path, np.arange(n) * 2.0, populations)
+
+
 class TestScenarioOutputs:
     def test_csv_schema(self, tmp_path):
         traj = constant_trajectory([0.25, 0.75, 0.0], n=3)
@@ -617,16 +681,27 @@ class TestScenarioOutputs:
             outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
         assert outputs[0] == outputs[1]
 
-    def test_report_table_matches_per_line_writer(self, tmp_path):
-        pairs = tuple(zip(ADVERSARIAL_FLOATS, reversed(ADVERSARIAL_FLOATS)))
-        report = scenarios.ComparisonReport("beyond-far-off", (), (), trace_distances=pairs)
+    @pytest.mark.parametrize("times", [
+        np.array(ADVERSARIAL_FLOATS),
+        np.arange(scenarios.CSV_CHUNK + 1) * 2.0,  # exact integers in both blocks
+        np.arange(scenarios.CSV_CHUNK + 1) * 0.1,
+        1e12 - np.arange(scenarios.CSV_CHUNK + 1)[::-1],  # 10^12 alone in the second block
+        np.array([-0.0, 2.0, 4.0]),
+    ], ids=["adversarial", "integral", "fractional", "ten-to-the-twelve", "minus-zero"])
+    def test_report_table_matches_per_line_writer(self, tmp_path, times):
+        dists = np.resize(np.array(ADVERSARIAL_FLOATS[::-1]), len(times))
+        report = scenarios.ComparisonReport("beyond-far-off", (), (),
+                                            trace_distances=np.column_stack((times, dists)))
         scenarios.write_report_files(tmp_path, report)
         lines = (tmp_path / "report.txt").read_text().splitlines()
         start = lines.index("  trace distance (t, value):") + 1
         # the per-line writer the template replaced
         fmt = scenarios.FLOAT_FMT
-        assert lines[start:start + len(pairs)] == [f"    {fmt % t:>16s}  {fmt % d}" for t, d in pairs]
-        assert lines[start + len(pairs):] == ["", "result: PASS"]
+        assert lines[start:start + len(times)] == [f"    {fmt % t:>16s}  {fmt % d}"
+                                                   for t, d in zip(times.tolist(), dists.tolist())]
+        assert lines[start + len(times):] == ["", "result: PASS"]
+        kv = (tmp_path / "report.kv").read_text().splitlines()
+        assert f"trace_distance_max = {fmt % max(dists.tolist())}" in kv
 
     def test_verify_elimination_files(self, tmp_path):
         cfg = parse_config_text(VERIFY)
@@ -798,14 +873,20 @@ class TestScenarioOutputs:
     @pytest.mark.parametrize("tau", [2, 10**20])  # 10**20 is past int64
     def test_an_int_tau_runs_as_the_float_of_its_value(self, tmp_path, scenario, tau):
         def outcome(tau, out):
+            """The run's error, or its report's fields and its files; then its trace-distance table."""
             cfg = ScenarioConfig(scenario, delta=20, x1=1, x2=-1, tau=tau, n_steps=3)
             try:
                 report = run_scenario(cfg, out)
             except NumericError as err:
-                return type(err), str(err)
-            return report, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                return (type(err), str(err)), None
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            return (report.scenario, report.checks, report.metrics, files), report.trace_distances
 
-        assert outcome(tau, tmp_path / "int") == outcome(float(tau), tmp_path / "float")
+        (int_run, int_table), (float_run, float_table) = (
+            outcome(tau, tmp_path / "int"), outcome(float(tau), tmp_path / "float"))
+        assert int_run == float_run
+        # the table is an array: compared value by value with ==, as its pairs were
+        assert np.array_equal(int_table, float_table)
 
     @pytest.mark.parametrize("scenario", ["negative-temperature", "collision-vs-me"])
     def test_int_inputs_report_float_values(self, tmp_path, scenario):
@@ -1239,6 +1320,20 @@ n_steps = 40000
             assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
         assert (tmp_path / "kept").is_dir() and not any((tmp_path / "kept").iterdir())
+
+    def test_output_dir_walk_stops_at_the_first_ancestor_that_exists(self, tmp_path,
+                                                                       monkeypatch):
+        # the run asks which directories it will make from the target up, and
+        # no further than the first that exists
+        asked, exists = [], Path.exists
+
+        def recording(path, *args, **kwargs):
+            asked.append(path)
+            return exists(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "exists", recording)
+        run_scenario(parse_config_text(VERIFY), tmp_path / "a" / "b")
+        assert asked == [tmp_path / "a" / "b", tmp_path / "a", tmp_path]
 
     @pytest.mark.parametrize("command, text", [
         ("run", VERIFY),

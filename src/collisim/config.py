@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import TRACE_TOL, ConfigError
 
-_BASE_KEYS = {"scenario", "g", "output_path"}
+_BASE_KEYS = {"scenario", "output_path"}
 _COLLISION_KEYS = {
     "delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "propagator",
     "initial_populations", "snapshot_stride",
@@ -37,22 +37,21 @@ SCENARIO_KEYS: dict[str, tuple[set[str], set[str]]] = {
 }
 SCENARIO_NAMES = tuple(SCENARIO_KEYS)
 
-SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps", "g"}
+SWEEPABLE_KEYS = {"delta", "x1", "x2", "tau", "alpha_tau", "n_steps"}
 
 # The largest n_grid whose (n_grid, 3) float64 population table numpy can size:
 # its 24-byte rows must fit in numpy's index type, np.intp (sys.maxsize)
 MAX_GRID = sys.maxsize // 24
 
 
-def compute_alpha(g_m: float, g_n: float, delta_m: float, delta_n: float) -> float:
-    """Effective two-channel coupling ``(g_m g_n / 2)(1/delta_m + 1/delta_n)``.
-
-    Symmetric in the two channels.  Raises ValueError at zero detuning,
+def compute_alpha(delta: float) -> float:
+    """Effective coupling ``(1/2)(1/delta + 1/delta)`` of the two channels, both
+    detuned by ``delta``, in units of g.  Raises ValueError at zero detuning,
     where the elimination of the virtual level is invalid.
     """
-    if delta_m == 0 or delta_n == 0:
+    if delta == 0:
         raise ValueError("zero detuning: adiabatic elimination is singular")
-    return 0.5 * g_m * g_n * (1.0 / delta_m + 1.0 / delta_n)
+    return 0.5 * (1.0 / delta + 1.0 / delta)  # one term a channel: inf where 2/delta overflows
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,6 @@ class ScenarioConfig:
     runs on every construction, so an invalid config raises `ConfigError` there."""
 
     scenario: str
-    g: float = 1.0
     delta: float | None = None
     x1: float | None = None
     x2: float | None = None
@@ -89,9 +87,7 @@ class ScenarioConfig:
         if self.alpha_tau is None:
             raise ConfigError(f"scenario {self.scenario!r} requires tau or alpha_tau")
         _require(self, {"delta"})
-        g = float(self.g)
-        g2 = g * g  # inf past the float range
-        return float(self.alpha_tau) * self.delta / g2 if g2 else math.inf  # g^2 may underflow to 0
+        return float(self.alpha_tau) * self.delta
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -225,8 +221,6 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
     _reject_not_applicable(cfg.scenario, {key for key, default in _UNUSED[cfg.scenario].items()
                                           if getattr(cfg, key) != default})
 
-    if cfg.g <= 0:
-        raise ConfigError(f"g: must be positive, got {cfg.g}")
     if cfg.propagator not in ("spectral", "runge_kutta"):
         raise ConfigError(f"propagator: must be 'spectral' or 'runge_kutta', got {cfg.propagator!r}")
     if cfg.n_steps is not None and not 1 <= cfg.n_steps < MAX_GRID:  # n_steps + 1 states
@@ -260,8 +254,8 @@ def validate_config(cfg: ScenarioConfig) -> ScenarioConfig:
             raise ConfigError(f"delta: verify-elimination needs a positive detuning, got {cfg.delta}")
         # the run's np.linspace(0, alpha_t_max / alpha, n_grid) increases strictly at a normal
         # step, for any grid memory holds (under 2^51 points)
-        alpha = compute_alpha(cfg.g, cfg.g, cfg.delta, cfg.delta)
-        step = (cfg.alpha_t_max / alpha if alpha else math.inf) / (cfg.n_grid - 1)
+        alpha = compute_alpha(cfg.delta)
+        step = cfg.alpha_t_max / alpha / (cfg.n_grid - 1)  # alpha = 1/delta > 0 at a finite delta
         if step < sys.float_info.min:
             raise ConfigError(f"alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = "
                               f"{step!r} with alpha = g^2/delta is below the normal float range")

@@ -28,9 +28,9 @@ from .operators import kron, thermal_populations, thermal_qubit, transition
 # The system qutrit's space, as `operators.density_operator` takes it.
 QUTRIT_SPACE = (("S", 3),)
 
-# Documented heuristic floor for the far-off-resonant regime.  The
-# elimination error shrinks quadratically in g/delta; below this ratio
-# the effective description degrades visibly.
+# Documented heuristic floor on |delta|, in units of g, for the far-off-resonant
+# regime.  The elimination error shrinks quadratically in 1/delta; below this
+# detuning the effective description degrades visibly.
 FAR_OFF_THRESHOLD = 20.0
 
 _I2 = np.eye(2, dtype=complex)
@@ -47,7 +47,6 @@ class ModelParams:
 
     Attributes
     ----------
-    g : coupling strength; the frequency unit (default 1).
     delta : detuning of both collision channels, in units of g.
     x1, x2 : ancilla thermal exponents (level splitting times inverse
         temperature) for bath 1 and bath 2; dimensionless.
@@ -60,27 +59,24 @@ class ModelParams:
     x2: float = 0.0
     tau: float = 1.0
     n_steps: int = 1
-    g: float = 1.0
 
     def __post_init__(self):
-        # Zero coupling / zero duration are degenerate but representable
-        # (they realize the exact no-interaction identity limits); a
-        # collision run still needs tau > 0, see `run_collisions`.
-        if not (self.g >= 0):
-            raise ValueError(f"coupling strength g must be nonnegative, got {self.g}")
+        # A zero duration is degenerate but representable (it realizes the
+        # exact identity limit); a collision run still needs tau > 0, see
+        # `run_collisions`.
         if not (self.tau >= 0):
             raise ValueError(f"collision duration tau must be nonnegative, got {self.tau}")
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, Integral):
             raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        for name in ("delta", "x1", "x2", "tau", "g"):
+        for name in ("delta", "x1", "x2", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
 
     @property
     def far_off_resonant(self) -> bool:
-        return self.delta >= FAR_OFF_THRESHOLD * self.g
+        return abs(self.delta) >= FAR_OFF_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -104,21 +100,21 @@ class DerivedRates:
 def build_h_prime(p: ModelParams) -> np.ndarray:
     """Collision Hamiltonian in the frame where it is time independent.
 
-    ``H' = delta |2><2|_S + g (|1><0|_A1 |0><2|_S + |0><1|_A1 |2><0|_S)
-    + g (|1><0|_A2 |1><2|_S + |0><1|_A2 |2><1|_S)``:
+    ``H' = delta |2><2|_S + (|1><0|_A1 |0><2|_S + |0><1|_A1 |2><0|_S)
+    + (|1><0|_A2 |1><2|_S + |0><1|_A2 |2><1|_S)`` in units of g:
     a diagonal shift on the top system level plus one exchange block per
     bath channel.  No approximation is involved; this generates the
     accurate collision dynamics.
     """
-    coupling = p.g * kron(transition(2, 1, 0), _I2, transition(3, 0, 2))
-    coupling = coupling + p.g * kron(_I2, transition(2, 1, 0), transition(3, 1, 2))
+    coupling = kron(transition(2, 1, 0), _I2, transition(3, 0, 2))
+    coupling = coupling + kron(_I2, transition(2, 1, 0), transition(3, 1, 2))
     return p.delta * kron(_I2, _I2, transition(3, 2, 2)) + coupling + coupling.conj().T
 
 
 def _warn_if_not_far_off(p: ModelParams) -> None:
-    if not p.far_off_resonant:  # at g = 0, only a negative delta is not far off resonance
+    if not p.far_off_resonant:
         warnings.warn(
-            f"delta = {p.delta / p.g if p.g else -math.inf}g is below the far-off-resonant "
+            f"delta = {float(p.delta)}g is below the far-off-resonant "
             f"threshold ({FAR_OFF_THRESHOLD}g); the eliminated-level dynamics may be inaccurate",
             stacklevel=3,
         )
@@ -126,7 +122,7 @@ def _warn_if_not_far_off(p: ModelParams) -> None:
 
 def _exchange(p: ModelParams) -> np.ndarray:
     """`build_v` without its far-off-resonant warning."""
-    alpha = compute_alpha(p.g, p.g, p.delta, p.delta)
+    alpha = compute_alpha(p.delta)
     exchange = -alpha * kron(transition(2, 0, 1), transition(2, 1, 0), transition(3, 1, 0))
     return exchange + exchange.conj().T
 
@@ -146,7 +142,7 @@ def build_h_eff(p: ModelParams) -> np.ndarray:
     where this description degrades.
     """
     v = _exchange(p)
-    shift = -compute_alpha(p.g, p.g, p.delta, p.delta) * (
+    shift = -compute_alpha(p.delta) * (
         kron(transition(2, 1, 1), _I2, transition(3, 0, 0))
         + kron(_I2, transition(2, 1, 1), transition(3, 1, 1))
     )
@@ -169,30 +165,30 @@ def build_v(p: ModelParams) -> np.ndarray:
 
 
 def bath_rates(p: ModelParams, x: float) -> tuple[float, float]:
-    """Lowering and raising rates ``g^2 tau (p0, p1)`` of a bath with thermal exponent
+    """Lowering and raising rates ``tau (p0, p1)`` of a bath with thermal exponent
     ``x``, from `thermal_populations`; defined at every detuning, ``delta = 0`` included.
 
-    Each is its population times ``g``, ``g`` and ``tau`` in turn: an empty level
-    has rate 0, and a rate past the float range is inf, never NaN or an exception.
+    Each is its population times ``tau``: an empty level has rate 0, and no rate
+    is NaN or raises.
     """
-    return tuple(pop * p.g * p.g * p.tau for pop in thermal_populations(x))
+    return tuple(pop * p.tau for pop in thermal_populations(x))
 
 
 def derive_rates(p: ModelParams) -> DerivedRates:
     """All scalar rates of the effective-qubit description.
 
-    With ``R = g/delta`` and the populations of `thermal_populations`, the
-    effective qubit is raised at ``capital_gamma = R^2 g^2 tau p1(x1) p0(x2)``
-    (bath 1 gives up an excitation that bath 2 takes) and lowered at
-    ``lowering_rate = R^2 g^2 tau p0(x1) p1(x2)``; as in `bath_rates`, each is
-    its population product times the factors in turn, so finite or inf, never NaN.
+    With the populations of `thermal_populations`, the effective qubit is raised
+    at ``capital_gamma = tau p1(x1) p0(x2) / delta^2`` (bath 1 gives up an
+    excitation that bath 2 takes) and lowered at ``lowering_rate = tau p0(x1)
+    p1(x2) / delta^2``; each is its population product divided by ``delta``
+    twice, then times ``tau``, so finite or inf at ``tau > 0``, never NaN.
     ``x_s = x1 - x2`` is the effective thermal exponent; with level 1 above
     level 0 it has the sign of the effective inverse temperature, so
     ``x_s < 0`` is a negative-temperature bath.
     """
-    alpha = compute_alpha(p.g, p.g, p.delta, p.delta)  # raises at zero detuning
+    alpha = compute_alpha(p.delta)  # raises at zero detuning
     (ground1, excited1), (ground2, excited2) = thermal_populations(p.x1), thermal_populations(p.x2)
-    capital_gamma, lowering_rate = (pop * p.g / p.delta * p.g / p.delta * p.g * p.g * p.tau
+    capital_gamma, lowering_rate = (pop / p.delta / p.delta * p.tau
                                     for pop in (excited1 * ground2, ground1 * excited2))
     return DerivedRates(
         alpha=alpha,

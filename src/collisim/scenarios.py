@@ -117,7 +117,6 @@ def model_params(cfg: ScenarioConfig, n_steps: int = 1) -> ModelParams:
         x2=cfg.x2 if cfg.x2 is not None else 0.0,
         tau=cfg.effective_tau(),
         n_steps=n_steps,
-        g=cfg.g,
     )
 
 
@@ -182,12 +181,12 @@ def _snapshot_trace_distances(a: Trajectory, b: Trajectory) -> np.ndarray:
 def run_verify_elimination(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str, Trajectory]]:
     """Closed-evolution agreement between the original and eliminated-level
     Hamiltonians on the two-ancilla excitation-exchange protocol."""
-    p = ModelParams(delta=cfg.delta, g=cfg.g)
+    p = ModelParams(delta=cfg.delta)
     alpha = derive_rates(p).alpha
-    t_max = cfg.alpha_t_max / alpha if alpha else math.inf  # alpha = g^2/delta may underflow
+    t_max = cfg.alpha_t_max / alpha
     if not math.isfinite(t_max):
         raise NumericError(f"time span alpha_t_max / alpha = {t_max} is not finite")
-    ratio, r = 50.0 * p.g / p.delta, p.g / p.delta
+    ratio, r = 50.0 / p.delta, 1.0 / p.delta
     dev_tol, p2_tol = 0.02 * (ratio * ratio), 6.0 * (r * r)
     if not math.isfinite(dev_tol):  # the larger of the two
         raise NumericError(f"deviation tolerance 0.02 * (50 g / delta)^2 = {dev_tol} is not finite")
@@ -325,7 +324,7 @@ def run_beyond_far_off(cfg: ScenarioConfig) -> tuple[ComparisonReport, dict[str,
     p = model_params(cfg)
     return _against_master_equation(
         cfg, p, bath_rates(p, p.x1)[1] + bath_rates(p, p.x2)[1], generator_qutrit_two_bath(p),
-        "me10", (("g_tau", p.g * p.tau), ("delta_tau", p.delta * p.tau)))
+        "me10", (("g_tau", p.tau), ("delta_tau", p.delta * p.tau)))
 
 
 _RUNNERS = {

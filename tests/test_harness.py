@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -74,7 +74,6 @@ n_grid = 400
 # sweep's points do not use and so may not take.
 ALL_KEYS_SWEEP = """
 scenario = sweep
-g = 2
 delta = 200
 x1 = 0.5
 x2 = 1.5
@@ -90,7 +89,7 @@ sweep_values = 150, 250
 workers = 1
 """
 ALL_KEYS_CONFIG = ScenarioConfig(
-    "sweep", g=2.0, delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7,
+    "sweep", delta=200.0, x1=0.5, x2=1.5, tau=40.0, n_steps=7,
     propagator="runge_kutta", initial_populations=(0.2, 0.3, 0.5),
     output_path="out/all-keys", snapshot_stride=3,
     sweep_scenario="negative-temperature", sweep_param="delta", sweep_values=(150.0, 250.0),
@@ -123,7 +122,7 @@ KEY_BASES = {
     "beyond-far-off": dict(delta=2.0, x1=1.0, x2=0.5, tau=0.05, n_steps=40),
 }
 KEY_VALUES = {
-    "g": 2.0, "delta": 60.0, "x1": -0.5, "x2": 0.7, "tau": 0.1, "alpha_tau": 0.3,
+    "delta": 60.0, "x1": -0.5, "x2": 0.7, "tau": 0.1, "alpha_tau": 0.3,
     "n_steps": 30, "propagator": "runge_kutta", "initial_populations": (0.5, 0.5, 0.0),
     "snapshot_stride": 3, "n_grid": 60, "alpha_t_max": 2.5,
 }
@@ -328,7 +327,7 @@ sweep_values = 25, 0, 100
                                 "tau = 0.05\n")
         assert cfg.delta == 0.0
         # and runs, with no derive_rates: the default count is
-        # ceil(5 / ((p1(1) + p1(1)) g^2 tau * tau)) = 3719
+        # ceil(5 / ((p1(1) + p1(1)) tau * tau)) = 3719
         assert run_scenario(cfg, tmp_path).passed
         assert {"orig.csv", "me10.csv"} <= {f.name for f in tmp_path.iterdir()}
         assert "n_steps = 3719\n" in (tmp_path / "report.kv").read_text()
@@ -789,14 +788,14 @@ class TestScenarioOutputs:
          r"initial_populations: expected a tuple of numbers, got \[0.2, 0.3, nan\]"),
         (dict(delta="50"), "delta: expected a number, got '50'"),
         (dict(delta=10**400), "delta: must be finite, got 10{400}$"),
-        # alpha_tau * delta / g^2 with g^2 past the float range, not an int division error
-        (dict(g=10**200), "collision duration must be positive and finite, got 0.0"),
+        (dict(alpha_tau=1e-300, delta=1e-300),
+         "collision duration must be positive and finite, got 0.0"),
         # alpha_tau * delta past the float range, as for floats, not an int division error
         (dict(alpha_tau=10**200, delta=10**200),
          "collision duration must be positive and finite, got inf"),
     ], ids=["population-sum", "negative-population", "two-populations", "no-sweep-values",
             "float-n-grid", "float-snapshot-stride", "bool-n-steps", "list-populations",
-            "text-delta", "int-delta-past-the-float-range", "int-g-squared-past-the-float-range",
+            "text-delta", "int-delta-past-the-float-range", "alpha-tau-times-delta-underflows",
             "int-alpha-tau-times-delta-past-the-float-range"])
     def test_code_built_values_are_checked_before_any_work(self, bad, message):
         single = ScenarioConfig("collision-vs-me", delta=200.0, x1=1e-4, x2=1e-4, alpha_tau=0.3,
@@ -891,7 +890,7 @@ class TestScenarioOutputs:
     @pytest.mark.parametrize("scenario", ["negative-temperature", "collision-vs-me"])
     def test_int_inputs_report_float_values(self, tmp_path, scenario):
         def outcome(number, out):
-            cfg = ScenarioConfig(scenario, g=number(1), delta=number(200), x1=number(1),
+            cfg = ScenarioConfig(scenario, delta=number(200), x1=number(1),
                                  x2=number(-1), alpha_tau=0.3, n_steps=30)
             report = run_scenario(cfg, out)
             values = [*(v for _, v in report.metrics), *(c.value for c in report.checks)]
@@ -956,8 +955,8 @@ class TestShippedConfigs:
     def test_outputs_match_the_independent_oracle(self, shipped_run, tmp_path):
         """`bench/oracle.py` recomputes sampled CSV rows without collisim's stepping code."""
         _, cfg, out, _ = shipped_run
-        # the oracle assumes g = 1, a ground-state start and alpha_t_max = 5
-        assert (cfg.g, cfg.initial_populations, cfg.alpha_t_max) == (1.0, (1.0, 0.0, 0.0), 5.0)
+        # the oracle assumes a ground-state start and alpha_t_max = 5
+        assert (cfg.initial_populations, cfg.alpha_t_max) == ((1.0, 0.0, 0.0), 5.0)
         config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
                   if getattr(cfg, f.name) is not None}  # with its defaults filled in
         if cfg.scenario == "verify-elimination":  # which the oracle reads as a one-point sweep
@@ -1063,7 +1062,7 @@ n_steps = 40000
 
     def test_verify_elimination_tolerance_past_the_float_range_is_numeric_error(self, tmp_path,
                                                                                capsys):
-        # (g / delta)^2 raised "(34, 'Numerical result out of range')"
+        # (50 / delta)^2 raised "(34, 'Numerical result out of range')"
         path = self.write(tmp_path, "scenario = verify-elimination\ndelta = 1e-300\nn_grid = 2\n"
                                     "alpha_t_max = 5\n")
         assert main(["validate", path]) == 0
@@ -1073,30 +1072,36 @@ n_steps = 40000
                                            "delta)^2 = inf is not finite\n")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra, keys", [
+    @pytest.mark.parametrize("command, text, err", [
         # runge_kutta always takes the default_substeps rule
-        ("propagator = runge_kutta\nsubsteps = 4000\n", "substeps"),
+        ("run", FIG3B + "propagator = runge_kutta\nsubsteps = 4000\n", "unknown key(s): substeps"),
         # a run starts from its initial_populations, 1, 0, 0 by default
-        ("initial_state = ground_S\n", "initial_state"),
-        ("initial_state = custom\ninitial_populations = 0.5, 0.5, 0\n", "initial_state"),
+        ("run", FIG3B + "initial_state = ground_S\n", "unknown key(s): initial_state"),
+        ("run", FIG3B + "initial_state = custom\ninitial_populations = 0.5, 0.5, 0\n",
+         "unknown key(s): initial_state"),
         # a bath's temperature is its exponents x1, x2
-        ("omega_a1 = 5\n", "omega_a1"),
-        ("omega_a2 = 3\n", "omega_a2"),
-        ("omega_a1 = 5\nomega_a2 = 3\n", "omega_a1, omega_a2"),
+        ("run", FIG3B + "omega_a1 = 5\n", "unknown key(s): omega_a1"),
+        ("run", FIG3B + "omega_a2 = 3\n", "unknown key(s): omega_a2"),
+        ("run", FIG3B + "omega_a1 = 5\nomega_a2 = 3\n", "unknown key(s): omega_a1, omega_a2"),
+        # the coupling is the unit of every frequency, time and rate
+        ("run", FIG3B + "g = 2\n", "unknown key(s): g"),
+        ("sweep", N_STEPS_SWEEP.replace("sweep_param = n_steps", "sweep_param = g")
+         + "sweep_values = 2\n",
+         "sweep_param: must be one of alpha_tau, delta, n_steps, tau, x1, x2, got 'g'"),
     ], ids=["substeps", "initial_state-ground_S", "initial_state-custom", "omega_a1", "omega_a2",
-            "both-omegas"])
-    def test_removed_keys_are_unknown(self, tmp_path, capsys, extra, keys):
-        path = self.write(tmp_path, FIG3B + extra)
+            "both-omegas", "g", "g-sweep"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, command, text, err):
+        path = self.write(tmp_path, text)
         assert main(["validate", path]) == 2
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: unknown key(s): {keys}\n" * 2
+        assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n" * 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("delta, tau", [("1e200", "1"), ("1e150", "1e-10")],
                              ids=["rate-underflows", "rate-times-tau-underflows"])
     def test_default_n_steps_past_the_float_range_is_numeric_error(self, tmp_path, capsys,
                                                                      delta, tau):
-        # (g/delta)^2 underflows to a zero rate in the first case, and
+        # 1/delta^2 underflows to a zero rate in the first case, and
         # rate * tau underflows to 0 in the second: either count is infinite
         path = self.write(tmp_path, f"scenario = collision-vs-me\ndelta = {delta}\n"
                                     f"x1 = 0.5\nx2 = 1.5\ntau = {tau}\n")
@@ -1171,18 +1176,16 @@ n_steps = 40000
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, err", [
-        ("run", "scenario = verify-elimination\ndelta = 1e300\ng = 1e-300\nn_grid = 2\n",
-         "numeric error: time span alpha_t_max / alpha = inf is not finite\n"),
         ("run", "scenario = verify-elimination\ndelta = 1e300\nalpha_t_max = 1e300\nn_grid = 2\n",
          "numeric error: time span alpha_t_max / alpha = inf is not finite\n"),
-        ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = g\n"
-                  "sweep_values = 2\ndelta = 1e300\nn_grid = 2\n",
+        ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
+                  "sweep_values = 1e200\nn_grid = 2\n",
          "numeric error: purity drifted by nan at grid point 1\n"),
-    ], ids=["alpha-underflow", "time-span-overflow", "phase-overflow"])
+    ], ids=["time-span-overflow", "phase-overflow"])
     def test_closed_evolution_past_the_float_range_is_numeric_error(self, tmp_path, capsys,
                                                                      command, text, err):
-        # inputs the config fuzz found: alpha = g^2/delta underflows to 0, the
-        # time span alpha_t_max / alpha overflows, or the phases e t do, whose
+        # inputs the config fuzz found: the time span alpha_t_max / alpha
+        # overflows, or the phases e t do, whose
         # numpy warnings are errors under this suite's warning filters
         path = self.write(tmp_path, text)
         assert main([command, path, "--output-dir", str(tmp_path / "out")]) == 3
@@ -1190,15 +1193,14 @@ n_steps = 40000
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, text, err", [
-        # alpha = g^2/delta < 0: the grid ran backwards, "t_grid must be strictly increasing"
+        # alpha = 1/delta < 0: the grid ran backwards, "t_grid must be strictly increasing"
         ("run", "scenario = verify-elimination\ndelta = -50\n",
          "error: delta: verify-elimination needs a positive detuning, got -50.0\n"),
         ("sweep", "scenario = sweep\nsweep_scenario = verify-elimination\nsweep_param = delta\n"
                   "sweep_values = 40, -50\nn_grid = 50\n",
          "error: delta: verify-elimination needs a positive detuning, got -50.0\n"),
         # the grid's steps underflowed to 0: the same t_grid message
-        ("run", "scenario = verify-elimination\ndelta = 50\ng = 9223372036854775808\n"
-                "alpha_t_max = 1e-300\n",
+        ("run", "scenario = verify-elimination\ndelta = 50\nalpha_t_max = 5e-324\n",
          "error: alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = 0.0 with "
          "alpha = g^2/delta is below the normal float range\n"),
         # alpha = 1/32 exactly, so the step is 2^-1023, the largest float below the normal range
@@ -1206,12 +1208,12 @@ n_steps = 40000
                 f"alpha_t_max = {2.0**-1028!r}\n",
          "error: alpha_t_max: time step (alpha_t_max / alpha) / (n_grid - 1) = "
          f"{2.0**-1023!r} with alpha = g^2/delta is below the normal float range\n"),
-        # g^2 underflowed to 0 (a ZeroDivisionError traceback) or overflowed (validate exited 3)
-        ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\n"
-                "alpha_tau = 0.3\ng = 1e-300\n",
+        # the duration alpha_tau * delta overflows or underflows to 0
+        ("run", "scenario = negative-temperature\ndelta = 1e300\nx1 = 1\nx2 = 0.5\n"
+                "alpha_tau = 1e10\n",
          "error: collision duration must be positive and finite, got inf\n"),
-        ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\n"
-                "alpha_tau = 0.3\ng = 1e300\n",
+        ("run", "scenario = negative-temperature\ndelta = 1e-300\nx1 = 1\nx2 = 0.5\n"
+                "alpha_tau = 1e-300\n",
          "error: collision duration must be positive and finite, got 0.0\n"),
         # numpy cannot size the n_steps + 1 states of the trajectory
         ("run", "scenario = negative-temperature\ndelta = 200\nx1 = 1\nx2 = 0.5\ntau = 60\n"
@@ -1224,7 +1226,7 @@ n_steps = 40000
         ("run", VERIFY + "output_path =\n", "error: output_path: must not be empty\n"),
         ("sweep", SWEEP_TWO_POINTS + "output_path =\n", "error: output_path: must not be empty\n"),
     ], ids=["negative-delta", "negative-delta-sweep-point", "grid-step-underflow",
-            "grid-step-subnormal", "g-squared-underflow", "g-squared-overflow", "n-steps-unsizable",
+            "grid-step-subnormal", "duration-overflow", "duration-underflow", "n-steps-unsizable",
             "two-workers-sweep", "two-workers-run", "empty-output-path-run",
             "empty-output-path-sweep"])
     def test_validate_rejects_what_run_rejects_as_config_error(self, tmp_path, capsys, command,
@@ -1278,11 +1280,12 @@ n_steps = 40000
         # delta^2 raised "(34, 'Numerical result out of range')"; tau delta delta is inf
         ("scenario = beyond-far-off\ndelta = 1e200\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
          STEP_MAP_ERROR % "nan"),
-        # g^2 raised "(34, 'Numerical result out of range')" in each scenario's rates
-        ("scenario = collision-vs-me\ndelta = 200\ng = 1e200\ntau = 0.05\nn_steps = 3\nx1 = 1\n"
+        # the effective rates tau / delta^2 are inf
+        ("scenario = collision-vs-me\ndelta = 1e-200\ntau = 0.05\nn_steps = 3\nx1 = 1\n"
          "x2 = 0.5\n", STEP_MAP_ERROR % "nan"),
-        ("scenario = beyond-far-off\ndelta = 2\ng = 1e200\ntau = 0.05\nn_steps = 3\nx1 = 1\n"
-         "x2 = 0.5\n", STEP_MAP_ERROR % "nan"),
+        # a bath rate is at most tau, but a step of it, at most tau^2, is past the float range
+        ("scenario = beyond-far-off\ndelta = 0\ntau = 1e200\nn_steps = 3\nx1 = 1\n"
+         "x2 = 0.5\n", STEP_MAP_ERROR % "inf"),
         # the substep count's math.ceil raised "cannot convert float infinity to integer";
         # the spectral map of the same config keeps its message
         ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n"
@@ -1291,7 +1294,7 @@ n_steps = 40000
         ("scenario = beyond-far-off\ndelta = 1e300\ntau = 1e10\nn_steps = 3\nx1 = 1\nx2 = 2\n",
          "non-finite entry at step 1"),
     ], ids=["alpha-tau-1e300", "dephasing-rate-infinite", "dephasing-rate-overflows",
-            "effective-rates-overflow", "bath-rates-overflow",
+            "effective-rates-overflow", "bath-rate-steps-overflow",
             "runge-kutta-substeps-infinite", "spectral-map-infinite"])
     def test_maps_and_rates_past_the_float_range_are_numeric_error(self, tmp_path, capsys, text,
                                                                    err):
@@ -1408,7 +1411,7 @@ n_steps = 40000
     @pytest.mark.parametrize("text, match", [
         (FIG3B.replace("delta = 200", "delta = nan"), "delta: must be finite"),
         (FIG3B.replace("x1 = 1e-4", "x1 = inf"), "x1: must be finite"),
-        (FIG3B + "g = nan\n", "g: must be finite"),
+        (FIG3B.replace("alpha_tau = 0.3", "alpha_tau = nan"), "alpha_tau: must be finite"),
         (FIG3B + "initial_populations = 1, 0, nan\n",
          "initial_populations: must be finite"),
         (N_STEPS_SWEEP.replace("n_steps = 60", "n_steps = 60\nsweep_values = 10, nan"),
@@ -1423,7 +1426,7 @@ n_steps = 40000
          "collision-vs-me requires zero initial top-level population"),
         (FIG3B + "initial_populations = 0.6000000005, 0.4, 0\n",
          "populations must sum to 1"),
-    ], ids=["delta-nan", "x1-inf", "g-nan", "population-nan", "sweep-value-nan",
+    ], ids=["delta-nan", "x1-inf", "alpha-tau-nan", "population-nan", "sweep-value-nan",
             "cvm-zero-delta", "negT-zero-delta", "verify-zero-delta", "tau-overflow",
             "cvm-top-level-population", "population-sum"])
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, text, match):
@@ -1469,7 +1472,7 @@ n_steps = 40000
 # Values that pass validation and keep a run short: a few collisions or grid
 # points, and a few thousand master-equation steps at most.
 FUZZ_VALID = {
-    "g": ["1", "0.5"], "delta": ["2"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
+    "delta": ["2"], "x1": ["1", "-0.5"], "x2": ["0.5", "2"],
     "tau": ["0.05"], "alpha_tau": ["0.3"],
     "propagator": ["spectral", "runge_kutta"],
     "initial_populations": ["1, 0, 0", "0.5, 0.5, 0", "0.2, 0.3, 0.5"],
@@ -1497,9 +1500,8 @@ FUZZ_WILD = {
     "sweep_scenario": ["sweep", "", "bogus"],
     "sweep_param": ["n_grid", "workers", "", "tau"],  # tau: not a verify-elimination key
     **dict.fromkeys(["n_steps", "n_grid", "snapshot_stride"], FUZZ_SIZES),
-    # thermal exponents past exp's range, and a coupling whose square is past the float range
+    # thermal exponents past exp's range
     **dict.fromkeys(["x1", "x2"], [*FUZZ_NUMBERS, "800", "-800", "709.8"]),
-    "g": [*FUZZ_NUMBERS, "1e200"],
 }
 # What an `OverflowError` says: no exit-3 message may be one of these raw texts
 RAW_OVERFLOW_TEXTS = ("math range error", "Numerical result out of range",
@@ -1546,15 +1548,21 @@ def fuzzed_configs(draw):
     return "sweep" if scenario == "sweep" else "run", "\n".join(lines) + "\n"
 
 
-@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(fuzzed_configs())
-def test_fuzzed_configs_end_in_an_exit_code(case):
-    """Every config text ends in exit 0-3 with no traceback, and exit 2 leaves no
-    directory; a `RuntimeWarning` is an error here, so none may escape either.
-    `validate` and the run agree: the run exits 2, a config error, exactly when
-    `validate` rejects the text (the output directory here is always writable).
-    No exit-3 message is the raw text of an `OverflowError`."""
+# Each fuzz gate draws from a fixed seed, so the cases it runs change only with
+# its strategies, not with its source.  Of seeds 0-19, 19 took both gates among
+# the furthest, sweeps included; the floors are its counts of cases that reach a
+# run, as `tests/fuzz_reach.py` prints them.
+FUZZ_SEED = 19
+FUZZ_TEXT_REACH_FLOOR = 115
+FUZZ_CODE_REACH_FLOOR = 59
+
+
+@seed(FUZZ_SEED)
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=fuzzed_configs())
+def fuzzed_config_ends_in_an_exit_code(reached: list, case):
+    """One case of `test_fuzzed_configs_end_in_an_exit_code`; appends its command to
+    ``reached`` when its config validates, which is exactly when the command runs it."""
     command, text = case
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "cfg.txt", Path(tmp) / "out"
@@ -1569,6 +1577,21 @@ def test_fuzzed_configs_end_in_an_exit_code(case):
         assert validated in (0, 2) and (validated == 0) == (code != 2), (text, err.getvalue())
         assert code != 3 or not any(raw in err.getvalue() for raw in RAW_OVERFLOW_TEXTS), \
             (text, err.getvalue())
+    if validated == 0:
+        reached.append(command)
+
+
+@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
+def test_fuzzed_configs_end_in_an_exit_code():
+    """Every config text ends in exit 0-3 with no traceback, and exit 2 leaves no
+    directory; a `RuntimeWarning` is an error here, so none may escape either.
+    `validate` and the run agree: the run exits 2, a config error, exactly when
+    `validate` rejects the text (the output directory here is always writable).
+    No exit-3 message is the raw text of an `OverflowError`.  At least
+    `FUZZ_TEXT_REACH_FLOOR` cases reach a run."""
+    reached = []
+    fuzzed_config_ends_in_an_exit_code(reached)
+    assert len(reached) >= FUZZ_TEXT_REACH_FLOOR
 
 
 # Values code may pass that the parser never makes: a bool, text for a number,
@@ -1589,13 +1612,13 @@ def code_value(key, raw):
 # Short valid runs of each scenario as code might build them: each key maps
 # to the values drawn for it, ints among them
 CODE_BASES = [
-    {"scenario": ["verify-elimination"], "delta": [2.0, 50], "g": [1, 0.5], "n_grid": [2, 5]},
+    {"scenario": ["verify-elimination"], "delta": [2.0, 50], "n_grid": [2, 5]},
     *({"scenario": [scenario], "delta": [2.0, 50], "x1": [1.0, -0.5], "x2": [0.5, 2],
        duration: [0.05], "n_steps": [1, 2], "propagator": ["spectral", "runge_kutta"]}
       for scenario, duration in (("collision-vs-me", "tau"), ("negative-temperature", "alpha_tau"))),
     {"scenario": ["beyond-far-off"], "delta": [-3.0, 2], "x1": [1.0], "x2": [0.5, -1],
      "tau": [0.05], "n_steps": [1, 2]},
-    {"scenario": ["sweep"], "sweep_scenario": ["verify-elimination"], "sweep_param": ["delta", "g"],
+    {"scenario": ["sweep"], "sweep_scenario": ["verify-elimination"], "sweep_param": ["delta"],
      "sweep_values": [(1.0, 2.0), (50,)], "delta": [2.0], "n_grid": [2]},
 ]
 
@@ -1622,24 +1645,35 @@ def code_built_configs(draw):
     return kwargs
 
 
-@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(code_built_configs())
-def test_code_built_configs_end_in_an_exit_code(kwargs):
-    """Building a config raises nothing but `ConfigError`. A built config is
-    valid, so its run returns a report or raises what `cli.main` maps to
-    exit 3, and never what it maps to exit 2 (the output directory here is
-    always writable): the verdict the text fuzz asks of `validate` and a run."""
+@seed(FUZZ_SEED)
+@settings(max_examples=100, deadline=None, database=None)
+@given(kwargs=code_built_configs())
+def code_built_config_ends_in_an_exit_code(reached: list, kwargs):
+    """One case of `test_code_built_configs_end_in_an_exit_code`; appends its
+    command, ``run`` or ``sweep``, to ``reached`` when the config builds, and so runs."""
     try:
         cfg = ScenarioConfig(**kwargs)
     except ConfigError:
         return
+    reached.append("sweep" if cfg.scenario == "sweep" else "run")
     run = run_sweep if cfg.scenario == "sweep" else run_scenario
     with tempfile.TemporaryDirectory() as tmp:
         try:
             assert isinstance(run(cfg, Path(tmp) / "out"), scenarios.ComparisonReport)
         except (NumericError, OverflowError, MemoryError):
             pass
+
+
+@pytest.mark.filterwarnings("ignore:delta = .* is below the far-off-resonant threshold")
+def test_code_built_configs_end_in_an_exit_code():
+    """Building a config raises nothing but `ConfigError`. A built config is
+    valid, so its run returns a report or raises what `cli.main` maps to
+    exit 3, and never what it maps to exit 2 (the output directory here is
+    always writable): the verdict the text fuzz asks of `validate` and a run.
+    At least `FUZZ_CODE_REACH_FLOOR` cases reach a run."""
+    reached = []
+    code_built_config_ends_in_an_exit_code(reached)
+    assert len(reached) >= FUZZ_CODE_REACH_FLOOR
 
 
 def test_readme_config_table_lists_every_config_key():
@@ -1913,8 +1947,9 @@ def test_benchmark_scaling_rows_call_the_library(monkeypatch):
 
 
 # ROADMAP aim 2 tracks the size of src/collisim: 2045 lines at the last re-anchor,
-# plus the 100 lines ROADMAP item 1 budgets for the run diagnostics.
-SRC_LINE_CEILING = 2145
+# plus the 100 lines ROADMAP item 1 budgets for the run diagnostics, less the 11
+# lines the removal of the g key took out.
+SRC_LINE_CEILING = 2134
 
 
 def test_source_stays_within_its_line_ceiling():

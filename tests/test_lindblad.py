@@ -198,7 +198,7 @@ class TestRhsProperties:
             steady_residual(gen, np.eye(3))
 
     def test_a_rate_past_the_float_range_gives_a_nan_residual(self):
-        # g = 1e150 makes Gamma inf in a negative-temperature run, whose residual check then fails
+        # delta = 1e-200 makes Gamma inf in a negative-temperature run; its residual check fails
         gen = generator_effective_qubit(rates_for(gamma=math.inf))
         assert math.isnan(steady_residual(gen, np.diag([0.5, 0.5])))
 

@@ -59,7 +59,7 @@ if plt is not None:
     fig, ax = plt.subplots(figsize=(7, 4.5))
     for (x1, x2), traj in histories.items():
         x_s = x1 - x2
-        ax.plot(traj.steps, traj.populations[:, 1], lw=1.2,
+        ax.plot(np.arange(len(traj)), traj.populations[:, 1], lw=1.2,
                 label=f"x1={x1}, x2={x2} (x_s={x_s:+.0f})")
         ax.axhline(1.0 / (1.0 + math.exp(x_s)), color="gray", lw=0.6, ls=":")
     ax.set_xlabel("collision step")

@@ -225,7 +225,7 @@ def propagate(step_map: np.ndarray, mat0: np.ndarray, n: int, dt: float, bounds:
         snapshot_states[lo:hi] = states[snapshot_steps[lo:hi] - (done + 1)]
         done += block
 
-    return Trajectory(steps=np.arange(n + 1), times=np.arange(n + 1) * dt, populations=pops,
+    return Trajectory(times=np.arange(n + 1) * dt, populations=pops,
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 
@@ -321,7 +321,7 @@ def closed_evolution(psi0, h: np.ndarray, t_grid, *, snapshot_stride: int = 0) -
         kept = psi[snapshot_steps[lo:hi] - start]
         snapshot_states[lo:hi] = np.einsum("nas,nat->nst", kept, kept.conj())
 
-    return Trajectory(steps=np.arange(t.size), times=t, populations=pops,
+    return Trajectory(times=t, populations=pops,
                       snapshot_steps=snapshot_steps, snapshot_states=snapshot_states)
 
 

@@ -181,14 +181,15 @@ def derive_rates(p: ModelParams) -> DerivedRates:
     at ``capital_gamma = tau p1(x1) p0(x2) / delta^2`` (bath 1 gives up an
     excitation that bath 2 takes) and lowered at ``lowering_rate = tau p0(x1)
     p1(x2) / delta^2``; each is its population product divided by ``delta``
-    twice, then times ``tau``, so finite or inf at ``tau > 0``, never NaN.
+    twice, then times ``tau``, so finite or inf at ``tau > 0``, never NaN, and
+    0 at ``tau = 0``, where ``pop / delta^2`` may be inf.
     ``x_s = x1 - x2`` is the effective thermal exponent; with level 1 above
     level 0 it has the sign of the effective inverse temperature, so
     ``x_s < 0`` is a negative-temperature bath.
     """
     alpha = compute_alpha(p.delta)  # raises at zero detuning
     (ground1, excited1), (ground2, excited2) = thermal_populations(p.x1), thermal_populations(p.x2)
-    capital_gamma, lowering_rate = (pop / p.delta / p.delta * p.tau
+    capital_gamma, lowering_rate = (pop / p.delta / p.delta * p.tau if p.tau > 0 else 0.0
                                     for pop in (excited1 * ground2, ground1 * excited2))
     return DerivedRates(
         alpha=alpha,

@@ -133,17 +133,13 @@ def default_collision_count(p: ModelParams, relaxation_rate: float) -> int:
 
 # No caller here: bench/spans.py still wraps scenarios.subsample by name.
 def subsample(traj: Trajectory, every: int) -> Trajectory:
-    """Every ``every``-th entry, with step indices renumbered to match."""
+    """Every ``every``-th entry; its rows, and so its steps, renumber by position."""
     if every == 1:
         return traj
     keep = traj.snapshot_steps % every == 0
-    return Trajectory(
-        steps=traj.steps[::every] // every,
-        times=traj.times[::every],
-        populations=traj.populations[::every],
-        snapshot_steps=traj.snapshot_steps[keep] // every,
-        snapshot_states=traj.snapshot_states[keep],
-    )
+    return Trajectory(times=traj.times[::every], populations=traj.populations[::every],
+                      snapshot_steps=traj.snapshot_steps[keep] // every,
+                      snapshot_states=traj.snapshot_states[keep])
 
 
 def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray, ia: np.ndarray,
@@ -159,7 +155,7 @@ def _trace_distance_table(traj: Trajectory, steps: np.ndarray, a: np.ndarray, ia
     the blocks give the bits of one whole-stack call.
     """
     table = np.empty((len(steps), 2))
-    table[:, 0] = traj.times[np.searchsorted(traj.steps, steps)]
+    table[:, 0] = traj.times[steps]
     for start in range(0, len(steps), CSV_CHUNK):
         block = slice(start, start + CSV_CHUNK)
         other = as_qutrit_matrix(b if ib is None else b[ib[block]])
@@ -367,18 +363,16 @@ class CsvColumns:
     """The step and time columns of a trajectory CSV, formatted once.
 
     ``chunks`` holds the step and time text of each ``CSV_CHUNK`` rows, one
-    line a row; the population slots are added at write time.  ``steps`` and
-    ``times`` are the arrays it was formatted from.
+    line a row; the population slots are added at write time.  ``times`` is
+    the array it was formatted from; each step is its row index.
     """
 
-    steps: np.ndarray
     times: np.ndarray
     chunks: tuple[bytes, ...]
 
     def matches(self, traj: Trajectory) -> bool:
-        """Whether ``traj`` has these steps and times bit for bit (so -0.0 is not 0.0)."""
-        return (np.array_equal(self.steps, traj.steps)
-                and np.array_equal(self.times.view(np.int64), traj.times.view(np.int64)))
+        """Whether ``traj`` has these times, and so these steps, bit for bit (-0.0 is not 0.0)."""
+        return np.array_equal(self.times.view(np.int64), traj.times.view(np.int64))
 
 
 def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
@@ -391,9 +385,9 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
     %`` (which writes the bytes ``str %`` would, faster) fills the slots.  So
     the text held between files is the step and time columns only, and the
     text formatted at once is one chunk's.  The columns are returned; passed
-    back as ``columns`` for a trajectory whose steps and times match them bit
-    for bit, they are reused, so only the populations are formatted.  Any
-    other ``columns`` are ignored.
+    back as ``columns`` for a trajectory whose times match them bit for bit,
+    they are reused, so only the populations are formatted.  Any other
+    ``columns`` are ignored.
 
     Every cell has FLOAT_FMT's bytes.  A chunk's times, or one level of its
     populations, that `_exact_ints` passes are written with the faster
@@ -402,13 +396,12 @@ def write_trajectory_csv(path: Path, traj: Trajectory, source: str,
     if columns is None or not columns.matches(traj):
         chunks = []
         for start in range(0, len(traj), CSV_CHUNK):
-            # integer steps next to the times, one chunk at a time
-            steps = traj.steps[start:start + CSV_CHUNK].tolist()
+            # the row index as the step, next to the times, one chunk at a time
             time_fmt, times = _time_cells(traj.times[start:start + CSV_CHUNK])
-            cells = [None] * (2 * len(steps))
-            cells[::2], cells[1::2] = steps, times
-            chunks.append(("%d," + time_fmt + "\n").encode() * len(steps) % tuple(cells))
-        columns = CsvColumns(traj.steps, traj.times, tuple(chunks))
+            cells = [None] * (2 * len(times))
+            cells[::2], cells[1::2] = range(start, start + len(times)), times
+            chunks.append(("%d," + time_fmt + "\n").encode() * len(times) % tuple(cells))
+        columns = CsvColumns(traj.times, tuple(chunks))
     source = source.replace("%", "%%")
     with open(path, "wb") as f:
         f.write(CSV_HEADER.encode() + b"\n")

@@ -1,9 +1,9 @@
 """Time series of system-level populations, shared by both engines.
 
 Stroboscopic (collision-step) and continuous-time (master-equation) runs
-produce the same shape: one row per sample with the three system-level
-populations.  Two-level effective states are zero-padded on level 2 so
-every trajectory is directly comparable.
+produce the same shape: row ``i`` is step ``i``, with its time and the three
+system-level populations, 32 bytes a row.  Two-level effective states are
+zero-padded on level 2 so every trajectory is directly comparable.
 """
 
 from __future__ import annotations
@@ -19,15 +19,14 @@ POPULATION_SUM_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Populations indexed by step and physical time (units 1/g).
+    """Populations and physical times (units 1/g); row ``i`` is step ``i``.
 
     ``snapshot_states`` optionally carries full reduced states, shape
-    ``(m, d, d)``, at the steps ``snapshot_steps``, shape ``(m,)``, chosen
-    by the producer.  Trajectories compare by identity: their fields are
-    arrays, which have no single truth value to compare by.
+    ``(m, d, d)``, at the steps (row indices) ``snapshot_steps``, shape
+    ``(m,)``, chosen by the producer.  Trajectories compare by identity:
+    their fields are arrays, which have no single truth value to compare by.
     """
 
-    steps: np.ndarray
     times: np.ndarray
     populations: np.ndarray
     snapshot_steps: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int), repr=False)
@@ -36,11 +35,10 @@ class Trajectory:
 
     def __post_init__(self):
         # read-only views: freezing them leaves the caller's own arrays writable
-        steps = np.asarray(self.steps, dtype=int).view()
         times = np.asarray(self.times, dtype=float).view()
         pops = np.asarray(self.populations, dtype=float).view()
-        if not (len(steps) == len(times) == len(pops)):
-            raise ValueError("steps, times, populations must have equal length")
+        if len(times) != len(pops):
+            raise ValueError("times and populations must have equal length")
         if pops.ndim != 2 or pops.shape[1] != 3:
             raise ValueError(f"populations must have shape (n, 3), got {pops.shape}")
         snap_steps = np.asarray(self.snapshot_steps, dtype=int).view()
@@ -48,8 +46,8 @@ class Trajectory:
         if snap_steps.ndim != 1 or snap_states.ndim != 3 or len(snap_steps) != len(snap_states):
             raise ValueError(f"snapshot steps and states must have shapes (m,) and (m, d, d), "
                              f"got {snap_steps.shape} and {snap_states.shape}")
-        for arr, name in ((steps, "steps"), (times, "times"), (pops, "populations"),
-                          (snap_steps, "snapshot_steps"), (snap_states, "snapshot_states")):
+        for arr, name in ((times, "times"), (pops, "populations"), (snap_steps, "snapshot_steps"),
+                          (snap_states, "snapshot_states")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -127,7 +127,7 @@ class TestRunCollisions:
         traj = run_collisions(GROUND, p, "original")
         assert len(traj) == 21
         assert_allclose(traj.times, np.arange(21) * 60.0)
-        assert traj.steps[-1] == 20
+        assert not hasattr(traj, "steps")  # row i is step i
 
     def test_effective_mode_never_touches_level2(self):
         p = ModelParams(delta=100.0, x1=0.2, x2=0.6, tau=30.0, n_steps=50)
@@ -1112,51 +1112,51 @@ class TestSecondOrderMap:
 
 
 def test_trajectory_validation():
-    good = Trajectory(steps=[0, 1], times=[0.0, 1.0],
+    good = Trajectory(times=[0.0, 1.0],
                       populations=[[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     good.validate()
-    bad_sum = Trajectory(steps=[0], times=[0.0], populations=[[0.6, 0.3, 0.0]])
+    bad_sum = Trajectory(times=[0.0], populations=[[0.6, 0.3, 0.0]])
     with pytest.raises(InvariantViolation, match="sum"):
         bad_sum.validate()
-    bad_time = Trajectory(steps=[0, 1], times=[1.0, 1.0],
+    bad_time = Trajectory(times=[1.0, 1.0],
                           populations=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(InvariantViolation, match="increasing"):
         bad_time.validate()
     with pytest.raises(ValueError, match="shape"):
-        Trajectory(steps=[0], times=[0.0], populations=[[0.5, 0.5]])
+        Trajectory(times=[0.0], populations=[[0.5, 0.5]])
+    with pytest.raises(ValueError, match="equal length"):
+        Trajectory(times=[0.0, 1.0], populations=[[1.0, 0.0, 0.0]])
 
 
 def test_trajectory_validation_rejects_nan_population():
-    nan_pops = Trajectory(steps=[0, 1, 2], times=[0.0, 1.0, 2.0],
+    nan_pops = Trajectory(times=[0.0, 1.0, 2.0],
                           populations=[[1.0, 0.0, 0.0], [np.nan, 0.5, 0.0], [0.5, 0.5, 0.0]])
     with pytest.raises(InvariantViolation, match="non-finite populations at entry 1"):
         nan_pops.validate()
 
 
 def test_trajectory_validation_rejects_nan_time():
-    nan_time = Trajectory(steps=[0, 1, 2], times=[0.0, 1.0, np.nan],
+    nan_time = Trajectory(times=[0.0, 1.0, np.nan],
                           populations=[[1.0, 0.0, 0.0]] * 3)
     with pytest.raises(InvariantViolation, match="non-finite times at entry 2"):
         nan_time.validate()
 
 
 def test_trajectory_leaves_the_callers_arrays_writable():
-    steps, times = np.arange(2), np.array([0.0, 1.0])
-    pops, snap_steps = np.array([[1.0, 0.0, 0.0]] * 2), np.array([0])
-    snap_states = np.zeros((1, 3, 3), dtype=complex)
-    traj = Trajectory(steps=steps, times=times, populations=pops, snapshot_steps=snap_steps,
+    times, pops = np.array([0.0, 1.0]), np.array([[1.0, 0.0, 0.0]] * 2)
+    snap_steps, snap_states = np.array([0]), np.zeros((1, 3, 3), dtype=complex)
+    traj = Trajectory(times=times, populations=pops, snapshot_steps=snap_steps,
                       snapshot_states=snap_states)
     # each raised "assignment destination is read-only" while the arrays were frozen in place
-    steps[1], times[1], pops[1, 0], snap_steps[0], snap_states[0, 0, 0] = 5, 7.0, 0.5, 1, 1.0
-    for arr in (traj.steps, traj.times, traj.populations, traj.snapshot_steps,
-                traj.snapshot_states):
+    times[1], pops[1, 0], snap_steps[0], snap_states[0, 0, 0] = 7.0, 0.5, 1, 1.0
+    for arr in (traj.times, traj.populations, traj.snapshot_steps, traj.snapshot_states):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0
 
 
 def test_trajectory_equality_is_identity():
-    entries = dict(steps=[0, 1], times=[0.0, 1.0], populations=[[1.0, 0.0, 0.0]] * 2)
+    entries = dict(times=[0.0, 1.0], populations=[[1.0, 0.0, 0.0]] * 2)
     a, b = Trajectory(**entries), Trajectory(**entries)
     assert (a == b) is False
     assert (a == a) is True
@@ -1165,6 +1165,6 @@ def test_trajectory_equality_is_identity():
 
 def test_trajectory_final_window():
     pops = np.column_stack([np.linspace(1, 0, 50), np.linspace(0, 1, 50), np.zeros(50)])
-    traj = Trajectory(steps=np.arange(50), times=np.arange(50.0), populations=pops)
+    traj = Trajectory(times=np.arange(50.0), populations=pops)
     window = traj.final_window_mean(0.1)
     assert window[1] > 0.9

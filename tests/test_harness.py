@@ -130,14 +130,14 @@ KEY_VALUES = {
 
 def constant_trajectory(pops, n=10, dt=1.0):
     arr = np.tile(pops, (n, 1))
-    return Trajectory(steps=np.arange(n), times=np.arange(n) * dt, populations=arr)
+    return Trajectory(times=np.arange(n) * dt, populations=arr)
 
 
 def reference_write_trajectory_csv(path, traj, source):
     """The per-row writer that `write_trajectory_csv` replaced: its byte-level oracle."""
     lines = [scenarios.CSV_HEADER]
     for i in range(len(traj)):
-        row = [str(int(traj.steps[i])), f"{traj.times[i]:.12g}"]
+        row = [str(i), f"{traj.times[i]:.12g}"]
         row += [f"{v:.12g}" for v in traj.populations[i]]
         row.append(source)
         lines.append(",".join(row))
@@ -148,7 +148,7 @@ def single_template_write_trajectory_csv(path, traj, source):
     """The one-template writer that formatted all five columns of every file:
     the byte-level oracle of column reuse."""
     row = ",".join(["%d"] + [scenarios.FLOAT_FMT] * 4 + [source.replace("%", "%%")]) + "\n"
-    table = np.column_stack((traj.steps, traj.times, traj.populations))
+    table = np.column_stack((np.arange(len(traj)), traj.times, traj.populations))
     with open(path, "w") as f:
         f.write(scenarios.CSV_HEADER + "\n")
         for start in range(0, len(table), scenarios.CSV_CHUNK):
@@ -157,12 +157,11 @@ def single_template_write_trajectory_csv(path, traj, source):
 
 
 def grid_pair(n):
-    """Two trajectories of ``n`` rows on one step and time grid, with different populations."""
+    """Two trajectories of ``n`` rows on one time grid, with different populations."""
     rng = np.random.default_rng(n)
-    steps, times = np.arange(n), np.arange(n) * 0.1
-    return (Trajectory(steps=steps, times=times, populations=rng.dirichlet((1, 1, 1), n)),
-            Trajectory(steps=steps.copy(), times=times.copy(),
-                       populations=rng.dirichlet((1, 1, 1), n)))
+    times = np.arange(n) * 0.1
+    return (Trajectory(times=times, populations=rng.dirichlet((1, 1, 1), n)),
+            Trajectory(times=times.copy(), populations=rng.dirichlet((1, 1, 1), n)))
 
 
 def traced_call(call, *args):
@@ -194,17 +193,13 @@ CSV_SOURCES = st.tuples(st.text(string.printable, max_size=4),
 
 @st.composite
 def csv_trajectory_pairs(draw):
-    """Two trajectories on one step and time grid of any int64 steps and
-    float64 cells, with a source containing `%` for each."""
+    """Two trajectories on one time grid of any float64 cells, with a source
+    containing `%` for each."""
     n = draw(st.integers(1, 5))
-    int64 = np.iinfo(np.int64)
-    steps = draw(st.lists(st.one_of(st.integers(int64.min, int64.max), st.sampled_from(
-        (0, 2**53 + 1, int64.max, int64.min))), min_size=n, max_size=n))
     times = draw(st.lists(CSV_CELLS, min_size=n, max_size=n))
     pops = [np.reshape(draw(st.lists(CSV_CELLS, min_size=3 * n, max_size=3 * n)), (n, 3))
             for _ in range(2)]
-    return [(Trajectory(steps=np.array(steps, dtype=np.int64), times=np.array(times),
-                        populations=p), draw(CSV_SOURCES)) for p in pops]
+    return [(Trajectory(times=np.array(times), populations=p), draw(CSV_SOURCES)) for p in pops]
 
 
 def count_validations(monkeypatch):
@@ -383,7 +378,7 @@ class TestMetrics:
         nans[0, 10, 0], nans[1, 20, 1] = np.nan, -np.nan
         for a_pops, b_pops in ((pops[0], pops[1]), (np.asfortranarray(pops[1]), pops[0]),
                                (pops[0, ::2], pops[1, ::2]), (nans[0], nans[1])):
-            a, b = (Trajectory(steps=np.arange(len(p)), times=np.arange(len(p)), populations=p)
+            a, b = (Trajectory(times=np.arange(len(p)), populations=p)
                     for p in (a_pops, b_pops))
             old = [float(np.max(col)) for col in np.abs(a.populations - b.populations).T]
             new = metrics(a, b)
@@ -399,7 +394,7 @@ class TestMetrics:
     def test_grid_verdict_is_the_tolerance_one(self, a_times, b_times):
         # bit-equal grids are accepted before the tolerance is tried, and the
         # verdict stays that of the tolerance alone
-        a, b = (Trajectory(steps=np.arange(3), times=t, populations=np.zeros((3, 3)))
+        a, b = (Trajectory(times=t, populations=np.zeros((3, 3)))
                 for t in (a_times, b_times))
         if np.allclose(a_times, b_times, rtol=0, atol=1e-9):
             assert metrics(a, b) == metrics(a, a) == (0.0, 0.0, 0.0)
@@ -408,10 +403,13 @@ class TestMetrics:
                 metrics(a, b)
 
     def test_subsample_renumbers_steps(self):
-        b = constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0)
+        # rows renumber by position; the kept snapshots' steps follow them
+        b = replace(constant_trajectory([1.0, 0.0, 0.0], n=9, dt=1.0),
+                    snapshot_steps=[0, 3, 4, 8], snapshot_states=np.zeros((4, 3, 3)))
         sub = subsample(b, 2)
-        assert list(sub.steps) == [0, 1, 2, 3, 4]
+        assert len(sub) == 5
         assert_allclose(sub.times, [0, 2, 4, 6, 8])
+        assert list(sub.snapshot_steps) == [0, 2, 4]
 
 
 class TestTraceDistanceTable:
@@ -423,8 +421,7 @@ class TestTraceDistanceTable:
         # a on every 2nd step and b on every 3rd: n shared steps, the multiples of 6
         rng = np.random.default_rng(n)
         a_steps, b_steps = np.arange(0, 6 * n, 2), np.arange(0, 6 * n, 3)
-        traj = Trajectory(steps=np.arange(6 * n), times=np.arange(6 * n) * 0.1,
-                          populations=np.zeros((6 * n, 3)))
+        traj = Trajectory(times=np.arange(6 * n) * 0.1, populations=np.zeros((6 * n, 3)))
 
         def states(count, d):
             return rng.normal(size=(count, d, d)) + 1j * rng.normal(size=(count, d, d))
@@ -452,7 +449,7 @@ class TestIntegerCells:
 
     def assert_per_row_bytes(self, tmp_path, times, populations):
         n = len(times)
-        first = Trajectory(steps=np.arange(n), times=times, populations=populations)
+        first = Trajectory(times=times, populations=populations)
         second = replace(first, populations=populations[::-1])
         columns = write_trajectory_csv(tmp_path / "first.csv", first, "orig")
         assert write_trajectory_csv(tmp_path / "second.csv", second, "me5", columns) is columns
@@ -524,8 +521,7 @@ class TestScenarioOutputs:
         vals = np.array(ADVERSARIAL_FLOATS)
         cells = np.where(rng.random((n, 4)) < 0.5, vals[np.arange(4 * n).reshape(n, 4) % len(vals)],
                          rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-20, 20, size=(n, 4)))
-        traj = Trajectory(steps=999_999 - n // 2 + np.arange(n), times=cells[:, 0],
-                          populations=cells[:, 1:])
+        traj = Trajectory(times=cells[:, 0], populations=cells[:, 1:])
         write_trajectory_csv(tmp_path / "new.csv", traj, source)
         reference_write_trajectory_csv(tmp_path / "ref.csv", traj, source)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -589,14 +585,13 @@ class TestScenarioOutputs:
     def test_writer_memory_peak(self, tmp_path):
         # The step and time columns are formatted and the rows written one
         # CSV_CHUNK (1024 rows) at a time, and the columns kept between files
-        # are the step and time text only.  Measured: a 0.92 MB peak, 0.63 MB
+        # are the step and time text only.  Measured: a 0.88 MB peak, 0.63 MB
         # kept.  The writer with 4096-row chunks whose kept templates held the
         # population slots too peaked at 2.50 MB and kept 1.53 MB; listing the
         # whole trajectory at once peaks at 6.43 MB and shows as a higher peak
         # RSS on long runs.
         n = 50_001
-        steps = np.arange(n)
-        traj = Trajectory(steps=steps, times=steps * 0.01,
+        traj = Trajectory(times=np.arange(n) * 0.01,
                           populations=np.random.default_rng(0).dirichlet((1, 1, 1), n))
         _, peak, kept = traced_call(write_trajectory_csv, tmp_path / "orig.csv", traj, "orig")
         assert peak <= 1.25e6
@@ -605,13 +600,14 @@ class TestScenarioOutputs:
     def test_run_memory_peak(self, tmp_path):
         # A whole collision-vs-me run of 20 000 collisions, snapshots at the
         # default stride: the output stage works a CSV_CHUNK block at a time, so
-        # the peak is the trajectories plus one block.  Measured: 3.00 MB above
+        # the peak is the trajectories plus one block.  Measured: 2.69 MB above
         # the memory live before the run, bounded here at that plus 20%.  With
-        # the trace-distance table diagonalized as one stack and 4096-row CSV
-        # chunks the same run peaked at 4.09 MB.
+        # each trajectory also storing its step indices (8 B a row) the same
+        # run peaked at 3.01 MB; with the trace-distance table diagonalized as
+        # one stack and 4096-row CSV chunks, at 4.09 MB.
         cfg = parse_config_text(FIG3B.replace("n_steps = 60", "n_steps = 20000"))
         _, peak, _ = traced_call(run_scenario, cfg, tmp_path)
-        assert peak <= 1.2 * 3.00e6
+        assert peak <= 1.2 * 2.69e6
 
     def test_run_scenario_writes_each_csv_once_path_first(self, tmp_path, monkeypatch):
         # The benchmark times this module attribute and sizes the file named by
@@ -1948,8 +1944,9 @@ def test_benchmark_scaling_rows_call_the_library(monkeypatch):
 
 # ROADMAP aim 2 tracks the size of src/collisim: 2045 lines at the last re-anchor,
 # plus the 100 lines ROADMAP item 1 budgets for the run diagnostics, less the 11
-# lines the removal of the g key took out.
-SRC_LINE_CEILING = 2134
+# lines the removal of the g key took out and the 8 the removal of
+# Trajectory.steps took out.
+SRC_LINE_CEILING = 2126
 
 
 def test_source_stays_within_its_line_ceiling():

@@ -322,6 +322,12 @@ class TestDeriveRates:
         assert bath_rates(p, p.x1) == (scale, 0.0)
         assert bath_rates(p, p.x2) == (0.0, scale)
 
+    @pytest.mark.parametrize("delta", [1e-300, 200.0])
+    def test_rates_vanish_at_zero_duration(self, delta):
+        # 1 / delta^2 is inf at delta 1e-300, and inf * 0 gave NaN rates
+        r = derive_rates(ModelParams(delta=delta, x1=0.5, x2=1.5, tau=0.0))
+        assert (r.capital_gamma, r.lowering_rate) == (0.0, 0.0)
+
     def test_gamma_quadratic_in_inverse_detuning(self):
         base = ModelParams(delta=100.0, x1=0.2, x2=0.4, tau=10.0)
         doubled = ModelParams(delta=200.0, x1=0.2, x2=0.4, tau=10.0)
